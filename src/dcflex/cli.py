@@ -24,6 +24,7 @@ from .instance import (
     load_bundle,
 )
 from .optimizer import (
+    FittedSignal,
     InfeasibleModel,
     ModelConfig,
     resolve_config,
@@ -31,15 +32,7 @@ from .optimizer import (
     solution_from_json,
     solution_to_json,
 )
-from .signals import (
-    build_var_table,
-    empirical_quantile,
-    fit_direct_gaussian,
-    fit_gaussian_envelope,
-    inverse_normal_cdf,
-    mean_abs_signal,
-    read_trace_csv,
-)
+from .signals import empirical_quantile, inverse_normal_cdf, read_trace_csv
 from .simulator import compliance_report, monte_carlo, results_digest, write_series_csv
 from .validate import validate_solution
 from .workload import load_matrix
@@ -166,11 +159,11 @@ def cmd_gen_instance(args) -> int:
     return EXIT_OK
 
 
-def _fit_report(trace, cfg: ModelConfig) -> tuple[dict, dict, dict]:
+def _fit_report(fitted: FittedSignal, trace, cfg: ModelConfig) -> tuple[dict, dict, dict]:
+    """Envelope, VaR-table and fit-report documents of a signal already
+    fitted on ``trace`` with ``cfg``."""
     fit_seg, _ = trace.split(cfg.fit_split)
-    envelope = fit_gaussian_envelope(fit_seg, quantile_grid=cfg.quantile_grid)
-    direct = fit_direct_gaussian(fit_seg)
-    table = build_var_table(fit_seg, horizons=cfg.var_horizons, eps_e=cfg.eps_e)
+    envelope, direct, table = fitted.envelope, fitted.direct, fitted.var_table
     margins = []
     for q in cfg.quantile_grid:
         emp = empirical_quantile(fit_seg.samples, q)
@@ -192,7 +185,7 @@ def _fit_report(trace, cfg: ModelConfig) -> tuple[dict, dict, dict]:
     report = {
         "samples_fit": len(fit_seg),
         "samples_held_out": len(trace) - len(fit_seg),
-        "mean_abs_signal": mean_abs_signal(fit_seg),
+        "mean_abs_signal": fitted.mean_abs,
         "dominance": margins,
     }
     return env_doc, table_doc, report
@@ -209,7 +202,7 @@ def cmd_fit_signal(args) -> int:
         cfg = replace(cfg, fit_split=args.split)
     if args.horizons:
         cfg = replace(cfg, var_horizons=tuple(float(h) for h in args.horizons.split(",")))
-    env_doc, table_doc, report = _fit_report(trace, cfg)
+    env_doc, table_doc, report = _fit_report(fit_signal_artifacts(trace, cfg), trace, cfg)
     paths = [
         _write_json(out / "envelope.json", env_doc),
         _write_json(out / "var_table.json", table_doc),
@@ -219,13 +212,6 @@ def cmd_fit_signal(args) -> int:
     _say(args, f"fitted signal: mu={env_doc['mu']:.5f} sigma={env_doc['sigma']:.5f} "
                f"(direct sigma {env_doc['direct_sigma']:.5f})")
     return EXIT_OK
-
-
-def _solve_bundle(bundle_dir, cfg: ModelConfig, backend: str):
-    inst, _, trace = load_bundle(bundle_dir)
-    fitted = fit_signal_artifacts(trace, cfg)
-    solution = run_strategy(inst, cfg, fitted, backend=backend)
-    return inst, trace, fitted, solution
 
 
 def cmd_solve(args) -> int:
@@ -238,7 +224,7 @@ def cmd_solve(args) -> int:
     cfg = resolve_config(cfg, inst.n_slots, fitted.mean_abs)
     solution = run_strategy(inst, cfg, fitted, backend=exp.backend)
     report = validate_solution(inst, cfg, fitted, solution)
-    env_doc, table_doc, fit_doc = _fit_report(trace, cfg)
+    env_doc, table_doc, fit_doc = _fit_report(fitted, trace, cfg)
     paths = [
         _write_json(out / "envelope.json", env_doc),
         _write_json(out / "var_table.json", table_doc),
@@ -329,10 +315,12 @@ def cmd_compare(args) -> int:
     rows, errors = [], []
     paths = []
     base_total = np.sum([b.base_load for b in inst.grid.buses], axis=0)
+    # The fit depends on the split, quantile grid, horizons and eps_e only,
+    # none of which a cell changes.
+    fitted = fit_signal_artifacts(trace, bundle_cfg)
     for strategy, mode in cells:
-        cfg = replace(bundle_cfg, strategy=strategy, shifting_mode=mode)
-        fitted = fit_signal_artifacts(trace, cfg)
-        cfg = resolve_config(cfg, inst.n_slots, fitted.mean_abs)
+        cfg = resolve_config(replace(bundle_cfg, strategy=strategy, shifting_mode=mode),
+                             inst.n_slots, fitted.mean_abs)
         try:
             solution = run_strategy(inst, cfg, fitted, backend=args.backend)
             report = validate_solution(inst, cfg, fitted, solution)

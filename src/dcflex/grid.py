@@ -93,12 +93,6 @@ class GridCase:
                 return i
         raise KeyError(f"unknown bus id {bus_id}")
 
-    def generators_at(self, bus_id: int) -> list[Generator]:
-        return [g for g in self.generators if g.bus == bus_id]
-
-    def lines_at(self, bus_id: int) -> list[Line]:
-        return [k for k in self.lines if bus_id in (k.from_bus, k.to_bus)]
-
     def max_generator_cost(self) -> float:
         return max((g.cost_per_mwh for g in self.generators), default=0.0)
 

@@ -7,11 +7,20 @@ Gaussian chance constraint upward), and Value-at-Risk queue-energy
 constraints at sub-hour and multi-slot checkpoints. Also implements the
 three bidding strategies (decoupled, independent, cooperative) and the
 shifting-mode restrictions (none, spatial, temporal, joint).
+
+Each DC constraint family is emitted in one place: _schedule_rows writes
+completion, QoS and resource rows, _regulation_rows the power cap, chance
+and queue VaR rows. The full model, the per-DC models and the
+regulation-only model differ only in the DCs, clusters, columns and fixed
+schedule they pass. validate.py re-derives every family independently on
+purpose, so it stays a check on these emitters rather than a copy of them.
 """
 
+import contextlib
 import json
 import math
 import re
+import tempfile
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -282,13 +291,8 @@ class Solution:
 
     def to_dict(self, jobs=None) -> dict:
         m, t_total, n_dc = self.x.shape
-        sparse = []
-        for i in range(m):
-            for t in range(t_total):
-                for l in range(n_dc):
-                    v = float(self.x[i, t, l])
-                    if abs(v) > 1e-12:
-                        sparse.append([i + 1, t + 1, l + 1, v])
+        sparse = [[i + 1, t + 1, l + 1, float(self.x[i, t, l])]
+                  for i, t, l in np.argwhere(np.abs(self.x) > 1e-12).tolist()]
         return {
             "status": self.status,
             "objective_total": self.objective_total,
@@ -411,9 +415,16 @@ def queue_baseline_value(inst: ProblemInstance, slot_hours: float, l: int,
                          tau_hours: float, x: np.ndarray) -> float:
     """Evaluate the baseline-queue expression for a concrete schedule."""
     const, coeffs = queue_baseline_expr(inst, slot_hours, l, tau_hours)
+    return _queue_value(const, coeffs, l, x)
+
+
+def _queue_value(const: float, coeffs: dict, l: int, x: np.ndarray) -> float:
+    """Value of a queue_baseline_expr result at DC l on the schedule x,
+    summed in the order of ``coeffs``."""
+    x_l = np.asarray(x)[:, :, l - 1].tolist()
     total = const
     for (i, t), coef in coeffs.items():
-        total += coef * float(x[i, t - 1, l - 1])
+        total += coef * float(x_l[i][t - 1])
     return total
 
 
@@ -468,6 +479,72 @@ class _VarMap:
         return self.m * self.t * self.n + self.t * (self.n + 2 * self.g + 2 * self.b)
 
 
+def _schedule_rows(model: StandardFormModel, inst: ProblemInstance, cfg: ModelConfig,
+                   dcs, members, xcol) -> None:
+    """Completion, QoS and CPU/memory/IO rows of the clusters ``members``
+    placed over the DCs ``dcs`` (1-based); ``xcol(i, t, l)`` is the column
+    of x[i, t, l]. Zero coefficients are dropped by add_row."""
+    slots = range(1, inst.n_slots + 1)
+    for i in members:
+        model.add_row(f"done_{i + 1}", [(xcol(i, t, l), 1.0) for t in slots for l in dcs],
+                      "=", 1.0)
+    for t in slots:
+        bound = inst.baseline_latency[t - 1] + cfg.delta_qos
+        coeffs = [
+            (xcol(i, t, l),
+             inst.latency.latency(inst.jobs[i].user_region, inst.dcs[l - 1].id) - bound)
+            for i in members for l in dcs
+        ]
+        model.add_row(f"qos_{t}", coeffs, "<=", 0.0)
+    for l in dcs:
+        dc = inst.dcs[l - 1]
+        for t in slots:
+            for tag, r_attr, cap in (
+                ("cpu", "r_cpu", dc.cpu_cap[t - 1]),
+                ("mem", "r_mem", dc.mem_cap[t - 1]),
+                ("io", "r_io", dc.io_cap[t - 1]),
+            ):
+                coeffs = [(xcol(i, t, l), inst.jobs[i].weight * getattr(inst.jobs[i], r_attr))
+                          for i in members]
+                model.add_row(f"{tag}_{l}_{t}", coeffs, "<=", float(cap))
+
+
+def _regulation_rows(model: StandardFormModel, inst: ProblemInstance, cfg: ModelConfig,
+                     ccoef: float, var_table: VaRTable, dcs, members, xcol, rcol,
+                     x_fixed: np.ndarray) -> None:
+    """Power cap, upward chance and VaR queue rows of the DCs ``dcs``.
+
+    ``rcol(l, t)`` is the column of R[l, t]. The x terms of the clusters
+    ``members`` stay variable; the rest of each row is evaluated on the
+    frozen schedule ``x_fixed`` and folded into its right-hand side.
+    """
+    dh = cfg.slot_hours
+    mw = cluster_energies_mwh(inst.jobs) / dh
+    load = load_matrix(x_fixed, inst.jobs, dh)
+    for l in dcs:
+        dc = inst.dcs[l - 1]
+        for t in range(1, inst.n_slots + 1):
+            x_load = [(xcol(i, t, l), mw[i]) for i in members]
+            model.add_row(f"pcap_{l}_{t}", x_load + [(rcol(l, t), 1.0)], "<=",
+                          float(dc.p_max[t - 1] - load[l - 1, t - 1]))
+            model.add_row(f"chance_{l}_{t}", [(j, -c) for j, c in x_load] + [(rcol(l, t), ccoef)],
+                          "<=", float(load[l - 1, t - 1] - dc.p_min[t - 1]))
+    member_set = set(members)
+    for cp in queue_check_points(inst.n_slots, dh, cfg.var_horizons):
+        s_lo, s_hi = var_table.bounds(cp.horizon_hours)
+        htag = format(cp.horizon_hours, "g").replace(".", "p")
+        for l in dcs:
+            const, coeffs = queue_baseline_expr(inst, dh, l, cp.tau_hours)
+            x_terms = [(xcol(i, t, l), coef) for (i, t), coef in sorted(coeffs.items())
+                       if i in member_set]
+            q_fixed = _queue_value(const, coeffs, l, x_fixed)
+            r_slot = rcol(l, cp.slot)
+            model.add_row(f"qhi_{l}_{cp.slot}_{htag}", x_terms + [(r_slot, s_hi)], "<=",
+                          float(inst.queue.q_max[l - 1]) - q_fixed)
+            model.add_row(f"qlo_{l}_{cp.slot}_{htag}", x_terms + [(r_slot, s_lo)], ">=",
+                          float(inst.queue.q_min[l - 1]) - q_fixed)
+
+
 def build_model(
     inst: ProblemInstance,
     cfg: ModelConfig,
@@ -493,14 +570,12 @@ def build_model(
     buses = inst.grid.buses
     n_gen, n_bus = len(gens), len(buses)
     dh = cfg.slot_hours
-    energies = cluster_energies_mwh(inst.jobs)
-    mw = energies / dh  # MW contribution of a fully placed cluster
+    mw = cluster_energies_mwh(inst.jobs) / dh  # MW contribution of a fully placed cluster
     try:
         ccoef = chance_coefficient(moments, cfg.eps_p, cfg.extra_signal_variance)
     except ValueError as exc:
         raise ModelBuildError(f"chance family: {exc}") from exc
-    check_points = queue_check_points(t_total, dh, cfg.var_horizons)
-    for cp in check_points:
+    for cp in queue_check_points(t_total, dh, cfg.var_horizons):
         try:
             var_table.bounds(cp.horizon_hours)
         except KeyError as exc:
@@ -629,69 +704,11 @@ def build_model(
                 0.0,
             )
 
-    for i in range(m):
-        coeffs = [(vm.x(i, t, l), 1.0) for t in range(1, t_total + 1) for l in range(1, n_dc + 1)]
-        model.add_row(f"done_{i + 1}", coeffs, "=", 1.0)
-
-    base_lat = inst.baseline_latency
-    for t in range(1, t_total + 1):
-        bound = base_lat[t - 1] + cfg.delta_qos
-        coeffs = []
-        for i, job in enumerate(inst.jobs):
-            for l in range(1, n_dc + 1):
-                coef = inst.latency.latency(job.user_region, inst.dcs[l - 1].id) - bound
-                if coef != 0.0:
-                    coeffs.append((vm.x(i, t, l), coef))
-        model.add_row(f"qos_{t}", coeffs, "<=", 0.0)
-
-    for l, dc in enumerate(inst.dcs, start=1):
-        for t in range(1, t_total + 1):
-            for tag, r_attr, cap in (
-                ("cpu", "r_cpu", dc.cpu_cap[t - 1]),
-                ("mem", "r_mem", dc.mem_cap[t - 1]),
-                ("io", "r_io", dc.io_cap[t - 1]),
-            ):
-                coeffs = [
-                    (vm.x(i, t, l), job.weight * getattr(job, r_attr))
-                    for i, job in enumerate(inst.jobs)
-                    if job.weight * getattr(job, r_attr) != 0.0
-                ]
-                model.add_row(f"{tag}_{l}_{t}", coeffs, "<=", float(cap))
-
-    for l, dc in enumerate(inst.dcs, start=1):
-        for t in range(1, t_total + 1):
-            load_coeffs = [(vm.x(i, t, l), mw[i]) for i in range(m) if mw[i] != 0.0]
-            model.add_row(
-                f"pcap_{l}_{t}",
-                load_coeffs + [(vm.r(l, t), 1.0)],
-                "<=",
-                float(dc.p_max[t - 1]),
-            )
-            model.add_row(
-                f"chance_{l}_{t}",
-                [(j, -c) for j, c in load_coeffs] + [(vm.r(l, t), ccoef)],
-                "<=",
-                -float(dc.p_min[t - 1]),
-            )
-
-    for cp in check_points:
-        s_lo, s_hi = var_table.bounds(cp.horizon_hours)
-        htag = format(cp.horizon_hours, "g").replace(".", "p")
-        for l, dc in enumerate(inst.dcs, start=1):
-            const, coeffs = queue_baseline_expr(inst, dh, l, cp.tau_hours)
-            x_terms = [(vm.x(i, t, l), coef) for (i, t), coef in sorted(coeffs.items())]
-            model.add_row(
-                f"qhi_{l}_{cp.slot}_{htag}",
-                x_terms + [(vm.r(l, cp.slot), s_hi)],
-                "<=",
-                float(inst.queue.q_max[l - 1]) - const,
-            )
-            model.add_row(
-                f"qlo_{l}_{cp.slot}_{htag}",
-                x_terms + [(vm.r(l, cp.slot), s_lo)],
-                ">=",
-                float(inst.queue.q_min[l - 1]) - const,
-            )
+    members = range(m)
+    dcs = range(1, n_dc + 1)
+    _schedule_rows(model, inst, cfg, dcs, members, vm.x)
+    _regulation_rows(model, inst, cfg, ccoef, var_table, dcs, members, vm.x, vm.r,
+                     np.zeros((m, t_total, n_dc)))
 
     model.validate()
     return model
@@ -710,16 +727,12 @@ def extract_solution(inst: ProblemInstance, cfg: ModelConfig, values: np.ndarray
     t_total, n_dc, m = inst.n_slots, inst.n_dc, len(inst.jobs)
     n_gen, n_bus = len(inst.grid.generators), len(inst.grid.buses)
     vm = _VarMap(m, t_total, n_dc, n_gen, n_bus)
-    x = np.zeros((m, t_total, n_dc))
-    for i in range(m):
-        for t in range(1, t_total + 1):
-            for l in range(1, n_dc + 1):
-                x[i, t - 1, l - 1] = values[vm.x(i, t, l)]
-    reg = np.array([[values[vm.r(l, t)] for t in range(1, t_total + 1)] for l in range(1, n_dc + 1)])
-    gen = np.array([[values[vm.p(g, t)] for t in range(1, t_total + 1)] for g in range(1, n_gen + 1)])
-    commit = np.array([[values[vm.u(g, t)] for t in range(1, t_total + 1)] for g in range(1, n_gen + 1)])
-    theta = np.array([[values[vm.theta(b, t)] for t in range(1, t_total + 1)] for b in range(1, n_bus + 1)])
-    shed = np.array([[values[vm.q(b, t)] for t in range(1, t_total + 1)] for b in range(1, n_bus + 1)])
+    # The blocks are contiguous in _VarMap order; each is copied so the
+    # Solution never shares memory with the solver's vector.
+    blocks = np.split(np.asarray(values, dtype=float)[:vm.total],
+                      [vm.r(1, 1), vm.p(1, 1), vm.u(1, 1), vm.theta(1, 1), vm.q(1, 1)])
+    x = blocks[0].reshape(m, t_total, n_dc).copy()
+    reg, gen, commit, theta, shed = (b.reshape(-1, t_total).copy() for b in blocks[1:])
     reg = np.clip(reg, 0.0, None)
     dh = cfg.slot_hours
     generation_cost = float(sum(
@@ -825,22 +838,17 @@ def solve_model(model: StandardFormModel, backend: str = BACKEND_BUNDLED,
             )
         raise RuntimeError(f"bundled LP failed with status {res.status}")
     if backend.startswith("cmd:"):
-        import tempfile
-
         command = backend[4:]
-        if workdir is None:
-            workdir = tempfile.mkdtemp(prefix="dcflex_ext_")
-        status, values = run_external_solver(model, command, workdir)
+        scratch = (tempfile.TemporaryDirectory(prefix="dcflex_ext_") if workdir is None
+                   else contextlib.nullcontext(workdir))
+        with scratch as wd:
+            status, values = run_external_solver(model, command, wd)
         if status == "infeasible":
             raise InfeasibleModel(
                 f"model {model.name} is infeasible (external)", diagnose_infeasibility(model)
             )
         return values, {"backend": command, "status": "optimal"}
     raise ValueError(f"unknown backend {backend!r}; use 'bundled' or 'cmd:<command>'")
-
-
-def _frozen_nodal_load(inst: ProblemInstance, cfg: ModelConfig, x: np.ndarray) -> np.ndarray:
-    return load_matrix(x, inst.jobs, cfg.slot_hours)
 
 
 def build_regulation_only_model(inst: ProblemInstance, cfg: ModelConfig,
@@ -853,7 +861,6 @@ def build_regulation_only_model(inst: ProblemInstance, cfg: ModelConfig,
     """
     t_total, n_dc = inst.n_slots, inst.n_dc
     dh = cfg.slot_hours
-    nodal = _frozen_nodal_load(inst, cfg, x_frozen)
     ccoef = chance_coefficient(moments, cfg.eps_p, cfg.extra_signal_variance)
     rev = cfg.revenue_rate(t_total, mean_abs)
     model = StandardFormModel("regulation_adjustment")
@@ -861,24 +868,8 @@ def build_regulation_only_model(inst: ProblemInstance, cfg: ModelConfig,
     for l in range(1, n_dc + 1):
         for t in range(1, t_total + 1):
             ridx[(l, t)] = model.add_variable(f"R_{l}_{t}", 0.0, INF, obj=-rev[t - 1] * dh)
-    for l, dc in enumerate(inst.dcs, start=1):
-        for t in range(1, t_total + 1):
-            load = float(nodal[l - 1, t - 1])
-            model.add_row(f"pcap_{l}_{t}", [(ridx[(l, t)], 1.0)], "<=", dc.p_max[t - 1] - load)
-            model.add_row(f"chance_{l}_{t}", [(ridx[(l, t)], ccoef)], "<=", load - dc.p_min[t - 1])
-    for cp in queue_check_points(t_total, dh, cfg.var_horizons):
-        s_lo, s_hi = var_table.bounds(cp.horizon_hours)
-        htag = format(cp.horizon_hours, "g").replace(".", "p")
-        for l in range(1, n_dc + 1):
-            q_base = queue_baseline_value(inst, dh, l, cp.tau_hours, x_frozen)
-            model.add_row(
-                f"qhi_{l}_{cp.slot}_{htag}", [(ridx[(l, cp.slot)], s_hi)], "<=",
-                float(inst.queue.q_max[l - 1]) - q_base,
-            )
-            model.add_row(
-                f"qlo_{l}_{cp.slot}_{htag}", [(ridx[(l, cp.slot)], s_lo)], ">=",
-                float(inst.queue.q_min[l - 1]) - q_base,
-            )
+    _regulation_rows(model, inst, cfg, ccoef, var_table, range(1, n_dc + 1), (), None,
+                     lambda l, t: ridx[(l, t)], x_frozen)
     return model
 
 
@@ -921,15 +912,13 @@ def build_per_dc_model(inst: ProblemInstance, cfg: ModelConfig, moments: Gaussia
     and the DC's queue VaR rows. Energy is billed against the residual
     supply curve (price-taker view), so the DC is cost-aware without
     seeing the other DCs' decisions or the network. Returns the model plus
-    the covered cluster indices; x variables are indexed x[(k, t)] in
-    cluster-major order after the R block.
+    the covered cluster indices; the x variables follow the R block in
+    cluster-major order.
     """
     t_total = inst.n_slots
     dh = cfg.slot_hours
-    dc = inst.dcs[l - 1]
     members = [i for i in range(len(inst.jobs)) if inst.baseline_dc(i)[1] == l]
     energies = cluster_energies_mwh(inst.jobs)
-    mw = energies / dh
     ccoef = chance_coefficient(moments, cfg.eps_p, cfg.extra_signal_variance)
     rev = cfg.revenue_rate(t_total, mean_abs)
     segments = residual_supply_segments(inst, dh, l)
@@ -939,17 +928,17 @@ def build_per_dc_model(inst: ProblemInstance, cfg: ModelConfig, moments: Gaussia
     ridx = {t: model.add_variable(f"R_{l}_{t}", 0.0, INF, obj=-rev[t - 1] * dh)
             for t in range(1, t_total + 1)}
     xidx: dict[tuple[int, int], int] = {}
-    for k, i in enumerate(members):
+    for i in members:
         t0, _ = inst.baseline_dc(i)
         job = inst.jobs[i]
         movable = temporal_ok and job.flex_class == "deferrable"
         for t in range(1, t_total + 1):
             fric = cfg.migration_cost * job.weight * abs(t - t0)
             if movable and t >= job.arrival_slot:
-                xidx[(k, t)] = model.add_variable(f"x_{i + 1}_{t}_{l}", 0.0, 1.0, obj=fric)
+                xidx[(i, t)] = model.add_variable(f"x_{i + 1}_{t}_{l}", 0.0, 1.0, obj=fric)
             else:
                 pin = 1.0 if t == t0 else 0.0
-                xidx[(k, t)] = model.add_variable(f"x_{i + 1}_{t}_{l}", pin, pin, obj=fric)
+                xidx[(i, t)] = model.add_variable(f"x_{i + 1}_{t}_{l}", pin, pin, obj=fric)
     # Energy bill: own energy per slot fills priced supply segments; the
     # convex merit order makes the LP use cheap segments first.
     for t in range(1, t_total + 1):
@@ -957,60 +946,16 @@ def build_per_dc_model(inst: ProblemInstance, cfg: ModelConfig, moments: Gaussia
         for s, (width, price) in enumerate(segments[t - 1]):
             seg_vars.append(model.add_variable(
                 f"bill_{t}_{s}", 0.0, width, obj=price))
-        coeffs = [(xidx[(k, t)], float(energies[i])) for k, i in enumerate(members)
-                  if energies[i] != 0.0]
+        coeffs = [(xidx[(i, t)], float(energies[i])) for i in members if energies[i] != 0.0]
         coeffs += [(sv, -1.0) for sv in seg_vars]
         model.add_row(f"bill_{t}", coeffs, "=", 0.0)
-    for k, i in enumerate(members):
-        model.add_row(f"done_{i + 1}", [(xidx[(k, t)], 1.0) for t in range(1, t_total + 1)], "=", 1.0)
-    base_lat = inst.baseline_latency
-    for t in range(1, t_total + 1):
-        bound = base_lat[t - 1] + cfg.delta_qos
-        coeffs = []
-        for k, i in enumerate(members):
-            coef = inst.latency.latency(inst.jobs[i].user_region, dc.id) - bound
-            if coef != 0.0:
-                coeffs.append((xidx[(k, t)], coef))
-        model.add_row(f"qos_{t}", coeffs, "<=", 0.0)
-    for t in range(1, t_total + 1):
-        for tag, r_attr, cap in (
-            ("cpu", "r_cpu", dc.cpu_cap[t - 1]),
-            ("mem", "r_mem", dc.mem_cap[t - 1]),
-            ("io", "r_io", dc.io_cap[t - 1]),
-        ):
-            coeffs = [
-                (xidx[(k, t)], inst.jobs[i].weight * getattr(inst.jobs[i], r_attr))
-                for k, i in enumerate(members)
-                if inst.jobs[i].weight * getattr(inst.jobs[i], r_attr) != 0.0
-            ]
-            model.add_row(f"{tag}_{l}_{t}", coeffs, "<=", float(cap))
-    for t in range(1, t_total + 1):
-        load_coeffs = [(xidx[(k, t)], mw[i]) for k, i in enumerate(members) if mw[i] != 0.0]
-        model.add_row(f"pcap_{l}_{t}", load_coeffs + [(ridx[t], 1.0)], "<=", float(dc.p_max[t - 1]))
-        model.add_row(
-            f"chance_{l}_{t}",
-            [(j, -c) for j, c in load_coeffs] + [(ridx[t], ccoef)],
-            "<=",
-            -float(dc.p_min[t - 1]),
-        )
-    for cp in queue_check_points(t_total, dh, cfg.var_horizons):
-        s_lo, s_hi = var_table.bounds(cp.horizon_hours)
-        htag = format(cp.horizon_hours, "g").replace(".", "p")
-        const, coeffs = queue_baseline_expr(inst, dh, l, cp.tau_hours)
-        pos_of = {i: k for k, i in enumerate(members)}
-        x_terms = [
-            (xidx[(pos_of[i], t)], coef)
-            for (i, t), coef in sorted(coeffs.items())
-            if i in pos_of
-        ]
-        model.add_row(
-            f"qhi_{l}_{cp.slot}_{htag}", x_terms + [(ridx[cp.slot], s_hi)], "<=",
-            float(inst.queue.q_max[l - 1]) - const,
-        )
-        model.add_row(
-            f"qlo_{l}_{cp.slot}_{htag}", x_terms + [(ridx[cp.slot], s_lo)], ">=",
-            float(inst.queue.q_min[l - 1]) - const,
-        )
+
+    def xcol(i, t, _l):
+        return xidx[(i, t)]
+
+    _schedule_rows(model, inst, cfg, (l,), members, xcol)
+    _regulation_rows(model, inst, cfg, ccoef, var_table, (l,), members, xcol,
+                     lambda _l, t: ridx[t], np.zeros((len(inst.jobs), t_total, inst.n_dc)))
     return model, members
 
 
@@ -1036,11 +981,7 @@ def run_strategy(inst: ProblemInstance, cfg: ModelConfig, fitted: FittedSignal,
         if res2.status != "optimal":
             raise InfeasibleModel("regulation adjustment phase failed",
                                   diagnose_infeasibility(phase2))
-        reg = np.array([
-            [res2.x[(l - 1) * inst.n_slots + (t - 1)] for t in range(1, inst.n_slots + 1)]
-            for l in range(1, inst.n_dc + 1)
-        ])
-        reg = np.clip(reg, 0.0, None)
+        reg = np.clip(res2.x.reshape(inst.n_dc, inst.n_slots), 0.0, None)
         rev_rate = cfg.revenue_rate(inst.n_slots, mean_abs)
         revenue = float(sum(rev_rate[t] * reg[:, t].sum() * cfg.slot_hours
                             for t in range(inst.n_slots)))
@@ -1058,7 +999,7 @@ def run_strategy(inst: ProblemInstance, cfg: ModelConfig, fitted: FittedSignal,
         )
 
     if cfg.strategy == "independent":
-        m, t_total, n_dc = len(inst.jobs), inst.n_slots, inst.n_dc
+        t_total, n_dc = inst.n_slots, inst.n_dc
         x_all = inst.x_base.copy()
         reg_all = np.zeros((n_dc, t_total))
         per_dc_stats = []
@@ -1068,16 +1009,11 @@ def run_strategy(inst: ProblemInstance, cfg: ModelConfig, fitted: FittedSignal,
             if res.status != "optimal":
                 raise InfeasibleModel(f"per-DC model for dc {l} failed ({res.status})",
                                       diagnose_infeasibility(model))
-            for t in range(1, t_total + 1):
-                reg_all[l - 1, t - 1] = max(0.0, res.x[t - 1])
-            offset = t_total  # R block comes first
-            for k, i in enumerate(members):
-                for t in range(1, t_total + 1):
-                    x_all[i, t - 1, l - 1] = res.x[offset + k * t_total + (t - 1)]
-                # zero out other DCs for this cluster (baseline had one cell)
-                for other in range(n_dc):
-                    if other != l - 1:
-                        x_all[i, :, other] = 0.0
+            # The R block comes first, then the members' x in cluster-major
+            # order; members leave no mass at other DCs.
+            reg_all[l - 1] = np.maximum(res.x[:t_total], 0.0)
+            x_all[members] = 0.0
+            x_all[members, :, l - 1] = res.x[t_total:t_total * (1 + len(members))].reshape(-1, t_total)
             per_dc_stats.append({"dc": l, "iterations": res.iterations})
         dispatch = build_model(inst, cfg, moments, fitted.var_table,
                                fix_x=x_all, fix_r=reg_all, name="independent_dispatch")

@@ -73,12 +73,6 @@ class StandardFormModel:
         self.rows.append(row)
         return len(self.rows) - 1
 
-    def set_objective_coeff(self, idx: int, value: float) -> None:
-        if value == 0.0:
-            self.objective.pop(idx, None)
-        else:
-            self.objective[idx] = value
-
     def objective_vector(self) -> np.ndarray:
         c = np.zeros(self.n_vars)
         for j, v in self.objective.items():

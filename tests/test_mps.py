@@ -1,4 +1,5 @@
 import sys
+import tempfile
 import textwrap
 
 import numpy as np
@@ -14,6 +15,7 @@ from dcflex.mps import (
     run_external_solver,
     write_mps,
 )
+from dcflex.optimizer import solve_model
 from dcflex.simplex import solve_lp
 from dcflex.standard_form import INF, StandardFormModel
 
@@ -197,3 +199,10 @@ def test_external_backend_mip(tmp_path, external_command):
     assert status == "optimal"
     ours = solve_mip(m)
     assert m.evaluate_objective(values) == pytest.approx(ours.objective, rel=1e-6)
+
+
+def test_external_backend_removes_its_scratch_directory(tmp_path, monkeypatch, external_command):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    values, stats = solve_model(toy_model(), f"cmd:{external_command}")
+    assert stats["status"] == "optimal" and len(values) == 2
+    assert not list(tmp_path.glob("dcflex_ext_*"))

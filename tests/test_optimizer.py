@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 
@@ -5,11 +6,14 @@ import numpy as np
 import pytest
 
 from conftest import tiny_config, tiny_instance
+from dcflex.mps import model_to_mps
 from dcflex.optimizer import (
     InfeasibleModel,
     ModelConfig,
     allowed_cells,
     build_model,
+    build_per_dc_model,
+    build_regulation_only_model,
     chance_coefficient,
     derived_link_flows,
     diagnose_infeasibility,
@@ -290,3 +294,44 @@ def test_resolve_config_fills_m_bar():
     resolved = resolve_config(cfg, 4, 0.37)
     assert resolved.m_bar == [0.37] * 4
     assert resolve_config(resolved, 4, 0.99) is resolved
+
+
+# sha256 of model_to_mps for the models of test_model_text_is_byte_stable.
+# They pin the emitted model text: a refactor of the builders must leave it
+# byte-identical, and a deliberate change of a row updates them.
+MPS_SHA256 = {
+    "plain": "599ee853843e98db14a2dec2618791ed0f6f271501e8905a6aa9e355575410ef",
+    "pin_r_zero": "f2cf309fc3bcd9206df2346f4c5aee7a12255d361df358e906be8419f7450ab0",
+    "fixed": "4f3d34f1ca3f778e05d54eb7eed6c1353adda422ef7d16e008f5a6152ef4db61",
+    "dc1": "3d1e4c083133851b7971470b8406a3643b91f86a76e75db5fbfe778db8cd273a",
+    "dc2": "ced3a24077164d0ea5513809ad3447dcbd1b4fbc67e7a1ee1d9bf51727ac4c49",
+    "regulation": "eb64a0fdb371c1ed3e34412b70bc37db7752eba366f3dd53dd72cee3611cc933",
+}
+
+
+def test_model_text_is_byte_stable():
+    # Hand-set moments and VaR table, so no fitted float reaches the models.
+    inst, cfg, moments, table = tiny_setup()
+    models = {
+        "plain": build_model(inst, cfg, moments, table),
+        "pin_r_zero": build_model(inst, cfg, moments, table, pin_r_zero=True),
+        "fixed": build_model(inst, cfg, moments, table, fix_x=inst.x_base,
+                             fix_r=np.zeros((inst.n_dc, inst.n_slots))),
+        "dc1": build_per_dc_model(inst, cfg, moments, table, 1, 0.4)[0],
+        "dc2": build_per_dc_model(inst, cfg, moments, table, 2, 0.4)[0],
+        "regulation": build_regulation_only_model(inst, cfg, moments, table, inst.x_base, 0.4),
+    }
+    digests = {k: hashlib.sha256(model_to_mps(m).encode()).hexdigest() for k, m in models.items()}
+    assert digests == MPS_SHA256
+
+    # The emitted queue rows carry exactly the reference expression's x terms.
+    model = models["plain"]
+    names = [v.name for v in model.variables]
+    rows = {row.name: row for row in model.rows}
+    for cp in queue_check_points(inst.n_slots, cfg.slot_hours, cfg.var_horizons):
+        htag = format(cp.horizon_hours, "g").replace(".", "p")
+        for l in range(1, inst.n_dc + 1):
+            _, coeffs = queue_baseline_expr(inst, cfg.slot_hours, l, cp.tau_hours)
+            row = rows[f"qhi_{l}_{cp.slot}_{htag}"]
+            emitted = {names[j]: c for j, c in row.coeffs if names[j].startswith("x_")}
+            assert emitted == {f"x_{i + 1}_{t}_{l}": c for (i, t), c in coeffs.items()}
