@@ -21,7 +21,7 @@ GAP_TOL = 1e-9
 
 @dataclass
 class MIPResult:
-    status: str  # optimal | infeasible | unbounded | time_limit
+    status: str  # optimal | infeasible | unbounded | iteration_limit | time_limit
     objective: float | None
     x: np.ndarray | None
     best_bound: float | None
@@ -76,10 +76,8 @@ def solve_mip(model: StandardFormModel, time_limit_s: float | None = None) -> MI
     int_idx = _check_binary(model)
     start = time.monotonic()
     root = solve_lp(model)
-    if root.status in (INFEASIBLE, UNBOUNDED):
+    if root.status in (INFEASIBLE, UNBOUNDED, ITERATION_LIMIT):
         return MIPResult(root.status, None, None, None, 1)
-    if root.status == ITERATION_LIMIT:
-        return MIPResult("time_limit", None, None, None, 1)
 
     incumbent_x: np.ndarray | None = None
     incumbent_obj = float("inf")

@@ -3,7 +3,7 @@
 Every command is deterministic given its inputs and an explicit seed, and
 writes its artifacts under --out together with a manifest of content
 hashes. Exit codes: 0 success, 2 infeasible model, 3 validation failure,
-4 input/configuration error.
+4 input/configuration error, 5 solver failure.
 """
 
 import argparse
@@ -27,12 +27,13 @@ from .optimizer import (
     FittedSignal,
     InfeasibleModel,
     ModelConfig,
+    SolverError,
     resolve_config,
     run_strategy,
     solution_from_json,
     solution_to_json,
 )
-from .signals import empirical_quantile, inverse_normal_cdf, read_trace_csv
+from .signals import empirical_quantile, read_trace_csv
 from .simulator import compliance_report, monte_carlo, results_digest, write_series_csv
 from .validate import validate_solution
 from .workload import load_matrix
@@ -41,6 +42,7 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 2
 EXIT_VALIDATION = 3
 EXIT_INPUT = 4
+EXIT_SOLVER = 5
 
 
 @dataclass
@@ -167,12 +169,9 @@ def _fit_report(fitted: FittedSignal, trace, cfg: ModelConfig) -> tuple[dict, di
     margins = []
     for q in cfg.quantile_grid:
         emp = empirical_quantile(fit_seg.samples, q)
-        margins.append({
-            "quantile": q,
-            "empirical": emp,
-            "envelope": envelope.mu + inverse_normal_cdf(q) * envelope.sigma,
-            "dominance_margin": envelope.mu + inverse_normal_cdf(q) * envelope.sigma - emp,
-        })
+        upper = envelope.upper_quantile(q)
+        margins.append({"quantile": q, "empirical": emp, "envelope": upper,
+                        "dominance_margin": upper - emp})
     env_doc = {"mu": envelope.mu, "sigma": envelope.sigma, "source": envelope.source,
                "direct_mu": direct.mu, "direct_sigma": direct.sigma}
     table_doc = {
@@ -503,6 +502,9 @@ def main(argv=None) -> int:
         for family, amount in exc.family_report.items():
             print(f"  binding family {family}: total violation {amount}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except SolverError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     except (FileNotFoundError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

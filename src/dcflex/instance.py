@@ -131,6 +131,14 @@ def default_var_horizons(n_slots: int, slot_hours: float) -> tuple[float, ...]:
     return tuple(hs)
 
 
+def _check_signal_interval(slot_hours: float, dt_seconds: float) -> None:
+    """Reject an interval that does not divide the slot into whole samples."""
+    per_slot = slot_hours * 3600.0 / dt_seconds
+    if abs(per_slot - round(per_slot)) > 1e-6 * per_slot:
+        raise ValueError(f"signal interval {dt_seconds:g} s does not divide the "
+                         f"{slot_hours:g} h slot ({per_slot:.6g} samples per slot)")
+
+
 def _signal_days(params: GenParams) -> float:
     if params.signal_days is not None:
         return params.signal_days
@@ -148,6 +156,7 @@ def build_synthetic(params: GenParams, seed: int) -> tuple[ProblemInstance, Mode
     if n_bus < max(2, n_dc):
         raise ValueError("need at least as many buses as DCs (and two overall)")
     dh = params.slot_hours
+    _check_signal_interval(dh, params.signal_dt_seconds)
 
     # Peaked daily base-load shape; DCs and temporal shifting act against it.
     t_axis = np.arange(t_total)
@@ -371,6 +380,7 @@ def load_bundle(bundle_dir) -> tuple[ProblemInstance, ModelConfig, RegulationTra
                             np.array(q_min), np.array(q_max))
     with open(bundle / "config.json", encoding="utf-8") as fh:
         cfg = ModelConfig.from_dict(json.load(fh))
+    _check_signal_interval(cfg.slot_hours, trace.dt_seconds)
     inst = ProblemInstance(tuple(jobs), latmap, tuple(dcs), grid, queue)
     inst.validate()
     return inst, cfg, trace

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .standard_form import INF, StandardFormModel
+from .standard_form import INF, SolverError, StandardFormModel
 
 OBJECTIVE_ROW = "COST"
 
@@ -26,7 +26,7 @@ _SENSE_TO_TAG = {"<=": "L", ">=": "G", "=": "E"}
 _TAG_TO_SENSE = {v: k for k, v in _SENSE_TO_TAG.items()}
 
 
-class ExternalSolverError(RuntimeError):
+class ExternalSolverError(SolverError):
     """The external solver command failed or returned unusable output."""
 
 

@@ -16,7 +16,6 @@ schedule they pass. validate.py re-derives every family independently on
 purpose, so it stays a check on these emitters rather than a copy of them.
 """
 
-import contextlib
 import json
 import math
 import re
@@ -29,10 +28,16 @@ import numpy as np
 from .bnb import solve_mip
 from .grid import GridCase
 from .mps import run_external_solver
-from .signals import GaussianEnvelope, VaRTable, inverse_normal_cdf
-from .simplex import solve_lp
+from .signals import (
+    DEFAULT_QUANTILE_GRID,
+    DEFAULT_VAR_HORIZONS,
+    GaussianEnvelope,
+    VaRTable,
+    inverse_normal_cdf,
+)
+from .simplex import INFEASIBLE, OPTIMAL, solve_lp
 from .spacetime import SpaceTimeIndex, VirtualLink
-from .standard_form import INF, StandardFormModel
+from .standard_form import INF, SolverError, StandardFormModel
 from .workload import (
     LatencyMap,
     baseline_assignment,
@@ -45,8 +50,7 @@ SHIFTING_MODES = ("none", "spatial", "temporal", "joint")
 STRATEGIES = ("decoupled", "independent", "cooperative")
 SIGNAL_MODELS = ("direct_gaussian", "envelope")
 BACKEND_BUNDLED = "bundled"
-
-DEFAULT_VAR_HORIZONS = (0.25, 0.5, 1.0, 2.0, 3.0, 4.0)
+_ELASTIC_SUFFIX = "_elastic"
 
 
 class ModelBuildError(ValueError):
@@ -102,7 +106,7 @@ class ModelConfig:
     c_rp: object = 3.0
     m_bar: object = None  # None -> mean |s| of the fitted trace
     var_horizons: tuple = DEFAULT_VAR_HORIZONS
-    quantile_grid: tuple = (0.80, 0.85, 0.90, 0.925, 0.95, 0.975, 0.99)
+    quantile_grid: tuple = DEFAULT_QUANTILE_GRID
     extra_signal_variance: float = 0.0
     integral_x: bool = False
     migration_cost: float = 0.0  # reporting-only, per task moved
@@ -772,13 +776,18 @@ def migration_cost_of(inst: ProblemInstance, cfg: ModelConfig, x: np.ndarray) ->
     return total
 
 
-def diagnose_infeasibility(model: StandardFormModel) -> dict[str, float]:
+def diagnose_infeasibility(model: StandardFormModel,
+                           backend: str = BACKEND_BUNDLED) -> dict[str, float]:
     """Per-family total violation of the elastic relaxation of a model.
 
     Every row gains nonnegative violation variables; minimizing total
-    violation names which constraint families cannot be satisfied together.
+    violation on ``backend`` names which constraint families cannot be
+    satisfied together. The report is empty when that solve fails, and for
+    an elastic model itself, which is feasible whenever its bounds are.
     """
-    elastic = StandardFormModel(model.name + "_elastic")
+    if model.name.endswith(_ELASTIC_SUFFIX):
+        return {}
+    elastic = StandardFormModel(model.name + _ELASTIC_SUFFIX)
     for v in model.variables:
         elastic.add_variable(v.name, v.lb, v.ub, integer=False)
     slacks_of_row: dict[int, list[int]] = {}
@@ -793,62 +802,52 @@ def diagnose_infeasibility(model: StandardFormModel) -> dict[str, float]:
             s2 = elastic.add_variable(f"__viol2_{ri}", 0.0, INF, obj=1.0)
             slacks_of_row[ri].append(s2)
             elastic.add_row(row.name, list(row.coeffs) + [(s, -1.0), (s2, 1.0)], "=", row.rhs)
-    res = solve_lp(elastic)
+    try:
+        values, _ = solve_model(elastic, backend)
+    except (InfeasibleModel, SolverError):
+        return {}
     report: dict[str, float] = {}
-    if res.status != "optimal":
-        return report
     for ri, row in enumerate(model.rows):
-        total = float(sum(res.x[s] for s in slacks_of_row[ri]))
+        total = float(sum(values[s] for s in slacks_of_row[ri]))
         if total > 1e-7:
             family = _row_family(row.name)
             report[family] = report.get(family, 0.0) + total
     return {k: round(v, 9) for k, v in sorted(report.items())}
 
 
-def solve_model(model: StandardFormModel, backend: str = BACKEND_BUNDLED,
-                workdir=None, time_limit_s: float | None = None):
-    """Dispatch a model to the bundled solver or an external command.
+def solve_model(model: StandardFormModel, backend: str = BACKEND_BUNDLED):
+    """Solve a model on the selected backend; the one place a solver runs.
 
-    Returns (values, stats). Raises InfeasibleModel with a family report
-    when the model admits no feasible point.
+    ``bundled`` uses branch and bound when the model has free binaries and
+    the simplex otherwise; ``cmd:<command>`` exports MPS to an external
+    command in a temporary directory. Returns (values, stats) only for a
+    proven optimum. Raises InfeasibleModel, carrying the family report of
+    diagnose_infeasibility on the same backend, when no feasible point
+    exists, and SolverError on any other status.
     """
-    has_free_integers = any(
-        v.integer and v.ub - v.lb > 1e-12 for v in model.variables
-    )
     if backend == BACKEND_BUNDLED:
-        if has_free_integers:
-            res = solve_mip(model, time_limit_s=time_limit_s)
+        if any(v.integer and v.ub - v.lb > 1e-12 for v in model.variables):
+            res = solve_mip(model)
             stats = {"backend": "bundled", "nodes": res.nodes, "status": res.status}
-            if res.status == "optimal" or (res.status == "time_limit" and res.x is not None):
-                if res.gap is not None:
-                    stats["gap"] = res.gap
-                return res.x, stats
-            if res.status == "infeasible":
-                raise InfeasibleModel(
-                    f"model {model.name} is infeasible", diagnose_infeasibility(model)
-                )
-            raise RuntimeError(f"bundled MIP failed with status {res.status}")
-        res = solve_lp(model)
-        stats = {"backend": "bundled", "iterations": res.iterations, "status": res.status}
-        if res.status == "optimal":
-            return res.x, stats
-        if res.status == "infeasible":
-            raise InfeasibleModel(
-                f"model {model.name} is infeasible", diagnose_infeasibility(model)
-            )
-        raise RuntimeError(f"bundled LP failed with status {res.status}")
-    if backend.startswith("cmd:"):
-        command = backend[4:]
-        scratch = (tempfile.TemporaryDirectory(prefix="dcflex_ext_") if workdir is None
-                   else contextlib.nullcontext(workdir))
-        with scratch as wd:
-            status, values = run_external_solver(model, command, wd)
-        if status == "infeasible":
-            raise InfeasibleModel(
-                f"model {model.name} is infeasible (external)", diagnose_infeasibility(model)
-            )
-        return values, {"backend": command, "status": "optimal"}
-    raise ValueError(f"unknown backend {backend!r}; use 'bundled' or 'cmd:<command>'")
+            if res.gap is not None:
+                stats["gap"] = res.gap
+        else:
+            res = solve_lp(model)
+            stats = {"backend": "bundled", "iterations": res.iterations, "status": res.status}
+        status, values = res.status, res.x
+    elif backend.startswith("cmd:"):
+        with tempfile.TemporaryDirectory(prefix="dcflex_ext_") as wd:
+            status, values = run_external_solver(model, backend[4:], wd)
+        stats = {"backend": backend[4:], "status": status}
+    else:
+        raise ValueError(f"unknown backend {backend!r}; use 'bundled' or 'cmd:<command>'")
+    if status == INFEASIBLE:
+        raise InfeasibleModel(f"model {model.name} is infeasible",
+                              diagnose_infeasibility(model, backend))
+    if status != OPTIMAL:
+        raise SolverError(f"model {model.name}: {stats['backend']} solver "
+                          f"ended with status {status}")
+    return values, stats
 
 
 def build_regulation_only_model(inst: ProblemInstance, cfg: ModelConfig,
@@ -960,43 +959,37 @@ def build_per_dc_model(inst: ProblemInstance, cfg: ModelConfig, moments: Gaussia
 
 
 def run_strategy(inst: ProblemInstance, cfg: ModelConfig, fitted: FittedSignal,
-                 backend: str = BACKEND_BUNDLED, workdir=None) -> Solution:
-    """Solve an instance under the configured bidding strategy."""
+                 backend: str = BACKEND_BUNDLED) -> Solution:
+    """Solve an instance under the configured bidding strategy.
+
+    Every model the strategy builds (the joint model; decoupled phase 1 and
+    its regulation adjustment; each per-DC model and the dispatch) is
+    solved by solve_model on ``backend``, so every part of the result is a
+    proven optimum under one status contract.
+    """
     moments = fitted.moments(cfg.signal_model)
     mean_abs = fitted.mean_abs
     cfg = resolve_config(cfg, inst.n_slots, mean_abs)
     if cfg.strategy == "cooperative":
         model = build_model(inst, cfg, moments, fitted.var_table)
-        values, stats = solve_model(model, backend, workdir)
+        values, stats = solve_model(model, backend)
         return extract_solution(inst, cfg, values, "optimal", mean_abs, stats)
 
     if cfg.strategy == "decoupled":
         phase1 = build_model(inst, cfg, moments, fitted.var_table,
                              pin_r_zero=True, name="decoupled_phase1")
-        values1, stats1 = solve_model(phase1, backend, workdir)
-        sol1 = extract_solution(inst, cfg, values1, "optimal", mean_abs, stats1)
+        values1, stats1 = solve_model(phase1, backend)
+        vm = _VarMap(len(inst.jobs), inst.n_slots, inst.n_dc,
+                     len(inst.grid.generators), len(inst.grid.buses))
+        x1 = values1[:vm.r(1, 1)].reshape(vm.m, vm.t, vm.n)
         phase2 = build_regulation_only_model(inst, cfg, moments, fitted.var_table,
-                                             sol1.x, mean_abs)
-        res2 = solve_lp(phase2)
-        if res2.status != "optimal":
-            raise InfeasibleModel("regulation adjustment phase failed",
-                                  diagnose_infeasibility(phase2))
-        reg = np.clip(res2.x.reshape(inst.n_dc, inst.n_slots), 0.0, None)
-        rev_rate = cfg.revenue_rate(inst.n_slots, mean_abs)
-        revenue = float(sum(rev_rate[t] * reg[:, t].sum() * cfg.slot_hours
-                            for t in range(inst.n_slots)))
-        return Solution(
-            x=sol1.x, reg=reg, gen=sol1.gen, commit=sol1.commit, theta=sol1.theta,
-            shed=sol1.shed,
-            objective_total=(sol1.generation_cost + sol1.penalty_cost
-                             + sol1.migration_cost - revenue),
-            generation_cost=sol1.generation_cost,
-            penalty_cost=sol1.penalty_cost,
-            regulation_revenue=revenue,
-            status="optimal",
-            migration_cost=sol1.migration_cost,
-            solver_stats={"phase1": stats1, "phase2_iterations": res2.iterations},
-        )
+                                             x1, mean_abs)
+        values2, stats2 = solve_model(phase2, backend)
+        # Phase 2's R columns follow the same (l, t) order as the R block.
+        values = np.array(values1, dtype=float)
+        values[vm.r(1, 1):vm.p(1, 1)] = values2
+        return extract_solution(inst, cfg, values, "optimal", mean_abs,
+                                {"phase1": stats1, "phase2": stats2})
 
     if cfg.strategy == "independent":
         t_total, n_dc = inst.n_slots, inst.n_dc
@@ -1005,22 +998,18 @@ def run_strategy(inst: ProblemInstance, cfg: ModelConfig, fitted: FittedSignal,
         per_dc_stats = []
         for l in range(1, n_dc + 1):
             model, members = build_per_dc_model(inst, cfg, moments, fitted.var_table, l, mean_abs)
-            res = solve_lp(model)
-            if res.status != "optimal":
-                raise InfeasibleModel(f"per-DC model for dc {l} failed ({res.status})",
-                                      diagnose_infeasibility(model))
+            values, stats = solve_model(model, backend)
             # The R block comes first, then the members' x in cluster-major
             # order; members leave no mass at other DCs.
-            reg_all[l - 1] = np.maximum(res.x[:t_total], 0.0)
+            reg_all[l - 1] = np.maximum(values[:t_total], 0.0)
             x_all[members] = 0.0
-            x_all[members, :, l - 1] = res.x[t_total:t_total * (1 + len(members))].reshape(-1, t_total)
-            per_dc_stats.append({"dc": l, "iterations": res.iterations})
+            x_all[members, :, l - 1] = values[t_total:t_total * (1 + len(members))].reshape(-1, t_total)
+            per_dc_stats.append({"dc": l, **stats})
         dispatch = build_model(inst, cfg, moments, fitted.var_table,
                                fix_x=x_all, fix_r=reg_all, name="independent_dispatch")
-        values, stats = solve_model(dispatch, backend, workdir)
-        sol = extract_solution(inst, cfg, values, "optimal", mean_abs,
-                               {"dispatch": stats, "per_dc": per_dc_stats})
-        return sol
+        values, stats = solve_model(dispatch, backend)
+        return extract_solution(inst, cfg, values, "optimal", mean_abs,
+                                {"dispatch": stats, "per_dc": per_dc_stats})
 
     raise ValueError(f"unknown strategy {cfg.strategy!r}")
 

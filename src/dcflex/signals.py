@@ -49,10 +49,6 @@ class RegulationTrace:
     def __len__(self) -> int:
         return self.samples.size
 
-    @property
-    def duration_hours(self) -> float:
-        return self.samples.size * self.dt_seconds / 3600.0
-
     def split(self, fit_fraction: float) -> tuple["RegulationTrace", "RegulationTrace"]:
         """Split into (fitting, held-out) segments at a sample boundary."""
         if not 0.0 < fit_fraction < 1.0:

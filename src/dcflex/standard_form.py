@@ -15,6 +15,10 @@ SENSES = ("<=", "=", ">=")
 INF = float("inf")
 
 
+class SolverError(RuntimeError):
+    """A solver ended with neither a proven optimum nor a proof of infeasibility."""
+
+
 @dataclass
 class Variable:
     name: str

@@ -5,8 +5,9 @@ import pytest
 from scipy.optimize import LinearConstraint, milp
 from scipy.optimize import Bounds as ScipyBounds
 
+import dcflex.bnb as bnb
 from dcflex.bnb import solve_mip
-from dcflex.simplex import OPTIMAL, solve_lp
+from dcflex.simplex import ITERATION_LIMIT, OPTIMAL, LPResult, solve_lp
 from dcflex.standard_form import INF, StandardFormModel
 
 
@@ -159,3 +160,9 @@ def test_time_limit_returns_incumbent_fields():
     assert res.status in ("time_limit", OPTIMAL, "infeasible")
     if res.status == "time_limit" and res.objective is not None:
         assert res.gap is not None
+
+
+def test_root_iteration_limit_is_not_reported_as_time_limit(monkeypatch):
+    monkeypatch.setattr(bnb, "solve_lp", lambda model: LPResult(ITERATION_LIMIT, None, None, 9))
+    res = solve_mip(knapsack_model([10, 13, 7], [3, 4, 2], 5))
+    assert res.status == ITERATION_LIMIT and res.x is None

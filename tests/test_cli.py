@@ -1,9 +1,16 @@
 import csv
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from dcflex.cli import EXIT_INPUT, EXIT_OK, main
+import dcflex
+from dcflex.cli import EXIT_INPUT, EXIT_OK, EXIT_SOLVER, main
+from dcflex.signals import RegulationTrace, read_trace_csv, write_trace_csv
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +48,12 @@ class TestGenInstance:
     def test_seed_is_required(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
             main(["gen-instance", "--out", str(tmp_path / "x")])
+
+    def test_signal_interval_must_divide_the_slot(self, tmp_path, capsys):
+        code = main(["gen-instance", "--out", str(tmp_path / "b"), "--seed", "1",
+                     "--preset", "small", "--signal-dt", "7", "--quiet"])
+        assert code == EXIT_INPUT
+        assert "does not divide" in capsys.readouterr().err
 
     def test_dimension_overrides(self, tmp_path):
         out = tmp_path / "c"
@@ -95,6 +108,24 @@ class TestSolve:
     def test_missing_bundle_exits_4(self, tmp_path):
         assert main(["solve", "--bundle", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "o"), "--quiet"]) == EXIT_INPUT
+
+    def test_bundle_signal_interval_must_divide_the_slot(self, bundle, tmp_path, capsys):
+        skewed = tmp_path / "skewed"
+        shutil.copytree(bundle, skewed)
+        trace = read_trace_csv(skewed / "signal.csv")
+        write_trace_csv(RegulationTrace(trace.samples, 7.0), skewed / "signal.csv")
+        code = main(["solve", "--bundle", str(skewed), "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == EXIT_INPUT
+        assert "does not divide" in capsys.readouterr().err
+
+    def test_solver_failure_exits_5_without_traceback(self, bundle, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(Path(dcflex.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "dcflex.cli", "solve", "--bundle", str(bundle),
+             "--out", str(tmp_path / "o"), "--backend", "cmd:false", "--quiet"],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == EXIT_SOLVER
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
     def test_reproducible_solution_bytes(self, bundle, tmp_path):
         blobs = []

@@ -5,11 +5,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import dcflex.optimizer as optimizer
 from conftest import tiny_config, tiny_instance
 from dcflex.mps import model_to_mps
 from dcflex.optimizer import (
+    STRATEGIES,
+    FittedSignal,
     InfeasibleModel,
     ModelConfig,
+    ProblemInstance,
+    QueueParameters,
+    SolverError,
     allowed_cells,
     build_model,
     build_per_dc_model,
@@ -28,7 +34,11 @@ from dcflex.optimizer import (
     solution_to_json,
 )
 from dcflex.signals import GaussianEnvelope, VaRTable, inverse_normal_cdf
+from dcflex.simplex import ITERATION_LIMIT, LPResult
+from dcflex.standard_form import StandardFormModel
+from dcflex.validate import validate_solution
 from dcflex.workload import load_matrix
+from test_mps import external_command  # noqa: F401  (fixture)
 
 
 def flat_var_table(horizons=(0.5, 1.0, 2.0), lo=-0.05, hi=0.05, eps=0.1):
@@ -42,6 +52,22 @@ def tiny_setup(**cfg_overrides):
     moments = GaussianEnvelope(0.0, 0.35)
     table = flat_var_table(cfg.var_horizons, eps=cfg.eps_e)
     return inst, cfg, moments, table
+
+
+def flooded_queue_model():
+    """The tiny joint model with arrivals far beyond the queue ceiling, which
+    make the backlog rows unsatisfiable for any schedule and capacity."""
+    inst, cfg, moments, table = tiny_setup()
+    flooded = ProblemInstance(
+        inst.jobs, inst.latency, inst.dcs, inst.grid,
+        QueueParameters(
+            q_init=inst.queue.q_init,
+            arrivals=inst.queue.arrivals + 50.0,
+            q_min=inst.queue.q_min,
+            q_max=inst.queue.q_max,
+        ),
+    )
+    return build_model(flooded, cfg, moments, table)
 
 
 class TestChanceCoefficient:
@@ -158,23 +184,8 @@ class TestSolveAndValidateTiny:
         )
 
     def test_infeasible_reports_binding_family(self):
-        inst, cfg, moments, table = tiny_setup()
-        # Arrivals far beyond the queue ceiling make the backlog rows
-        # unsatisfiable for any schedule and capacity.
-        from dcflex.optimizer import ProblemInstance, QueueParameters
-
-        flooded = ProblemInstance(
-            inst.jobs, inst.latency, inst.dcs, inst.grid,
-            QueueParameters(
-                q_init=inst.queue.q_init,
-                arrivals=inst.queue.arrivals + 50.0,
-                q_min=inst.queue.q_min,
-                q_max=inst.queue.q_max,
-            ),
-        )
-        model = build_model(flooded, cfg, moments, table)
         with pytest.raises(InfeasibleModel) as err:
-            solve_model(model)
+            solve_model(flooded_queue_model())
         assert any(fam.startswith("qhi") for fam in err.value.family_report)
 
     def test_zero_price_degeneracy(self):
@@ -192,8 +203,6 @@ class TestSolveAndValidateTiny:
 class TestStrategiesTiny:
     def test_cooperative_beats_or_ties_decoupled(self):
         inst, cfg, moments, table = tiny_setup()
-        from dcflex.optimizer import FittedSignal
-
         fitted = FittedSignal(moments, GaussianEnvelope(0.0, 0.3, "direct"), table, 0.4)
         coop = run_strategy(inst, replace(cfg, strategy="cooperative"), fitted)
         dec = run_strategy(inst, replace(cfg, strategy="decoupled"), fitted)
@@ -204,8 +213,6 @@ class TestStrategiesTiny:
 
     def test_decoupled_zero_prices_matches_cooperative_schedule(self):
         inst, cfg, moments, table = tiny_setup(c_rc=0.0, c_rp=0.0)
-        from dcflex.optimizer import FittedSignal
-
         fitted = FittedSignal(moments, GaussianEnvelope(0.0, 0.3, "direct"), table, 0.4)
         coop = run_strategy(inst, replace(cfg, strategy="cooperative"), fitted)
         dec = run_strategy(inst, replace(cfg, strategy="decoupled"), fitted)
@@ -265,14 +272,71 @@ class TestSolutionJson:
 
 
 def test_diagnose_reports_family_totals():
-    from dcflex.standard_form import StandardFormModel
-
     m = StandardFormModel("clash")
     x = m.add_variable("x", 0.0, 1.0)
     m.add_row("up_1", [(x, 1.0)], ">=", 3.0)
     m.add_row("down_1", [(x, 1.0)], "<=", 0.5)
     report = diagnose_infeasibility(m)
     assert report and sum(report.values()) >= 2.0
+
+
+def _refuse_bundled_solvers(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the bundled solver ran under the cmd: backend")
+
+    monkeypatch.setattr(optimizer, "solve_lp", refuse)
+    monkeypatch.setattr(optimizer, "solve_mip", refuse)
+
+
+def test_every_strategy_model_goes_through_the_selected_backend(monkeypatch, external_command):
+    inst, cfg, moments, table = tiny_setup()
+    fitted = FittedSignal(moments, GaussianEnvelope(0.0, 0.3, "direct"), table, 0.4)
+    bundled = {s: run_strategy(inst, replace(cfg, strategy=s), fitted) for s in STRATEGIES}
+    _refuse_bundled_solvers(monkeypatch)
+    solved = []
+    run_external_solver = optimizer.run_external_solver
+
+    def recording(model, command, workdir):
+        solved.append(model.name)
+        return run_external_solver(model, command, workdir)
+
+    monkeypatch.setattr(optimizer, "run_external_solver", recording)
+    expected = {
+        "decoupled": ["decoupled_phase1", "regulation_adjustment"],
+        "independent": ["dc1_independent", "dc2_independent", "independent_dispatch"],
+        "cooperative": ["coopt"],
+    }
+    for strategy, models in expected.items():
+        solved.clear()
+        scfg = replace(cfg, strategy=strategy)
+        sol = run_strategy(inst, scfg, fitted, backend=f"cmd:{external_command}")
+        assert solved == models
+        assert sol.status == "optimal"
+        assert sol.objective_total == pytest.approx(bundled[strategy].objective_total, rel=1e-6)
+        assert validate_solution(inst, scfg, fitted, sol).ok
+
+
+def test_infeasibility_diagnosis_uses_the_selected_backend(monkeypatch, external_command):
+    _refuse_bundled_solvers(monkeypatch)
+    with pytest.raises(InfeasibleModel) as err:
+        solve_model(flooded_queue_model(), f"cmd:{external_command}")
+    assert any(fam.startswith("qhi") for fam in err.value.family_report)
+
+
+def test_backend_calling_every_model_infeasible_gets_an_empty_report():
+    # The elastic relaxation is not diagnosed in turn, so this ends.
+    with pytest.raises(InfeasibleModel) as err:
+        solve_model(flooded_queue_model(), "cmd:sh -c 'exit 2'")
+    assert err.value.family_report == {}
+
+
+def test_unproven_status_raises_solver_error(monkeypatch):
+    m = StandardFormModel("capped")
+    m.add_variable("x", 0.0, 1.0, obj=-1.0)
+    monkeypatch.setattr(optimizer, "solve_lp",
+                        lambda model: LPResult(ITERATION_LIMIT, None, None, 5))
+    with pytest.raises(SolverError, match=ITERATION_LIMIT):
+        solve_model(m)
 
 
 def test_config_validation_and_round_trip():
