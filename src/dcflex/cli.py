@@ -24,6 +24,9 @@ from .instance import (
     load_bundle,
 )
 from .optimizer import (
+    SHIFTING_MODES,
+    SIGNAL_MODELS,
+    STRATEGIES,
     FittedSignal,
     InfeasibleModel,
     ModelConfig,
@@ -83,12 +86,11 @@ class ExperimentConfig:
                 setattr(merged, name, value)
         return merged
 
-    def validate_paths(self, need_bundle: bool = True) -> None:
-        if need_bundle:
-            if not self.bundle:
-                raise ValueError("no bundle directory configured")
-            if not Path(self.bundle).is_dir():
-                raise FileNotFoundError(f"bundle directory {self.bundle} does not exist")
+    def validate_paths(self) -> None:
+        if not self.bundle:
+            raise ValueError("no bundle directory configured")
+        if not Path(self.bundle).is_dir():
+            raise FileNotFoundError(f"bundle directory {self.bundle} does not exist")
         if not self.out:
             raise ValueError("no output directory configured")
 
@@ -120,10 +122,10 @@ def _say(args, message: str) -> None:
         print(message)
 
 
-def _experiment(args, need_bundle: bool = True) -> "ExperimentConfig":
+def _experiment(args) -> "ExperimentConfig":
     exp = ExperimentConfig.load(args.config) if getattr(args, "config", None) else ExperimentConfig()
     exp = exp.merge_flags(args)
-    exp.validate_paths(need_bundle)
+    exp.validate_paths()
     return exp
 
 
@@ -452,10 +454,9 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="solve a bundle day-ahead")
     common(s)
     s.add_argument("--bundle", help="instance bundle directory (or via --config)")
-    s.add_argument("--mode", choices=["none", "spatial", "temporal", "joint"])
-    s.add_argument("--strategy", choices=["decoupled", "independent", "cooperative"])
-    s.add_argument("--signal-model", dest="signal_model",
-                   choices=["direct_gaussian", "envelope"])
+    s.add_argument("--mode", choices=SHIFTING_MODES)
+    s.add_argument("--strategy", choices=STRATEGIES)
+    s.add_argument("--signal-model", dest="signal_model", choices=SIGNAL_MODELS)
     s.add_argument("--eps-p", type=float, dest="eps_p")
     s.add_argument("--eps-e", type=float, dest="eps_e")
     s.add_argument("--backend", help="bundled (default) or cmd:<command>")
@@ -473,8 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--eps-p", type=float, dest="eps_p",
                    help="echoed into the frontier row")
     m.add_argument("--eps-e", type=float, dest="eps_e")
-    m.add_argument("--signal-model", dest="signal_model",
-                   choices=["direct_gaussian", "envelope"])
+    m.add_argument("--signal-model", dest="signal_model", choices=SIGNAL_MODELS)
     m.add_argument("--config", help="JSON experiment-config file")
     m.set_defaults(func=cmd_simulate)
 

@@ -221,12 +221,12 @@ def build_synthetic(params: GenParams, seed: int) -> tuple[ProblemInstance, Mode
             mem_cap=np.full(t_total, max(1.0, 0.75 * total_mem)),
             io_cap=np.full(t_total, max(1.0, 0.75 * total_io)),
             p_min=np.zeros(t_total), p_max=np.full(t_total, 1e6),
-            q_min=-1e9, q_max=1e9,
         ))
     x_base = baseline_assignment(jobs, latmap, dcs_tmp)
     nodal_base = load_matrix(x_base, jobs, dh)
 
     dcs = []
+    q_max = np.zeros(n_dc)
     for l in range(1, n_dc + 1):
         profile = nodal_base[l - 1]
         p_min = params.p_min_fraction * profile
@@ -239,10 +239,8 @@ def build_synthetic(params: GenParams, seed: int) -> tuple[ProblemInstance, Mode
             cpu_cap=dcs_tmp[l - 1].cpu_cap, mem_cap=dcs_tmp[l - 1].mem_cap,
             io_cap=dcs_tmp[l - 1].io_cap,
             p_min=np.round(p_min, 6), p_max=np.round(p_max, 6),
-            q_min=0.0,
-            q_max=round(params.queue_band_hours * max(float(profile.mean()), 0.5), 6),
         ))
-    q_max = np.array([dc.q_max for dc in dcs])
+        q_max[l - 1] = round(params.queue_band_hours * max(float(profile.mean()), 0.5), 6)
     queue = QueueParameters(
         q_init=np.round(q_max / 2.0, 6),
         arrivals=np.round(nodal_base * dh, 6),
@@ -329,8 +327,8 @@ def save_bundle(out_dir, inst: ProblemInstance, cfg: ModelConfig,
             "io_cap": [float(v) for v in dc.io_cap],
             "p_min": [float(v) for v in dc.p_min],
             "p_max": [float(v) for v in dc.p_max],
-            "q_min": float(dc.q_min),
-            "q_max": float(dc.q_max),
+            "q_min": float(inst.queue.q_min[l]),
+            "q_max": float(inst.queue.q_max[l]),
             "q_init": float(inst.queue.q_init[l]),
             "arrivals": [float(v) for v in inst.queue.arrivals[l]],
         })
@@ -370,7 +368,6 @@ def load_bundle(bundle_dir) -> tuple[ProblemInstance, ModelConfig, RegulationTra
             io_cap=np.asarray(entry["io_cap"], dtype=float),
             p_min=np.asarray(entry["p_min"], dtype=float),
             p_max=np.asarray(entry["p_max"], dtype=float),
-            q_min=float(entry["q_min"]), q_max=float(entry["q_max"]),
         ))
         q_init.append(float(entry["q_init"]))
         arrivals.append([float(v) for v in entry["arrivals"]])

@@ -220,9 +220,9 @@ def run_external_solver(model: StandardFormModel, command: str, workdir) -> tupl
     if proc.returncode == 2:
         return "infeasible", None
     if proc.returncode != 0:
-        raise ExternalSolverError(
-            f"external solver exited {proc.returncode}: {proc.stderr.strip()[:500]}"
-        )
+        stderr = proc.stderr.strip()[:500]
+        raise ExternalSolverError(f"model {model.name}: external solver exited "
+                                  f"{proc.returncode}" + (f": {stderr}" if stderr else ""))
     if not sol_path.exists():
         raise ExternalSolverError(f"external solver wrote no solution file at {sol_path}")
     return "optimal", read_solution_file(sol_path, model)

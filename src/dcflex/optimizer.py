@@ -8,12 +8,14 @@ constraints at sub-hour and multi-slot checkpoints. Also implements the
 three bidding strategies (decoupled, independent, cooperative) and the
 shifting-mode restrictions (none, spatial, temporal, joint).
 
-Each DC constraint family is emitted in one place: _schedule_rows writes
-completion, QoS and resource rows, _regulation_rows the power cap, chance
-and queue VaR rows. The full model, the per-DC models and the
-regulation-only model differ only in the DCs, clusters, columns and fixed
-schedule they pass. validate.py re-derives every family independently on
-purpose, so it stays a check on these emitters rather than a copy of them.
+Each variable block and each DC constraint family is emitted in one place:
+_x_columns declares the schedule columns (admissible cells, friction,
+integrality), _r_columns the regulation-capacity columns, _schedule_rows
+the completion, QoS and resource rows, _regulation_rows the power cap,
+chance and queue VaR rows. The full model, the per-DC models and the
+regulation-only model differ only in the DCs, clusters and fixed values
+they pass. validate.py re-derives every family independently on purpose,
+so it stays a check on these emitters rather than a copy of them.
 """
 
 import json
@@ -69,8 +71,8 @@ class InfeasibleModel(RuntimeError):
 class QueueParameters:
     """Backlog state data per DC: initial level, exogenous arrivals, bounds.
 
-    Arrivals are energy-equivalent MWh per (dc, slot); queue bounds come
-    from the DC specs and must bracket the initial level.
+    Arrivals are energy-equivalent MWh per (dc, slot); the queue bounds,
+    the only ones the instance carries, must bracket the initial level.
     """
 
     q_init: np.ndarray
@@ -109,7 +111,7 @@ class ModelConfig:
     quantile_grid: tuple = DEFAULT_QUANTILE_GRID
     extra_signal_variance: float = 0.0
     integral_x: bool = False
-    migration_cost: float = 0.0  # reporting-only, per task moved
+    migration_cost: float = 0.0  # $ per task and hop moved, in the objective
     fit_split: float = 0.7
     compliance_threshold: float = 0.25
     forfeiture: str = "full"  # or "proportional"
@@ -209,6 +211,20 @@ class ProblemInstance:
         x = baseline_assignment(self.jobs, self.latency, self.dcs)
         x.flags.writeable = False
         return x
+
+    @cached_property
+    def hops(self) -> np.ndarray:
+        """(M, T, N) migration hops of each cell from the cluster's baseline
+        cell along the canonical temporal-then-spatial path: one per slot
+        moved plus one for a change of DC."""
+        slots = np.arange(1, self.n_slots + 1)
+        dcs = np.arange(1, self.n_dc + 1)
+        h = np.zeros((len(self.jobs), self.n_slots, self.n_dc), dtype=int)
+        for i in range(len(self.jobs)):
+            t0, l0 = self.baseline_dc(i)
+            h[i] = np.abs(slots - t0)[:, None] + (dcs != l0)[None, :]
+        h.flags.writeable = False
+        return h
 
     @cached_property
     def baseline_latency(self) -> np.ndarray:
@@ -460,9 +476,6 @@ class _VarMap:
     def __init__(self, m, t_total, n_dc, n_gen, n_bus):
         self.m, self.t, self.n, self.g, self.b = m, t_total, n_dc, n_gen, n_bus
 
-    def x(self, i, t, l):  # all 1-based except cluster index i (0-based)
-        return i * self.t * self.n + (t - 1) * self.n + (l - 1)
-
     def r(self, l, t):
         return self.m * self.t * self.n + (l - 1) * self.t + (t - 1)
 
@@ -481,6 +494,57 @@ class _VarMap:
     @property
     def total(self):
         return self.m * self.t * self.n + self.t * (self.n + 2 * self.g + 2 * self.b)
+
+
+def _x_columns(model: StandardFormModel, inst: ProblemInstance, cfg: ModelConfig,
+               members, dcs, fix_x: np.ndarray | None = None):
+    """Declare x[i, t, l] of the clusters ``members`` over the DCs ``dcs``
+    (1-based), cluster-major; returns xcol(i, t, l) -> column.
+
+    A cluster may use its allowed_cells inside ``dcs``: one such cell pins
+    it there, several are free in [0, 1] (integral under cfg.integral_x),
+    and every other cell is fixed at 0. ``fix_x`` pins every column. Each
+    column carries the migration friction of its hops.
+    """
+    if fix_x is not None and fix_x.shape != (len(inst.jobs), inst.n_slots, inst.n_dc):
+        raise ModelBuildError(f"x family: fix_x shape {fix_x.shape} mismatches model")
+    cols = {}
+    for i in members:
+        cells = {(t, l) for t, l in allowed_cells(inst, cfg, i) if l in dcs}
+        weight = inst.jobs[i].weight
+        for t in range(1, inst.n_slots + 1):
+            for l in dcs:
+                name = f"x_{i + 1}_{t}_{l}"
+                fric = cfg.migration_cost * weight * int(inst.hops[i, t - 1, l - 1])
+                if fix_x is not None:
+                    lo = hi = float(fix_x[i, t - 1, l - 1])
+                elif len(cells) == 1 or (t, l) not in cells:
+                    lo = hi = 1.0 if (t, l) in cells else 0.0
+                else:
+                    lo, hi = 0.0, 1.0
+                cols[i, t, l] = model.add_variable(name, lo, hi, obj=fric,
+                                                   integer=cfg.integral_x and lo < hi)
+    return lambda i, t, l: cols[i, t, l]
+
+
+def _r_columns(model: StandardFormModel, inst: ProblemInstance, cfg: ModelConfig,
+               dcs, fix_r: np.ndarray | None = None):
+    """Declare R[l, t] of the DCs ``dcs`` (1-based), DC-major, priced at the
+    revenue rate of the resolved config; returns rcol(l, t) -> column.
+    ``fix_r`` (N, T) pins every column."""
+    if cfg.m_bar is None:
+        raise ModelBuildError(
+            "revenue family: m_bar is unresolved; call resolve_config with the "
+            "fitted signal before building"
+        )
+    rev = cfg.revenue_rate(inst.n_slots, 0.0)
+    cols = {}
+    for l in dcs:
+        for t in range(1, inst.n_slots + 1):
+            lo, hi = (0.0, INF) if fix_r is None else (float(fix_r[l - 1, t - 1]),) * 2
+            cols[l, t] = model.add_variable(f"R_{l}_{t}", lo, hi,
+                                            obj=-rev[t - 1] * cfg.slot_hours)
+    return lambda l, t: cols[l, t]
 
 
 def _schedule_rows(model: StandardFormModel, inst: ProblemInstance, cfg: ModelConfig,
@@ -514,15 +578,26 @@ def _schedule_rows(model: StandardFormModel, inst: ProblemInstance, cfg: ModelCo
 
 
 def _regulation_rows(model: StandardFormModel, inst: ProblemInstance, cfg: ModelConfig,
-                     ccoef: float, var_table: VaRTable, dcs, members, xcol, rcol,
-                     x_fixed: np.ndarray) -> None:
+                     moments: GaussianEnvelope, var_table: VaRTable, dcs, members, xcol,
+                     rcol, x_fixed: np.ndarray) -> None:
     """Power cap, upward chance and VaR queue rows of the DCs ``dcs``.
 
     ``rcol(l, t)`` is the column of R[l, t]. The x terms of the clusters
     ``members`` stay variable; the rest of each row is evaluated on the
     frozen schedule ``x_fixed`` and folded into its right-hand side.
+    Raises ModelBuildError when the chance coefficient or a VaR horizon
+    cannot be had from ``moments`` and ``var_table``.
     """
+    try:
+        ccoef = chance_coefficient(moments, cfg.eps_p, cfg.extra_signal_variance)
+    except ValueError as exc:
+        raise ModelBuildError(f"chance family: {exc}") from exc
     dh = cfg.slot_hours
+    points = queue_check_points(inst.n_slots, dh, cfg.var_horizons)
+    try:
+        var_bounds = [var_table.bounds(cp.horizon_hours) for cp in points]
+    except KeyError as exc:
+        raise ModelBuildError(f"queue family: {exc}") from exc
     mw = cluster_energies_mwh(inst.jobs) / dh
     load = load_matrix(x_fixed, inst.jobs, dh)
     for l in dcs:
@@ -534,8 +609,7 @@ def _regulation_rows(model: StandardFormModel, inst: ProblemInstance, cfg: Model
             model.add_row(f"chance_{l}_{t}", [(j, -c) for j, c in x_load] + [(rcol(l, t), ccoef)],
                           "<=", float(load[l - 1, t - 1] - dc.p_min[t - 1]))
     member_set = set(members)
-    for cp in queue_check_points(inst.n_slots, dh, cfg.var_horizons):
-        s_lo, s_hi = var_table.bounds(cp.horizon_hours)
+    for cp, (s_lo, s_hi) in zip(points, var_bounds):
         htag = format(cp.horizon_hours, "g").replace(".", "p")
         for l in dcs:
             const, coeffs = queue_baseline_expr(inst, dh, l, cp.tau_hours)
@@ -557,15 +631,15 @@ def build_model(
     *,
     fix_x: np.ndarray | None = None,
     fix_r: np.ndarray | None = None,
-    pin_r_zero: bool = False,
     name: str = "coopt",
 ) -> StandardFormModel:
     """Assemble the full day-ahead co-optimization model.
 
-    Always declares the complete variable set (x, R, p, u, theta, q);
-    shifting-mode and flexibility-class pins act through variable bounds,
-    as do the fix_x / fix_r / pin_r_zero overrides used by the sequential
-    and per-DC strategies.
+    Always declares the complete variable set (x, R, p, u, theta, q); the
+    x and R blocks come from _x_columns and _r_columns over every cluster
+    and DC, so shifting-mode and flexibility-class pins, like the fix_x /
+    fix_r overrides of the sequential and independent strategies, act
+    through variable bounds.
     """
     inst.validate()
     cfg.validate(inst.grid.max_generator_cost())
@@ -575,57 +649,15 @@ def build_model(
     n_gen, n_bus = len(gens), len(buses)
     dh = cfg.slot_hours
     mw = cluster_energies_mwh(inst.jobs) / dh  # MW contribution of a fully placed cluster
-    try:
-        ccoef = chance_coefficient(moments, cfg.eps_p, cfg.extra_signal_variance)
-    except ValueError as exc:
-        raise ModelBuildError(f"chance family: {exc}") from exc
-    for cp in queue_check_points(t_total, dh, cfg.var_horizons):
-        try:
-            var_table.bounds(cp.horizon_hours)
-        except KeyError as exc:
-            raise ModelBuildError(f"queue family: {exc}") from exc
 
     model = StandardFormModel(name)
     vm = _VarMap(m, t_total, n_dc, n_gen, n_bus)
+    members = range(m)
+    dcs = range(1, n_dc + 1)
 
     # Variable blocks. Pins are bounds so the count formula stays exact.
-    if fix_x is not None and fix_x.shape != (m, t_total, n_dc):
-        raise ModelBuildError(f"x family: fix_x shape {fix_x.shape} mismatches model")
-    for i in range(m):
-        cells = None if fix_x is not None else allowed_cells(inst, cfg, i)
-        t0, l0 = inst.baseline_dc(i)
-        for t in range(1, t_total + 1):
-            for l in range(1, n_dc + 1):
-                vname = f"x_{i + 1}_{t}_{l}"
-                # Migration friction along the canonical temporal-then-
-                # spatial path: one unit per slot hop plus one per DC hop.
-                hops = abs(t - t0) + (1 if l != l0 else 0)
-                fric = cfg.migration_cost * inst.jobs[i].weight * hops
-                if fix_x is not None:
-                    v = float(fix_x[i, t - 1, l - 1])
-                    model.add_variable(vname, v, v, obj=fric)
-                elif len(cells) == 1:
-                    v = 1.0 if (t, l) in cells else 0.0
-                    model.add_variable(vname, v, v, obj=fric)
-                elif (t, l) in cells:
-                    model.add_variable(vname, 0.0, 1.0, integer=cfg.integral_x, obj=fric)
-                else:
-                    model.add_variable(vname, 0.0, 0.0, obj=fric)
-    if cfg.m_bar is None:
-        raise ModelBuildError(
-            "revenue family: m_bar is unresolved; call resolve_config with the "
-            "fitted signal before building"
-        )
-    rev = cfg.revenue_rate(t_total, 0.0)
-    for l in range(1, n_dc + 1):
-        for t in range(1, t_total + 1):
-            if pin_r_zero:
-                lo = hi = 0.0
-            elif fix_r is not None:
-                lo = hi = float(fix_r[l - 1, t - 1])
-            else:
-                lo, hi = 0.0, INF
-            model.add_variable(f"R_{l}_{t}", lo, hi, obj=-rev[t - 1] * dh)
+    xcol = _x_columns(model, inst, cfg, members, dcs, fix_x)
+    rcol = _r_columns(model, inst, cfg, dcs, fix_r)
     for g, gen in enumerate(gens, start=1):
         for t in range(1, t_total + 1):
             model.add_variable(f"p_{g}_{t}", 0.0, gen.p_max, obj=gen.cost_per_mwh * dh)
@@ -660,7 +692,7 @@ def build_model(
             for l in dc_pos_at_bus.get(b, []):
                 for i in range(m):
                     if mw[i] != 0.0:
-                        coeffs.append((vm.x(i, t, l), -mw[i]))
+                        coeffs.append((xcol(i, t, l), -mw[i]))
             for line in inst.grid.lines:
                 fpos = inst.grid.bus_position(line.from_bus) + 1
                 tpos = inst.grid.bus_position(line.to_bus) + 1
@@ -708,10 +740,8 @@ def build_model(
                 0.0,
             )
 
-    members = range(m)
-    dcs = range(1, n_dc + 1)
-    _schedule_rows(model, inst, cfg, dcs, members, vm.x)
-    _regulation_rows(model, inst, cfg, ccoef, var_table, dcs, members, vm.x, vm.r,
+    _schedule_rows(model, inst, cfg, dcs, members, xcol)
+    _regulation_rows(model, inst, cfg, moments, var_table, dcs, members, xcol, rcol,
                      np.zeros((m, t_total, n_dc)))
 
     model.validate()
@@ -766,13 +796,9 @@ def migration_cost_of(inst: ProblemInstance, cfg: ModelConfig, x: np.ndarray) ->
     if cfg.migration_cost == 0.0:
         return 0.0
     total = 0.0
-    for i, job in enumerate(inst.jobs):
-        t0, l0 = inst.baseline_dc(i)
-        for t in range(1, inst.n_slots + 1):
-            for l in range(1, inst.n_dc + 1):
-                hops = abs(t - t0) + (1 if l != l0 else 0)
-                if hops:
-                    total += cfg.migration_cost * job.weight * hops * float(x[i, t - 1, l - 1])
+    for i, t, l in np.argwhere(inst.hops).tolist():
+        total += (cfg.migration_cost * inst.jobs[i].weight * int(inst.hops[i, t, l])
+                  * float(x[i, t, l]))
     return total
 
 
@@ -852,23 +878,17 @@ def solve_model(model: StandardFormModel, backend: str = BACKEND_BUNDLED):
 
 def build_regulation_only_model(inst: ProblemInstance, cfg: ModelConfig,
                                 moments: GaussianEnvelope, var_table: VaRTable,
-                                x_frozen: np.ndarray, mean_abs: float) -> StandardFormModel:
+                                x_frozen: np.ndarray) -> StandardFormModel:
     """Revenue maximization over R alone with the schedule frozen.
 
-    The power caps, the chance constraint, and the queue VaR rows are kept
-    with their x terms replaced by the frozen values.
+    Declares the R block of every DC and no x columns; the power caps, the
+    chance constraint, and the queue VaR rows are kept with their x terms
+    replaced by the frozen values. ``cfg`` must be resolved.
     """
-    t_total, n_dc = inst.n_slots, inst.n_dc
-    dh = cfg.slot_hours
-    ccoef = chance_coefficient(moments, cfg.eps_p, cfg.extra_signal_variance)
-    rev = cfg.revenue_rate(t_total, mean_abs)
     model = StandardFormModel("regulation_adjustment")
-    ridx = {}
-    for l in range(1, n_dc + 1):
-        for t in range(1, t_total + 1):
-            ridx[(l, t)] = model.add_variable(f"R_{l}_{t}", 0.0, INF, obj=-rev[t - 1] * dh)
-    _regulation_rows(model, inst, cfg, ccoef, var_table, range(1, n_dc + 1), (), None,
-                     lambda l, t: ridx[(l, t)], x_frozen)
+    dcs = range(1, inst.n_dc + 1)
+    rcol = _r_columns(model, inst, cfg, dcs)
+    _regulation_rows(model, inst, cfg, moments, var_table, dcs, (), None, rcol, x_frozen)
     return model
 
 
@@ -902,42 +922,28 @@ def residual_supply_segments(inst: ProblemInstance, slot_hours: float,
 
 
 def build_per_dc_model(inst: ProblemInstance, cfg: ModelConfig, moments: GaussianEnvelope,
-                       var_table: VaRTable, l: int, mean_abs: float) -> tuple[StandardFormModel, list[int]]:
-    """Single-DC bill-minus-revenue optimization with temporal-only shifting.
+                       var_table: VaRTable, l: int) -> tuple[StandardFormModel, list[int]]:
+    """Single-DC bill-minus-revenue optimization.
 
-    Covers the clusters whose baseline sits at DC l: completion, local
+    Covers the clusters whose baseline sits at DC l, over their allowed
+    cells at that DC (temporal shifting only): completion, local
     resources, a per-DC share of the QoS row (summing the per-DC rows over
     DCs recovers the global constraint), power caps, the chance constraint,
     and the DC's queue VaR rows. Energy is billed against the residual
     supply curve (price-taker view), so the DC is cost-aware without
-    seeing the other DCs' decisions or the network. Returns the model plus
-    the covered cluster indices; the x variables follow the R block in
-    cluster-major order.
+    seeing the other DCs' decisions or the network. ``cfg`` must be
+    resolved. Returns the model plus the covered cluster indices; the x
+    variables follow the R block in cluster-major order.
     """
     t_total = inst.n_slots
     dh = cfg.slot_hours
     members = [i for i in range(len(inst.jobs)) if inst.baseline_dc(i)[1] == l]
     energies = cluster_energies_mwh(inst.jobs)
-    ccoef = chance_coefficient(moments, cfg.eps_p, cfg.extra_signal_variance)
-    rev = cfg.revenue_rate(t_total, mean_abs)
     segments = residual_supply_segments(inst, dh, l)
-    temporal_ok = cfg.shifting_mode in ("temporal", "joint")
 
     model = StandardFormModel(f"dc{l}_independent")
-    ridx = {t: model.add_variable(f"R_{l}_{t}", 0.0, INF, obj=-rev[t - 1] * dh)
-            for t in range(1, t_total + 1)}
-    xidx: dict[tuple[int, int], int] = {}
-    for i in members:
-        t0, _ = inst.baseline_dc(i)
-        job = inst.jobs[i]
-        movable = temporal_ok and job.flex_class == "deferrable"
-        for t in range(1, t_total + 1):
-            fric = cfg.migration_cost * job.weight * abs(t - t0)
-            if movable and t >= job.arrival_slot:
-                xidx[(i, t)] = model.add_variable(f"x_{i + 1}_{t}_{l}", 0.0, 1.0, obj=fric)
-            else:
-                pin = 1.0 if t == t0 else 0.0
-                xidx[(i, t)] = model.add_variable(f"x_{i + 1}_{t}_{l}", pin, pin, obj=fric)
+    rcol = _r_columns(model, inst, cfg, (l,))
+    xcol = _x_columns(model, inst, cfg, members, (l,))
     # Energy bill: own energy per slot fills priced supply segments; the
     # convex merit order makes the LP use cheap segments first.
     for t in range(1, t_total + 1):
@@ -945,16 +951,13 @@ def build_per_dc_model(inst: ProblemInstance, cfg: ModelConfig, moments: Gaussia
         for s, (width, price) in enumerate(segments[t - 1]):
             seg_vars.append(model.add_variable(
                 f"bill_{t}_{s}", 0.0, width, obj=price))
-        coeffs = [(xidx[(i, t)], float(energies[i])) for i in members if energies[i] != 0.0]
+        coeffs = [(xcol(i, t, l), float(energies[i])) for i in members if energies[i] != 0.0]
         coeffs += [(sv, -1.0) for sv in seg_vars]
         model.add_row(f"bill_{t}", coeffs, "=", 0.0)
 
-    def xcol(i, t, _l):
-        return xidx[(i, t)]
-
     _schedule_rows(model, inst, cfg, (l,), members, xcol)
-    _regulation_rows(model, inst, cfg, ccoef, var_table, (l,), members, xcol,
-                     lambda _l, t: ridx[t], np.zeros((len(inst.jobs), t_total, inst.n_dc)))
+    _regulation_rows(model, inst, cfg, moments, var_table, (l,), members, xcol, rcol,
+                     np.zeros((len(inst.jobs), t_total, inst.n_dc)))
     return model, members
 
 
@@ -977,13 +980,12 @@ def run_strategy(inst: ProblemInstance, cfg: ModelConfig, fitted: FittedSignal,
 
     if cfg.strategy == "decoupled":
         phase1 = build_model(inst, cfg, moments, fitted.var_table,
-                             pin_r_zero=True, name="decoupled_phase1")
+                             fix_r=np.zeros((inst.n_dc, inst.n_slots)), name="decoupled_phase1")
         values1, stats1 = solve_model(phase1, backend)
         vm = _VarMap(len(inst.jobs), inst.n_slots, inst.n_dc,
                      len(inst.grid.generators), len(inst.grid.buses))
         x1 = values1[:vm.r(1, 1)].reshape(vm.m, vm.t, vm.n)
-        phase2 = build_regulation_only_model(inst, cfg, moments, fitted.var_table,
-                                             x1, mean_abs)
+        phase2 = build_regulation_only_model(inst, cfg, moments, fitted.var_table, x1)
         values2, stats2 = solve_model(phase2, backend)
         # Phase 2's R columns follow the same (l, t) order as the R block.
         values = np.array(values1, dtype=float)
@@ -997,7 +999,7 @@ def run_strategy(inst: ProblemInstance, cfg: ModelConfig, fitted: FittedSignal,
         reg_all = np.zeros((n_dc, t_total))
         per_dc_stats = []
         for l in range(1, n_dc + 1):
-            model, members = build_per_dc_model(inst, cfg, moments, fitted.var_table, l, mean_abs)
+            model, members = build_per_dc_model(inst, cfg, moments, fitted.var_table, l)
             values, stats = solve_model(model, backend)
             # The R block comes first, then the members' x in cluster-major
             # order; members leave no mass at other DCs.
@@ -1014,8 +1016,7 @@ def run_strategy(inst: ProblemInstance, cfg: ModelConfig, fitted: FittedSignal,
     raise ValueError(f"unknown strategy {cfg.strategy!r}")
 
 
-def derived_link_flows(inst: ProblemInstance, x: np.ndarray,
-                       x_base: np.ndarray | None = None) -> dict[VirtualLink, float]:
+def derived_link_flows(inst: ProblemInstance, x: np.ndarray) -> dict[VirtualLink, float]:
     """Post-hoc signed task flows on virtual links implied by a schedule.
 
     Movement of each cluster from its baseline cell is decomposed along a
@@ -1023,8 +1024,6 @@ def derived_link_flows(inst: ProblemInstance, x: np.ndarray,
     the target slot, then migrate within that slot. Values are task counts;
     the sign follows each link's canonical orientation.
     """
-    if x_base is None:
-        x_base = inst.x_base
     idx = inst.index
     flows: dict[VirtualLink, float] = {link: 0.0 for link in idx.links()}
     keyed = {(link.kind, link.tail, link.head): link for link in flows}
@@ -1033,8 +1032,7 @@ def derived_link_flows(inst: ProblemInstance, x: np.ndarray,
         flows[keyed[(kind, tail, head)]] += amount
 
     for i, job in enumerate(inst.jobs):
-        base_flat = int(np.argmax(x_base[i]))
-        t0, l0 = base_flat // inst.n_dc + 1, base_flat % inst.n_dc + 1
+        t0, l0 = inst.baseline_dc(i)
         for t in range(1, inst.n_slots + 1):
             for l in range(1, inst.n_dc + 1):
                 if (t, l) == (t0, l0):

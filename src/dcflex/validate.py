@@ -77,6 +77,8 @@ def validate_solution(
     # Schedule box, completeness, and pin structure.
     report.add("x_bounds", "min", float(-(x.min())), tol)
     report.add("x_bounds", "max", float(x.max() - 1.0), tol)
+    if cfg.integral_x:
+        report.add("x_integral", "max |x - round(x)|", float(np.max(np.abs(x - np.round(x)))), tol)
     totals = x.sum(axis=(1, 2))
     for i in range(m):
         report.add("completion", f"cluster {inst.jobs[i].id}", abs(totals[i] - 1.0), tol)

@@ -73,9 +73,6 @@ class LatencyMap:
         except KeyError:
             raise KeyError(f"no latency entry for region {user_region!r}, dc {dc_id}") from None
 
-    def regions(self) -> list[str]:
-        return sorted({r for r, _ in self.entries})
-
     def check_complete(self, regions, dc_ids) -> None:
         missing = [(r, d) for r in regions for d in dc_ids if (r, d) not in self.entries]
         if missing:
@@ -84,7 +81,8 @@ class LatencyMap:
 
 @dataclass(frozen=True)
 class DataCenterSpec:
-    """Per-DC capacity profiles, power bounds, and queue bounds."""
+    """Per-DC capacity profiles and power bounds; the queue bounds live in
+    the instance's QueueParameters."""
 
     id: int
     bus: int
@@ -93,8 +91,6 @@ class DataCenterSpec:
     io_cap: np.ndarray
     p_min: np.ndarray
     p_max: np.ndarray
-    q_min: float
-    q_max: float
 
     def __post_init__(self):
         for name in ("cpu_cap", "mem_cap", "io_cap", "p_min", "p_max"):
@@ -109,8 +105,6 @@ class DataCenterSpec:
             raise ValueError(f"dc {self.id}: capacities must be >= 0")
         if np.any(self.p_min > self.p_max):
             raise ValueError(f"dc {self.id}: p_min exceeds p_max in some slot")
-        if self.q_min > self.q_max:
-            raise ValueError(f"dc {self.id}: q_min exceeds q_max")
 
     @property
     def n_slots(self) -> int:

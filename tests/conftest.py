@@ -24,11 +24,9 @@ def tiny_instance():
     caps = np.full(t, 6000.0)
     dcs = (
         DataCenterSpec(1, 1, caps, caps, caps * 0.6,
-                       p_min=np.zeros(t), p_max=np.full(t, 9.0),
-                       q_min=0.0, q_max=8.0),
+                       p_min=np.zeros(t), p_max=np.full(t, 9.0)),
         DataCenterSpec(2, 2, caps, caps, caps * 0.6,
-                       p_min=np.zeros(t), p_max=np.full(t, 9.0),
-                       q_min=0.0, q_max=8.0),
+                       p_min=np.zeros(t), p_max=np.full(t, 9.0)),
     )
     queue = QueueParameters(
         q_init=np.array([4.0, 4.0]),

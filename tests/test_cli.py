@@ -126,6 +126,9 @@ class TestSolve:
             capture_output=True, text=True, env=env)
         assert proc.returncode == EXIT_SOLVER
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+        # `false` writes nothing to stderr: the line names the model and
+        # does not end in a dangling colon.
+        assert "coopt" in proc.stderr and not proc.stderr.rstrip().endswith(":")
 
     def test_reproducible_solution_bytes(self, bundle, tmp_path):
         blobs = []

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from conftest import tiny_config, tiny_instance
 from dcflex.grid import validate_case
 from dcflex.instance import (
     DEMO_SEED,
@@ -14,8 +17,11 @@ from dcflex.instance import (
     fit_signal_artifacts,
     generate_instance,
     load_bundle,
+    save_bundle,
     small_params,
 )
+from dcflex.optimizer import ProblemInstance
+from dcflex.signals import RegulationTrace
 from dcflex.workload import load_matrix, validate_schedule
 
 
@@ -85,6 +91,18 @@ class TestBundleIo:
         assert np.allclose(trace.samples, fresh_trace.samples)
         assert cfg.var_horizons == fresh_cfg.var_horizons
         assert np.allclose(inst.queue.arrivals, fresh.queue.arrivals)
+
+    def test_queue_bounds_survive_a_round_trip(self, tmp_path):
+        inst = tiny_instance()
+        narrowed = ProblemInstance(
+            inst.jobs, inst.latency, inst.dcs, inst.grid,
+            replace(inst.queue, q_min=np.array([1.0, 1.0]), q_max=np.array([6.0, 6.0])),
+        )
+        save_bundle(tmp_path / "b", narrowed, tiny_config(),
+                    RegulationTrace(np.array([0.1, -0.2, 0.3, 0.0]), 4.0))
+        back, _, _ = load_bundle(tmp_path / "b")
+        assert back.queue.q_min.tolist() == [1.0, 1.0]
+        assert back.queue.q_max.tolist() == [6.0, 6.0]
 
     def test_byte_identical_for_same_seed(self, tmp_path):
         generate_instance(small_params(), 42, tmp_path / "a")

@@ -7,6 +7,7 @@ import pytest
 
 import dcflex.optimizer as optimizer
 from conftest import tiny_config, tiny_instance
+from dcflex.instance import build_synthetic, fit_signal_artifacts, small_params
 from dcflex.mps import model_to_mps
 from dcflex.optimizer import (
     STRATEGIES,
@@ -192,7 +193,8 @@ class TestSolveAndValidateTiny:
         # Zero regulation prices: objective equals the capacity-disabled run.
         inst, cfg, moments, table = tiny_setup(c_rc=0.0, c_rp=0.0)
         free = build_model(inst, cfg, moments, table)
-        pinned = build_model(inst, cfg, moments, table, pin_r_zero=True)
+        pinned = build_model(inst, cfg, moments, table,
+                             fix_r=np.zeros((inst.n_dc, inst.n_slots)))
         v_free, _ = solve_model(free)
         v_pin, _ = solve_model(pinned)
         assert free.evaluate_objective(v_free) == pytest.approx(
@@ -339,6 +341,22 @@ def test_unproven_status_raises_solver_error(monkeypatch):
         solve_model(m)
 
 
+def test_independent_respects_integral_x():
+    # Each per-DC model declares its x block through the shared emitter, so
+    # it is a MIP under integral_x and cannot undercut the joint optimum
+    # with a fractional schedule.
+    inst, cfg, trace = build_synthetic(small_params(), 8)
+    fitted = fit_signal_artifacts(trace, cfg)
+    cfg = replace(cfg, shifting_mode="joint", integral_x=True)
+    coop = run_strategy(inst, replace(cfg, strategy="cooperative"), fitted)
+    icfg = replace(cfg, strategy="independent")
+    ind = run_strategy(inst, icfg, fitted)
+    assert np.max(np.abs(ind.x - np.round(ind.x))) <= 1e-6
+    assert ind.objective_total >= coop.objective_total - 1e-6 * abs(coop.objective_total)
+    report = validate_solution(inst, icfg, fitted, ind)
+    assert report.ok, [str(v) for v in report.violations]
+
+
 def test_config_validation_and_round_trip():
     cfg = tiny_config()
     cfg.validate(max_gen_cost=100.0)
@@ -378,12 +396,13 @@ def test_model_text_is_byte_stable():
     inst, cfg, moments, table = tiny_setup()
     models = {
         "plain": build_model(inst, cfg, moments, table),
-        "pin_r_zero": build_model(inst, cfg, moments, table, pin_r_zero=True),
+        "pin_r_zero": build_model(inst, cfg, moments, table,
+                                  fix_r=np.zeros((inst.n_dc, inst.n_slots))),
         "fixed": build_model(inst, cfg, moments, table, fix_x=inst.x_base,
                              fix_r=np.zeros((inst.n_dc, inst.n_slots))),
-        "dc1": build_per_dc_model(inst, cfg, moments, table, 1, 0.4)[0],
-        "dc2": build_per_dc_model(inst, cfg, moments, table, 2, 0.4)[0],
-        "regulation": build_regulation_only_model(inst, cfg, moments, table, inst.x_base, 0.4),
+        "dc1": build_per_dc_model(inst, cfg, moments, table, 1)[0],
+        "dc2": build_per_dc_model(inst, cfg, moments, table, 2)[0],
+        "regulation": build_regulation_only_model(inst, cfg, moments, table, inst.x_base),
     }
     digests = {k: hashlib.sha256(model_to_mps(m).encode()).hexdigest() for k, m in models.items()}
     assert digests == MPS_SHA256

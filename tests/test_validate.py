@@ -65,6 +65,17 @@ class TestValidator:
         report = validate_solution(inst, cfg, fitted, bad)
         assert any(v.family == "commit_binary" for v in report.violations)
 
+    def test_detects_fractional_schedule_under_integral_x(self):
+        inst, cfg, fitted, sol = solved_tiny()
+        split = copy.deepcopy(sol)
+        i = 2  # deferrable, free over every cell in mode joint
+        split.x[i] = 0.0
+        split.x[i, 0, 0] = split.x[i, 1, 0] = 0.5
+        integral = validate_solution(inst, replace(cfg, integral_x=True), fitted, split)
+        assert [v.amount for v in integral.violations if v.family == "x_integral"] == [0.5]
+        relaxed = validate_solution(inst, cfg, fitted, split)
+        assert all(v.family != "x_integral" for v in relaxed.violations)
+
     def test_detects_objective_mismatch(self):
         inst, cfg, fitted, sol = solved_tiny()
         bad = copy.deepcopy(sol)

@@ -33,7 +33,7 @@ def cluster(cid="j1", region="r1", slot=1, cls="deferrable", weight=1000.0,
 def dc_spec(dc_id=1, bus=1, t=3, cap=1e7, p_hi=100.0):
     shape = np.full(t, cap)
     return DataCenterSpec(dc_id, bus, shape, shape, shape,
-                          np.zeros(t), np.full(t, p_hi), -10.0, 10.0)
+                          np.zeros(t), np.full(t, p_hi))
 
 
 def simple_latency(n_regions=2, n_dc=2):
@@ -178,7 +178,7 @@ class TestResourceUsage:
     def test_boundary_equality_passes_validation(self):
         jobs = [cluster(weight=100.0, r_cpu=1.0)]
         dcs = [DataCenterSpec(1, 1, np.array([100.0]), np.array([1e9]), np.array([1e9]),
-                              np.array([0.0]), np.array([100.0]), 0.0, 1.0)]
+                              np.array([0.0]), np.array([100.0]))]
         latmap = LatencyMap({("r1", 1): 1.0})
         x = baseline_assignment(jobs, latmap, dcs)
         cpu, _, _ = resource_usage(x, jobs, 1, 1)
