@@ -4,19 +4,22 @@ The tableau method is extended with upper-bounded variables (nonbasic
 columns rest at either bound and may flip without a basis change), so
 box constraints never become rows. Dantzig pricing is used by default
 with a switch to Bland's rule after a run of degenerate steps, which
-guarantees termination on cycling-prone inputs.
+guarantees termination on cycling-prone inputs. The one dense tableau
+is updated only on the nonzero rows x columns of each rank-1 pivot, and
+a model whose tableau would exceed MAX_TABLEAU_BYTES is refused.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .standard_form import INF, StandardFormModel
+from .standard_form import INF, SolverError, StandardFormModel
 
 PIVOT_TOL = 1e-9
 RC_TOL = 1e-9
 FEAS_TOL = 1e-7
 DEGENERATE_STREAK = 40
+MAX_TABLEAU_BYTES = 256 * 2**20
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -111,12 +114,20 @@ def solve_lp(model: StandardFormModel, max_iterations: int | None = None) -> LPR
 
     Integrality flags are ignored. Returns variable values in the model's
     original space with the objective recomputed from the model data.
+    Raises SolverError, before allocating, when even the smallest possible
+    tableau (one slack or artificial per row) exceeds MAX_TABLEAU_BYTES.
     """
+    rows = model.n_rows
+    cols = model.n_vars + sum(v.lb == -INF and v.ub == INF for v in model.variables) + rows
+    if rows * cols * 8 > MAX_TABLEAU_BYTES:
+        raise SolverError(
+            f"model {model.name}: its dense tableau needs at least {rows} rows x {cols} "
+            f"columns ({rows * cols * 8 / 2**20:.0f} MB), over the bundled solver's "
+            f"{MAX_TABLEAU_BYTES / 2**20:.0f} MB budget; use --backend cmd:<command>")
     a, b, senses, ub_struct, cost_struct, transforms = _build_arrays(model)
     m, n_struct = a.shape
 
     # Normalize to b >= 0 so slack/artificial starting values are feasible.
-    senses = list(senses)
     for ri in range(m):
         if b[ri] < 0:
             a[ri] *= -1.0
@@ -131,8 +142,8 @@ def solve_lp(model: StandardFormModel, max_iterations: int | None = None) -> LPR
     n_art = sum(1 for s in senses if s in ("=", ">="))
     total = n_struct + n_slack + n_surplus + n_art
 
-    full = np.zeros((m, total))
-    full[:, :n_struct] = a
+    tableau = np.zeros((m, total))
+    tableau[:, :n_struct] = a
     ub = np.concatenate([ub_struct, np.full(total - n_struct, INF)])
     phase2_cost = np.concatenate([cost_struct, np.zeros(total - n_struct)])
     phase1_cost = np.zeros(total)
@@ -142,26 +153,25 @@ def solve_lp(model: StandardFormModel, max_iterations: int | None = None) -> LPR
     next_col = n_struct
     for ri, sense in enumerate(senses):
         if sense == "<=":
-            full[ri, next_col] = 1.0
+            tableau[ri, next_col] = 1.0
             basis[ri] = next_col
             next_col += 1
         elif sense == ">=":
-            full[ri, next_col] = -1.0
+            tableau[ri, next_col] = -1.0
             next_col += 1
-            full[ri, next_col] = 1.0
+            tableau[ri, next_col] = 1.0
             basis[ri] = next_col
             art_cols.append(next_col)
             phase1_cost[next_col] = 1.0
             next_col += 1
         else:
-            full[ri, next_col] = 1.0
+            tableau[ri, next_col] = 1.0
             basis[ri] = next_col
             art_cols.append(next_col)
             phase1_cost[next_col] = 1.0
             next_col += 1
     assert next_col == total
 
-    tableau = full.copy()
     xb = b.copy()
     at_upper = np.zeros(total, dtype=bool)
     is_basic = np.zeros(total, dtype=bool)
@@ -175,10 +185,10 @@ def solve_lp(model: StandardFormModel, max_iterations: int | None = None) -> LPR
     degenerate_run = 0
 
     def refresh_xb():
+        # Only structural columns rest at a nonzero upper bound (artificials: 0).
         rhs = b.copy()
-        upper_cols = np.where(at_upper & ~is_basic)[0]
-        for j in upper_cols:
-            rhs -= full[:, j] * ub[j]
+        for j in np.flatnonzero(at_upper[:n_struct] & ~is_basic[:n_struct]):
+            rhs -= a[:, j] * ub[j]
         binv = tableau[:, init_basis_cols]
         xb[:] = binv @ rhs
 
@@ -247,7 +257,9 @@ def solve_lp(model: StandardFormModel, max_iterations: int | None = None) -> LPR
             row = tableau[leave_row] / piv
             col = tableau[:, enter].copy()
             col[leave_row] = 0.0
-            tableau[:] -= np.outer(col, row)
+            rr, cc = np.flatnonzero(col), np.flatnonzero(row)
+            if rr.size:  # cc always holds the entering column
+                tableau[np.ix_(rr, cc)] -= np.outer(col[rr], row[cc])
             tableau[leave_row] = row
             basis[leave_row] = enter
             is_basic[enter] = True
@@ -261,9 +273,9 @@ def solve_lp(model: StandardFormModel, max_iterations: int | None = None) -> LPR
     if status == ITERATION_LIMIT:
         return LPResult(ITERATION_LIMIT, None, None, iterations)
     refresh_xb()
-    art_values = sum(
-        xb[ri] for ri in range(m) if basis[ri] in set(art_cols)
-    ) + sum(ub[j] if at_upper[j] else 0.0 for j in art_cols if not is_basic[j])
+    art_set = set(art_cols)
+    art_values = sum(xb[ri] for ri in range(m) if basis[ri] in art_set) + sum(
+        ub[j] if at_upper[j] else 0.0 for j in art_cols if not is_basic[j])
     if status == INFEASIBLE or art_values > FEAS_TOL * max(1.0, float(np.max(np.abs(b))) if m else 1.0):
         return LPResult(INFEASIBLE, None, None, iterations)
 

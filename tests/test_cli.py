@@ -130,6 +130,20 @@ class TestSolve:
         # does not end in a dangling colon.
         assert "coopt" in proc.stderr and not proc.stderr.rstrip().endswith(":")
 
+    def test_model_over_tableau_budget_exits_5_with_one_line(self, bundle, tmp_path):
+        # The budget is a constant, so the child lowers it before running main.
+        env = dict(os.environ, PYTHONPATH=str(Path(dcflex.__file__).parents[1]))
+        code = ("import sys; import dcflex.simplex as s; s.MAX_TABLEAU_BYTES = 1024; "
+                "from dcflex.cli import main; sys.exit(main(sys.argv[1:]))")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "solve", "--bundle", str(bundle),
+             "--out", str(tmp_path / "o"), "--quiet"],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == EXIT_SOLVER
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: model coopt: ")
+        assert "MB budget" in lines[0] and "--backend cmd:" in lines[0]
+
     def test_reproducible_solution_bytes(self, bundle, tmp_path):
         blobs = []
         for sub in ("r1", "r2"):

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from dcflex import simplex
+from dcflex.optimizer import solve_model
 from dcflex.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
-from dcflex.standard_form import INF, StandardFormModel
+from dcflex.standard_form import INF, SolverError, StandardFormModel
 
 
 def simple_model():
@@ -172,3 +174,88 @@ def test_solution_is_primal_feasible_tightly():
         res = solve_lp(model)
         if res.status == OPTIMAL:
             assert model.max_violation(res.x) <= 1e-7
+
+
+def _block_sparse_model(rng, n_vars, n_rows, n_blocks=4):
+    """A feasible, bounded LP whose rows each draw 2-12 columns from one block.
+
+    Columns are boxed, half-bounded, fixed or free. The feasible point sits
+    near the top of each box. The objective is A^T y for a dual y of the
+    sign each row's sense admits, plus a nonnegative reduced cost on each
+    half-bounded column and a negative one on each boxed column, so the LP
+    has an optimum with the boxed columns pushed to their upper bounds.
+    """
+    m = StandardFormModel("block")
+    for j in range(n_vars):
+        kind = int(rng.integers(0, 10))
+        if kind <= 4:
+            lb, ub = 0.0, float(rng.uniform(0.5, 5.0))
+        elif kind <= 6:
+            lb, ub = float(rng.uniform(-3, 0)), float(rng.uniform(0.5, 4.0))
+        elif kind == 7:
+            lb, ub = 0.0, INF
+        elif kind == 8:
+            lb = ub = float(rng.uniform(-1.0, 2.0))
+        else:
+            lb, ub = -INF, INF
+        m.add_variable(f"v{j}", lb=lb, ub=ub)
+    x_feas = np.array([
+        v.ub - (v.ub - v.lb) * rng.uniform(0.0, 0.1) if v.ub != INF
+        else rng.uniform(max(v.lb, -2.0), 3.0) for v in m.variables
+    ])
+    blocks = np.array_split(rng.permutation(n_vars), n_blocks)
+    cost = np.zeros(n_vars)
+    for r in range(n_rows):
+        block = blocks[r % n_blocks]
+        nz = rng.choice(block, size=int(rng.integers(2, 13)), replace=False)
+        coeffs = [(int(j), float(rng.normal())) for j in nz]
+        act = sum(c * x_feas[j] for j, c in coeffs)
+        sense = ["<=", ">=", "="][int(rng.integers(0, 3))]
+        slack = abs(rng.normal()) if rng.random() < 0.5 else 0.0
+        rhs = act + slack if sense == "<=" else act - slack if sense == ">=" else act
+        m.add_row(f"r{r}", coeffs, sense, float(rhs))
+        y = {"<=": -1.0, ">=": 1.0, "=": float(rng.choice([-1.0, 1.0]))}[sense]
+        y *= float(rng.uniform(0.0, 1.0))
+        for j, c in coeffs:
+            cost[j] += y * c
+    for j, v in enumerate(m.variables):
+        if v.lb != -INF:
+            cost[j] += float(rng.exponential()) * (1.0 if v.ub == INF else -1.0)
+    m.objective = {j: float(c) for j, c in enumerate(cost) if c != 0.0}
+    return m
+
+
+def test_block_sparse_lps_match_reference_solver():
+    # Large enough that some solves run past the periodic refresh of the
+    # basic values (every 256 iterations) with columns resting at their
+    # upper bounds, and pivot on columns nonzero only in the pivot row.
+    rng = np.random.Generator(np.random.PCG64(515))
+    longest = 0
+    for trial in range(12):
+        model = _block_sparse_model(rng, int(rng.integers(100, 151)), int(rng.integers(80, 121)))
+        ours = solve_lp(model)
+        ref = _scipy_solve(model)
+        assert ours.status == OPTIMAL and ref.status == 0, f"trial {trial}"
+        assert abs(ours.objective - ref.fun) <= 1e-6 * max(1.0, abs(ref.fun)), f"trial {trial}"
+        assert model.max_violation(ours.x) <= 1e-7, f"trial {trial}"
+        longest = max(longest, ours.iterations)
+    assert longest > 256
+
+
+def test_model_over_tableau_budget_is_refused_before_allocation(monkeypatch):
+    def no_arrays(model):
+        raise AssertionError("tableau data built for a refused model")
+
+    monkeypatch.setattr(simplex, "MAX_TABLEAU_BYTES", 64)
+    monkeypatch.setattr(simplex, "_build_arrays", no_arrays)
+    lp = simple_model()
+    lp.add_variable("z", lb=-INF, ub=INF)
+    lp.add_row("tie", [(0, 1.0), (1, 1.0)], "=", 1.0)
+    # 2 rows x (2 variables + 1 split column + 2 rows) = 80 bytes > 64.
+    with pytest.raises(SolverError, match=r"toy: .* 2 rows x 5 columns .*--backend cmd:"):
+        solve_lp(lp)
+    with pytest.raises(SolverError, match="toy: "):
+        solve_model(lp)
+    lp.variables[0].ub, lp.variables[0].integer = 1.0, True
+    with pytest.raises(SolverError, match="toy: "):
+        solve_model(lp)
