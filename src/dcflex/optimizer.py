@@ -39,7 +39,7 @@ from .signals import (
 )
 from .simplex import INFEASIBLE, OPTIMAL, solve_lp
 from .spacetime import SpaceTimeIndex, VirtualLink
-from .standard_form import INF, SolverError, StandardFormModel
+from .standard_form import INF, SolverError, StandardFormModel, presolve
 from .workload import (
     LatencyMap,
     baseline_assignment,
@@ -844,13 +844,21 @@ def diagnose_infeasibility(model: StandardFormModel,
 def solve_model(model: StandardFormModel, backend: str = BACKEND_BUNDLED):
     """Solve a model on the selected backend; the one place a solver runs.
 
-    ``bundled`` uses branch and bound when the model has free binaries and
-    the simplex otherwise; ``cmd:<command>`` exports MPS to an external
-    command in a temporary directory. Returns (values, stats) only for a
-    proven optimum. Raises InfeasibleModel, carrying the family report of
-    diagnose_infeasibility on the same backend, when no feasible point
-    exists, and SolverError on any other status.
+    Every backend sees standard_form.presolve's reduced model and returns
+    values over the full model. ``bundled`` uses branch and bound when the
+    model has free binaries and the simplex otherwise; both presolve on
+    entry, so each B&B node also drops the binaries it pins.
+    ``cmd:<command>`` exports the reduced model as MPS to an external
+    command in a temporary directory and expands the values it returns; a
+    model that presolve proves infeasible, or whose columns are all fixed,
+    runs no command. Returns (values, stats) only for a proven optimum;
+    stats carry the presolve counts {"cols": [before, after], "rows":
+    [before, after]} of the model as given (for B&B, the root). Raises
+    InfeasibleModel, carrying the family report of diagnose_infeasibility
+    on the same backend, when no feasible point exists, and SolverError on
+    any other status.
     """
+    pre = presolve(model)
     if backend == BACKEND_BUNDLED:
         if any(v.integer and v.ub - v.lb > 1e-12 for v in model.variables):
             res = solve_mip(model)
@@ -862,8 +870,15 @@ def solve_model(model: StandardFormModel, backend: str = BACKEND_BUNDLED):
             stats = {"backend": "bundled", "iterations": res.iterations, "status": res.status}
         status, values = res.status, res.x
     elif backend.startswith("cmd:"):
-        with tempfile.TemporaryDirectory(prefix="dcflex_ext_") as wd:
-            status, values = run_external_solver(model, backend[4:], wd)
+        if pre.model is None:
+            status, values = INFEASIBLE, None
+        elif pre.model.n_vars == 0:
+            status, values = OPTIMAL, pre.expand(np.zeros(0))
+        else:
+            with tempfile.TemporaryDirectory(prefix="dcflex_ext_") as wd:
+                status, values = run_external_solver(pre.model, backend[4:], wd)
+            if values is not None:
+                values = pre.expand(values)
         stats = {"backend": backend[4:], "status": status}
     else:
         raise ValueError(f"unknown backend {backend!r}; use 'bundled' or 'cmd:<command>'")
@@ -873,6 +888,7 @@ def solve_model(model: StandardFormModel, backend: str = BACKEND_BUNDLED):
     if status != OPTIMAL:
         raise SolverError(f"model {model.name}: {stats['backend']} solver "
                           f"ended with status {status}")
+    stats["presolve"] = pre.counts
     return values, stats
 
 
@@ -890,6 +906,28 @@ def build_regulation_only_model(inst: ProblemInstance, cfg: ModelConfig,
     rcol = _r_columns(model, inst, cfg, dcs)
     _regulation_rows(model, inst, cfg, moments, var_table, dcs, (), None, rcol, x_frozen)
     return model
+
+
+def _absorb_frozen_round_off(model: StandardFormModel) -> int:
+    """Relax the rows of a regulation-only model that its frozen schedule
+    alone breaks by at most validate.FEAS_TOL; returns how many.
+
+    Every column is an R >= 0, so at R = 0 each row's activity is 0 and a
+    right-hand side on the wrong side of 0 is the schedule's own excess.
+    An external solver's phase-1 point may break a queue row by round-off
+    that no R can absorb; such a row gets right-hand side 0, and
+    validate_solution still judges the final point. A larger excess is
+    left for the solver to prove infeasible.
+    """
+    from .validate import FEAS_TOL  # validate imports this module
+
+    relaxed = 0
+    for row in model.rows:
+        excess = row.rhs if row.sense == ">=" else -row.rhs
+        if 0.0 < excess <= FEAS_TOL:
+            row.rhs = 0.0
+            relaxed += 1
+    return relaxed
 
 
 def residual_supply_segments(inst: ProblemInstance, slot_hours: float,
@@ -986,7 +1024,9 @@ def run_strategy(inst: ProblemInstance, cfg: ModelConfig, fitted: FittedSignal,
                      len(inst.grid.generators), len(inst.grid.buses))
         x1 = values1[:vm.r(1, 1)].reshape(vm.m, vm.t, vm.n)
         phase2 = build_regulation_only_model(inst, cfg, moments, fitted.var_table, x1)
+        relaxed = _absorb_frozen_round_off(phase2)
         values2, stats2 = solve_model(phase2, backend)
+        stats2["relaxed_rows"] = relaxed
         # Phase 2's R columns follow the same (l, t) order as the R block.
         values = np.array(values1, dtype=float)
         values[vm.r(1, 1):vm.p(1, 1)] = values2

@@ -4,16 +4,19 @@ The tableau method is extended with upper-bounded variables (nonbasic
 columns rest at either bound and may flip without a basis change), so
 box constraints never become rows. Dantzig pricing is used by default
 with a switch to Bland's rule after a run of degenerate steps, which
-guarantees termination on cycling-prone inputs. The one dense tableau
-is updated only on the nonzero rows x columns of each rank-1 pivot, and
-a model whose tableau would exceed MAX_TABLEAU_BYTES is refused.
+guarantees termination on cycling-prone inputs. Every solve starts with
+standard_form.presolve, so fixed columns, empty rows and bound-redundant
+rows never reach the tableau; branch and bound pins binaries through
+bounds, so they drop out of each node too. The one dense tableau is
+updated only on the nonzero rows x columns of each rank-1 pivot, and a
+model whose reduced tableau would exceed MAX_TABLEAU_BYTES is refused.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .standard_form import INF, SolverError, StandardFormModel
+from .standard_form import INF, SolverError, StandardFormModel, presolve
 
 PIVOT_TOL = 1e-9
 RC_TOL = 1e-9
@@ -112,11 +115,22 @@ def _recover(values_ext: np.ndarray, transforms, n_vars: int) -> np.ndarray:
 def solve_lp(model: StandardFormModel, max_iterations: int | None = None) -> LPResult:
     """Solve the LP relaxation of a model to primal optimality.
 
-    Integrality flags are ignored. Returns variable values in the model's
-    original space with the objective recomputed from the model data.
-    Raises SolverError, before allocating, when even the smallest possible
-    tableau (one slack or artificial per row) exceeds MAX_TABLEAU_BYTES.
+    Integrality flags are ignored. The simplex runs on presolve's reduced
+    model; a presolve proof of infeasibility returns INFEASIBLE, and a model
+    with every column fixed returns its fixed point, neither running the
+    simplex. Returns variable values in the model's original space with the
+    objective recomputed from the original model's data. Raises SolverError,
+    before allocating, when even the smallest possible tableau of the
+    reduced model (one slack or artificial per row) exceeds
+    MAX_TABLEAU_BYTES.
     """
+    pre = presolve(model)
+    if pre.model is None:
+        return LPResult(INFEASIBLE, None, None, 0)
+    full, model = model, pre.model
+    if model.n_vars == 0:
+        x = pre.expand(np.zeros(0))
+        return LPResult(OPTIMAL, full.evaluate_objective(x), x, 0)
     rows = model.n_rows
     cols = model.n_vars + sum(v.lb == -INF and v.ub == INF for v in model.variables) + rows
     if rows * cols * 8 > MAX_TABLEAU_BYTES:
@@ -298,4 +312,5 @@ def solve_lp(model: StandardFormModel, max_iterations: int | None = None) -> LPR
             x[j] = max(x[j], v.lb)
         if v.ub != INF:
             x[j] = min(x[j], v.ub)
-    return LPResult(OPTIMAL, model.evaluate_objective(x), x, iterations)
+    x = pre.expand(x)
+    return LPResult(OPTIMAL, full.evaluate_objective(x), x, iterations)

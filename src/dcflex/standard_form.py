@@ -3,7 +3,8 @@
 A model is a list of bounded (optionally integer) variables, a list of
 sparse linear rows with a sense and right-hand side, and a minimized
 linear objective. Both bundled solvers, the MPS writer/reader, and the
-external-backend adapter consume this one representation.
+external-backend adapter consume this one representation. presolve
+removes what no solver needs to see before any backend runs.
 """
 
 from dataclasses import dataclass, field
@@ -13,6 +14,9 @@ import numpy as np
 SENSES = ("<=", "=", ">=")
 
 INF = float("inf")
+# Relative tolerance of the sense check on a row presolve leaves empty; the
+# bundled simplex accepts phase-1 residue at the same 1e-7.
+EMPTY_ROW_TOL = 1e-7
 
 
 class SolverError(RuntimeError):
@@ -127,3 +131,79 @@ class StandardFormModel:
             else:
                 worst = max(worst, abs(act - row.rhs))
         return worst
+
+
+@dataclass
+class Presolved:
+    """A reduced model and the map back to the original columns.
+
+    ``model`` keeps the columns ``keep`` (original indices, in order) and
+    the rows no reduction removed; ``fixed`` is a full-length point that
+    holds every dropped column at its fixed value. When an empty row proves
+    the original infeasible, ``model`` is None and ``infeasible_row`` names
+    that row.
+    """
+
+    model: StandardFormModel | None
+    keep: np.ndarray
+    fixed: np.ndarray
+    counts: dict  # {"cols": [before, after], "rows": [before, after]}
+    infeasible_row: str | None = None
+
+    def expand(self, values) -> np.ndarray:
+        """Full-length point from values over the reduced model's columns."""
+        x = self.fixed.copy()
+        x[self.keep] = values
+        return x
+
+
+def presolve(model: StandardFormModel) -> Presolved:
+    """Trivial reductions (Andersen & Andersen, Math. Prog. 71, 1995).
+
+    Drops every column with lb == ub, folding its value into the row
+    right-hand sides (the objective constant is recovered by evaluating the
+    original model on the expanded point). Drops rows left empty after
+    checking their sense within EMPTY_ROW_TOL, and <=/>= rows that the
+    activity bounds of their remaining columns prove slack. No bound is
+    changed. Bounds are read at call time and nothing is cached, so a
+    caller may re-bound columns between calls.
+    """
+    n = model.n_vars
+    fixed = [0.0] * n
+    new_of = [-1] * n  # reduced index of each column, -1 when fixed
+    reduced = StandardFormModel(model.name)
+    for j, v in enumerate(model.variables):
+        if v.lb == v.ub:
+            fixed[j] = v.lb
+        else:
+            new_of[j] = reduced.n_vars
+            reduced.variables.append(Variable(v.name, v.lb, v.ub, v.integer))
+    reduced.objective = {new_of[j]: c for j, c in model.objective.items() if new_of[j] >= 0}
+    lbs = [v.lb for v in reduced.variables]
+    ubs = [v.ub for v in reduced.variables]
+    for row in model.rows:
+        coeffs = [(new_of[j], c) for j, c in row.coeffs if new_of[j] >= 0]
+        rhs = row.rhs
+        if len(coeffs) < len(row.coeffs):
+            for j, c in row.coeffs:
+                if new_of[j] < 0:
+                    rhs -= c * fixed[j]
+        if not coeffs:
+            scale = max([1.0, abs(row.rhs)] + [abs(c * fixed[j]) for j, c in row.coeffs])
+            tol = EMPTY_ROW_TOL * scale
+            if (row.sense != ">=" and rhs < -tol) or (row.sense != "<=" and rhs > tol):
+                return Presolved(None, np.zeros(0, dtype=int), np.array(fixed), {},
+                                 infeasible_row=row.name)
+            continue
+        # Activity bounds over the remaining columns; no term is NaN because
+        # each sum takes only upper (or only lower) extremes.
+        if row.sense == "<=":
+            if sum(c * (ubs[k] if c > 0 else lbs[k]) for k, c in coeffs) <= rhs:
+                continue
+        elif row.sense == ">=":
+            if sum(c * (lbs[k] if c > 0 else ubs[k]) for k, c in coeffs) >= rhs:
+                continue
+        reduced.rows.append(LinearRow(row.name, coeffs, row.sense, rhs))
+    keep = np.array([j for j in range(n) if new_of[j] >= 0], dtype=int)
+    counts = {"cols": [n, reduced.n_vars], "rows": [model.n_rows, reduced.n_rows]}
+    return Presolved(reduced, keep, np.array(fixed), counts)
