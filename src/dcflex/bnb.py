@@ -2,12 +2,10 @@
 
 Each node re-solves the LP relaxation with tightened bounds via the
 bundled simplex. Binaries only; desk-scale models (a few dozen binaries)
-solve exactly, and an optional time limit returns the best incumbent with
-its optimality gap.
+solve exactly.
 """
 
 import heapq
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +19,7 @@ GAP_TOL = 1e-9
 
 @dataclass
 class MIPResult:
-    status: str  # optimal | infeasible | unbounded | iteration_limit | time_limit
+    status: str  # optimal | infeasible | unbounded | iteration_limit
     objective: float | None
     x: np.ndarray | None
     best_bound: float | None
@@ -71,10 +69,9 @@ def _solve_with_bounds(model: StandardFormModel, fixed: dict[int, float]):
             model.variables[j].ub = ub
 
 
-def solve_mip(model: StandardFormModel, time_limit_s: float | None = None) -> MIPResult:
+def solve_mip(model: StandardFormModel) -> MIPResult:
     """Exact minimization over the model's binaries by branch and bound."""
     int_idx = _check_binary(model)
-    start = time.monotonic()
     root = solve_lp(model)
     if root.status in (INFEASIBLE, UNBOUNDED, ITERATION_LIMIT):
         return MIPResult(root.status, None, None, None, 1)
@@ -102,19 +99,12 @@ def solve_mip(model: StandardFormModel, time_limit_s: float | None = None) -> MI
     frac_j = _fractional(root.x, int_idx)
     if frac_j >= 0:
         heapq.heappush(heap, (root.objective, counter, {}, frac_j))
-    best_bound = root.objective
     nodes = 1
 
     while heap:
         bound, _, fixed, branch_j = heapq.heappop(heap)
-        best_bound = bound
         if bound >= incumbent_obj - GAP_TOL:
-            best_bound = incumbent_obj
             break
-        if time_limit_s is not None and time.monotonic() - start > time_limit_s:
-            status = "time_limit"
-            obj = incumbent_obj if incumbent_x is not None else None
-            return MIPResult(status, obj, incumbent_x, bound, nodes)
         for val in (0.0, 1.0):
             child_fixed = dict(fixed)
             child_fixed[branch_j] = val
@@ -134,8 +124,6 @@ def solve_mip(model: StandardFormModel, time_limit_s: float | None = None) -> MI
 
     if incumbent_x is None:
         return MIPResult(INFEASIBLE, None, None, None, nodes)
-    if not heap:
-        best_bound = incumbent_obj
     # Re-solve with the binary pattern pinned so continuous values are clean
     # at exactly integral binaries.
     pattern = {j: float(round(incumbent_x[j])) for j in int_idx}
@@ -148,4 +136,6 @@ def solve_mip(model: StandardFormModel, time_limit_s: float | None = None) -> MI
         for j in int_idx:
             x[j] = float(round(x[j]))
         obj = model.evaluate_objective(x)
-    return MIPResult(OPTIMAL, obj, x, best_bound, nodes)
+    # The search stops only when no open node can beat the incumbent, so the
+    # incumbent's objective is the proven bound.
+    return MIPResult(OPTIMAL, obj, x, incumbent_obj, nodes)

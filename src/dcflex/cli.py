@@ -71,6 +71,8 @@ class ExperimentConfig:
     def load(cls, path) -> "ExperimentConfig":
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict) or not isinstance(data.get("model", {}), dict):
+            raise ValueError(f"{path}: expected a JSON object whose 'model' is an object")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:
@@ -79,8 +81,7 @@ class ExperimentConfig:
 
     def merge_flags(self, args) -> "ExperimentConfig":
         merged = replace(self)
-        for name in ("bundle", "out", "backend", "scenarios", "seed",
-                     "threshold", "split"):
+        for name in ("bundle", "out", "backend", "scenarios", "seed"):
             value = getattr(args, name, None)
             if value is not None:
                 setattr(merged, name, value)
@@ -129,16 +130,28 @@ def _experiment(args) -> "ExperimentConfig":
     return exp
 
 
-def _resolve_model_config(bundle_cfg: ModelConfig, exp: "ExperimentConfig", args) -> ModelConfig:
-    data = bundle_cfg.to_dict()
-    data.update(exp.model)
-    for flag, key in (("mode", "shifting_mode"), ("strategy", "strategy"),
-                      ("signal_model", "signal_model"), ("eps_p", "eps_p"),
-                      ("eps_e", "eps_e")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            data[key] = value
-    return ModelConfig.from_dict(data)
+def _model_config(args, base: ModelConfig, exp: "ExperimentConfig | None") -> ModelConfig:
+    """The model settings of one command, validated once.
+
+    Each source overrides the ones before it: ``base`` (the bundle's
+    config.json, or the defaults for fit-signal), the --config file's
+    ``model`` object, its top-level ``threshold`` and ``split``, then the
+    command's flags.
+    """
+    data = base.to_dict()
+    data.update(getattr(exp, "model", {}))
+    # The file's top level holds only threshold and split of these.
+    for source in (exp, args):
+        for key, name in (("mode", "shifting_mode"), ("strategy", "strategy"),
+                          ("signal_model", "signal_model"), ("eps_p", "eps_p"),
+                          ("eps_e", "eps_e"), ("threshold", "compliance_threshold"),
+                          ("split", "fit_split"), ("horizons", "var_horizons")):
+            value = getattr(source, key, None)
+            if value is not None:
+                data[name] = tuple(map(float, value.split(","))) if key == "horizons" else value
+    cfg = ModelConfig.from_dict(data)
+    cfg.validate()
+    return cfg
 
 
 def cmd_gen_instance(args) -> int:
@@ -196,13 +209,7 @@ def cmd_fit_signal(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     trace = read_trace_csv(args.trace)
-    cfg = ModelConfig()
-    if args.eps_e is not None:
-        cfg = replace(cfg, eps_e=args.eps_e)
-    if args.split is not None:
-        cfg = replace(cfg, fit_split=args.split)
-    if args.horizons:
-        cfg = replace(cfg, var_horizons=tuple(float(h) for h in args.horizons.split(",")))
+    cfg = _model_config(args, ModelConfig(), None)
     env_doc, table_doc, report = _fit_report(fit_signal_artifacts(trace, cfg), trace, cfg)
     paths = [
         _write_json(out / "envelope.json", env_doc),
@@ -220,7 +227,7 @@ def cmd_solve(args) -> int:
     out = Path(exp.out)
     out.mkdir(parents=True, exist_ok=True)
     inst, bundle_cfg, trace = load_bundle(exp.bundle)
-    cfg = _resolve_model_config(bundle_cfg, exp, args)
+    cfg = _model_config(args, bundle_cfg, exp)
     fitted = fit_signal_artifacts(trace, cfg)
     cfg = resolve_config(cfg, inst.n_slots, fitted.mean_abs)
     solution = run_strategy(inst, cfg, fitted, backend=exp.backend)
@@ -254,11 +261,7 @@ def cmd_simulate(args) -> int:
     out = Path(exp.out)
     out.mkdir(parents=True, exist_ok=True)
     inst, bundle_cfg, trace = load_bundle(exp.bundle)
-    cfg = _resolve_model_config(bundle_cfg, exp, args)
-    if exp.threshold is not None:
-        cfg = replace(cfg, compliance_threshold=exp.threshold)
-    if exp.split is not None:
-        cfg = replace(cfg, fit_split=exp.split)
+    cfg = _model_config(args, bundle_cfg, exp)
     solution = solution_from_json(args.solution)
     fitted = fit_signal_artifacts(trace, cfg)
     cfg = resolve_config(cfg, inst.n_slots, fitted.mean_abs)
@@ -308,8 +311,9 @@ def cmd_compare(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     inst, bundle_cfg, trace = load_bundle(args.bundle)
+    base_cfg = _model_config(args, bundle_cfg, None)
     strategies = args.strategies.split(",") if args.strategies else ["cooperative"]
-    modes = args.modes.split(",") if args.modes else [bundle_cfg.shifting_mode]
+    modes = args.modes.split(",") if args.modes else [base_cfg.shifting_mode]
     cells = [(s, m) for s in strategies for m in modes]
     if len(cells) < 1:
         raise ValueError("compare needs at least one strategy/mode cell")
@@ -318,9 +322,9 @@ def cmd_compare(args) -> int:
     base_total = np.sum([b.base_load for b in inst.grid.buses], axis=0)
     # The fit depends on the split, quantile grid, horizons and eps_e only,
     # none of which a cell changes.
-    fitted = fit_signal_artifacts(trace, bundle_cfg)
+    fitted = fit_signal_artifacts(trace, base_cfg)
     for strategy, mode in cells:
-        cfg = resolve_config(replace(bundle_cfg, strategy=strategy, shifting_mode=mode),
+        cfg = resolve_config(replace(base_cfg, strategy=strategy, shifting_mode=mode),
                              inst.n_slots, fitted.mean_abs)
         try:
             solution = run_strategy(inst, cfg, fitted, backend=args.backend)

@@ -45,6 +45,16 @@ BUNDLE_FILES = ("grid.json", "workload.csv", "latency.csv", "signal.csv",
 
 CLASS_ENERGY_SHARES = {"fixed": 0.5, "interactive": 0.3, "deferrable": 0.2}
 
+# Generated instances: one-hour slots, DC energy as a share of base system
+# energy, QoS latency tolerance (ms), migration price ($ per MWh moved a hop).
+SLOT_HOURS = 1.0
+DC_ENERGY_SHARE = 0.35
+DELTA_QOS = 6.0
+MIGRATION_FRIC_MWH = 5.0
+
+_DC_SCALARS = ("id", "bus", "q_init", "q_min", "q_max")
+_DC_PER_SLOT = ("cpu_cap", "mem_cap", "io_cap", "p_min", "p_max", "arrivals")
+
 
 @dataclass(frozen=True)
 class GenParams:
@@ -58,8 +68,6 @@ class GenParams:
     signal_kind: str = "sinusoid_noise"
     signal_dt_seconds: float = 4.0
     signal_days: float | None = None  # None -> sized from the VaR horizons
-    slot_hours: float = 1.0
-    dc_energy_share: float = 0.35
     power_headroom: float = 1.7  # p_max multiple of the baseline profile
     pcap_slack_frac: float = 0.6  # flat p_max slack, fraction of mean profile
     p_min_fraction: float = 0.25
@@ -68,10 +76,6 @@ class GenParams:
     # committed band's cumulative energy swings.
     queue_band_hours: float = 1.2
     reg_price_scale: float = 2.2
-    delta_qos: float = 6.0
-    eps_p: float = 0.05
-    eps_e: float = 0.05
-    migration_fric_mwh: float = 5.0  # $ per MWh-equivalent moved one hop
     arrival_spread: str = "peaked"  # or "uniform"
     region_mix: str = "random"  # or "round_robin"
 
@@ -142,7 +146,7 @@ def _check_signal_interval(slot_hours: float, dt_seconds: float) -> None:
 def _signal_days(params: GenParams) -> float:
     if params.signal_days is not None:
         return params.signal_days
-    horizon_h = params.n_slots * params.slot_hours
+    horizon_h = params.n_slots * SLOT_HOURS
     fit_hours = 30.0 * horizon_h / 0.7  # 30 windows of the longest horizon
     return math.ceil(fit_hours / 24.0) + 1.0
 
@@ -155,7 +159,7 @@ def build_synthetic(params: GenParams, seed: int) -> tuple[ProblemInstance, Mode
     n_bus, n_gen = params.n_buses, params.n_gens
     if n_bus < max(2, n_dc):
         raise ValueError("need at least as many buses as DCs (and two overall)")
-    dh = params.slot_hours
+    dh = SLOT_HOURS
     _check_signal_interval(dh, params.signal_dt_seconds)
 
     # Peaked daily base-load shape; DCs and temporal shifting act against it.
@@ -167,7 +171,7 @@ def build_synthetic(params: GenParams, seed: int) -> tuple[ProblemInstance, Mode
 
     # Workload clusters sized against the base system energy.
     base_energy = float(base_loads.sum()) * dh
-    target_dc_energy = params.dc_energy_share * base_energy
+    target_dc_energy = DC_ENERGY_SHARE * base_energy
     class_of = []
     for cls, share in CLASS_ENERGY_SHARES.items():
         count = max(1, int(round(share * params.n_clusters)))
@@ -288,14 +292,12 @@ def build_synthetic(params: GenParams, seed: int) -> tuple[ProblemInstance, Mode
 
     horizons = default_var_horizons(t_total, dh)
     cfg = ModelConfig(
-        eps_p=params.eps_p,
-        eps_e=params.eps_e,
-        delta_qos=params.delta_qos,
+        delta_qos=DELTA_QOS,
         slot_hours=dh,
         c_rc=round(5.0 * params.reg_price_scale, 4),
         c_rp=round(2.5 * params.reg_price_scale, 4),
         var_horizons=horizons,
-        migration_cost=round(params.migration_fric_mwh * d_kwh / 1000.0, 6),
+        migration_cost=round(MIGRATION_FRIC_MWH * d_kwh / 1000.0, 6),
     )
 
     trace = generate_trace(
@@ -347,6 +349,23 @@ def generate_instance(params: GenParams, seed: int, out_dir) -> list[Path]:
     return save_bundle(out_dir, inst, cfg, trace)
 
 
+def _dc_entry(path, k, entry: dict, t_total: int) -> dict:
+    """The fields of dc.json entry k as float arrays: one value per slot
+    for _DC_PER_SLOT, a single number for _DC_SCALARS."""
+    fields = {}
+    for name in _DC_SCALARS + _DC_PER_SLOT:
+        if name not in entry:
+            raise ValueError(f"{path}: dcs[{k}] has no {name!r}")
+        value = np.asarray(entry[name], dtype=float)
+        shape = (t_total,) if name in _DC_PER_SLOT else ()
+        if value.shape != shape:
+            expected = f"{t_total} values, one per slot" if shape else "a single number"
+            raise ValueError(f"{path}: dcs[{k}] {name!r} has shape {value.shape}; "
+                             f"expected {expected}")
+        fields[name] = value
+    return fields
+
+
 def load_bundle(bundle_dir) -> tuple[ProblemInstance, ModelConfig, RegulationTrace]:
     bundle = Path(bundle_dir)
     missing = [name for name in BUNDLE_FILES if not (bundle / name).exists()]
@@ -357,26 +376,16 @@ def load_bundle(bundle_dir) -> tuple[ProblemInstance, ModelConfig, RegulationTra
     latmap = read_latency_csv(bundle / "latency.csv")
     trace = read_trace_csv(bundle / "signal.csv")
     with open(bundle / "dc.json", encoding="utf-8") as fh:
-        dc_data = json.load(fh)["dcs"]
-    dcs = []
-    q_init, arrivals, q_min, q_max = [], [], [], []
-    for entry in dc_data:
-        dcs.append(DataCenterSpec(
-            id=int(entry["id"]), bus=int(entry["bus"]),
-            cpu_cap=np.asarray(entry["cpu_cap"], dtype=float),
-            mem_cap=np.asarray(entry["mem_cap"], dtype=float),
-            io_cap=np.asarray(entry["io_cap"], dtype=float),
-            p_min=np.asarray(entry["p_min"], dtype=float),
-            p_max=np.asarray(entry["p_max"], dtype=float),
-        ))
-        q_init.append(float(entry["q_init"]))
-        arrivals.append([float(v) for v in entry["arrivals"]])
-        q_min.append(float(entry["q_min"]))
-        q_max.append(float(entry["q_max"]))
-    queue = QueueParameters(np.array(q_init), np.array(arrivals),
-                            np.array(q_min), np.array(q_max))
+        entries = [_dc_entry(bundle / "dc.json", k, entry, grid.n_slots)
+                   for k, entry in enumerate(json.load(fh)["dcs"])]
+    dcs = [DataCenterSpec(id=int(e["id"]), bus=int(e["bus"]), cpu_cap=e["cpu_cap"],
+                          mem_cap=e["mem_cap"], io_cap=e["io_cap"], p_min=e["p_min"],
+                          p_max=e["p_max"]) for e in entries]
+    queue = QueueParameters(*(np.array([e[name] for e in entries])
+                              for name in ("q_init", "arrivals", "q_min", "q_max")))
     with open(bundle / "config.json", encoding="utf-8") as fh:
         cfg = ModelConfig.from_dict(json.load(fh))
+    cfg.validate()
     _check_signal_interval(cfg.slot_hours, trace.dt_seconds)
     inst = ProblemInstance(tuple(jobs), latmap, tuple(dcs), grid, queue)
     inst.validate()

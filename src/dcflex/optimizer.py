@@ -20,6 +20,7 @@ so it stays a check on these emitters rather than a copy of them.
 
 import json
 import math
+import numbers
 import re
 import tempfile
 from dataclasses import dataclass, field, replace
@@ -52,6 +53,8 @@ SHIFTING_MODES = ("none", "spatial", "temporal", "joint")
 STRATEGIES = ("decoupled", "independent", "cooperative")
 SIGNAL_MODELS = ("direct_gaussian", "envelope")
 BACKEND_BUNDLED = "bundled"
+_CHOICES = {"shifting_mode": SHIFTING_MODES, "strategy": STRATEGIES,
+            "signal_model": SIGNAL_MODELS, "forfeiture": ("full", "proportional")}
 _ELASTIC_SUFFIX = "_elastic"
 
 
@@ -92,6 +95,13 @@ class QueueParameters:
             raise ValueError("need q_min <= q_init <= q_max per DC")
 
 
+def _finite_numbers(value) -> bool:
+    """True for a finite real number or a list, tuple or array of them."""
+    items = value if isinstance(value, (list, tuple, np.ndarray)) else [value]
+    return all(isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+               for v in items)
+
+
 @dataclass
 class ModelConfig:
     """All knobs of one optimization run; mirrors the bundle config file."""
@@ -117,28 +127,32 @@ class ModelConfig:
     forfeiture: str = "full"  # or "proportional"
 
     def validate(self, max_gen_cost: float = 0.0) -> None:
-        if self.shifting_mode not in SHIFTING_MODES:
-            raise ValueError(f"unknown shifting mode {self.shifting_mode!r}")
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.signal_model not in SIGNAL_MODELS:
-            raise ValueError(f"unknown signal model {self.signal_model!r}")
-        if not 0.0 < self.eps_p < 0.5:
-            raise ValueError(f"eps_p must be in (0, 0.5), got {self.eps_p}")
-        if not 0.0 < self.eps_e < 0.5:
-            raise ValueError(f"eps_e must be in (0, 0.5), got {self.eps_e}")
+        """Raise ValueError naming the first field of the wrong type or out
+        of range."""
+        for name, value in self.__dict__.items():
+            if name in _CHOICES:
+                if value not in _CHOICES[name]:
+                    raise ValueError(f"{name} must be one of {_CHOICES[name]}, got {value!r}")
+            elif name == "integral_x":
+                if not isinstance(value, bool):
+                    raise ValueError(f"integral_x must be true or false, got {value!r}")
+            elif name in ("var_horizons", "quantile_grid") and not isinstance(value, tuple):
+                raise ValueError(f"{name} must be a list of numbers, got {value!r}")
+            elif not (name == "m_bar" and value is None) and not _finite_numbers(value):
+                raise ValueError(f"{name} must be numeric, got {value!r}")
+        for name, hi in (("eps_p", 0.5), ("eps_e", 0.5), ("fit_split", 1.0)):
+            if not 0.0 < getattr(self, name) < hi:
+                raise ValueError(f"{name} must be in (0, {hi}), got {getattr(self, name)}")
+        if not 0.0 <= self.compliance_threshold <= 1.0:
+            raise ValueError(
+                f"compliance_threshold must be in [0, 1], got {self.compliance_threshold}")
         if self.delta_qos < 0:
             raise ValueError("delta_qos must be >= 0")
         if self.slot_hours <= 0:
             raise ValueError("slot_hours must be > 0")
         if self.c_penal <= max_gen_cost:
-            raise ValueError(
-                f"c_penal {self.c_penal} must exceed the highest generator cost {max_gen_cost}"
-            )
-        if not 0.0 < self.fit_split < 1.0:
-            raise ValueError("fit_split must be in (0, 1)")
-        if self.forfeiture not in ("full", "proportional"):
-            raise ValueError(f"unknown forfeiture mode {self.forfeiture!r}")
+            raise ValueError(f"c_penal must exceed the highest generator cost "
+                             f"{max_gen_cost}, got {self.c_penal}")
 
     def prices(self, t_total: int, mean_abs: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(c_rc, c_rp, m_bar) as per-slot arrays."""
@@ -173,9 +187,13 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
+        """Inverse of to_dict; a key that names no field raises ValueError."""
+        unknown = sorted(set(data) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"unknown model config keys {unknown}")
         kwargs = dict(data)
         for key in ("var_horizons", "quantile_grid"):
-            if key in kwargs and kwargs[key] is not None:
+            if isinstance(kwargs.get(key), list):
                 kwargs[key] = tuple(kwargs[key])
         return cls(**kwargs)
 

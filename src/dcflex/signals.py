@@ -18,6 +18,7 @@ import numpy as np
 DEFAULT_QUANTILE_GRID = (0.80, 0.85, 0.90, 0.925, 0.95, 0.975, 0.99)
 DEFAULT_VAR_HORIZONS = (0.25, 0.5, 1.0, 2.0, 3.0, 4.0)
 MIN_WINDOWS = 30
+MAX_GRID_LEVEL = 0.99  # highest envelope grid level, so z_q stays finite
 
 TRACE_KINDS = ("gaussian", "clipped_gaussian", "heavy_tailed", "sinusoid_noise")
 
@@ -173,16 +174,10 @@ def empirical_quantile(samples, q: float) -> float:
     return float(np.quantile(arr, q))
 
 
-def cumulative_windows(
-    trace: RegulationTrace,
-    window_hours: float,
-    stride_hours: float | None = None,
-) -> np.ndarray:
-    """Cumulative signal energy over sliding windows, in signal-hours.
+def cumulative_windows(trace: RegulationTrace, window_hours: float) -> np.ndarray:
+    """Cumulative signal energy over non-overlapping windows, in signal-hours.
 
-    Each value is sum(s_k) * dt/3600 over one window. Windows are
-    non-overlapping by default; pass a smaller stride to enlarge the sample
-    at the cost of correlation between windows.
+    Each value is sum(s_k) * dt/3600 over one window.
     """
     window_s = window_hours * 3600.0
     if window_s < trace.dt_seconds - 1e-9:
@@ -191,20 +186,16 @@ def cumulative_windows(
             f"{trace.dt_seconds} s"
         )
     n_win = max(1, int(round(window_s / trace.dt_seconds)))
-    if stride_hours is None:
-        stride = n_win
-    else:
-        stride = max(1, int(round(stride_hours * 3600.0 / trace.dt_seconds)))
     n = trace.samples.size
-    count = (n - n_win) // stride + 1 if n >= n_win else 0
+    count = n // n_win
     if count < MIN_WINDOWS:
-        need = n_win + (MIN_WINDOWS - 1) * stride
+        need = MIN_WINDOWS * n_win
         raise ValueError(
             f"trace too short for {window_hours} h windows: have {n} samples, "
             f"need at least {need} for {MIN_WINDOWS} windows"
         )
     cs = np.concatenate(([0.0], np.cumsum(trace.samples)))
-    starts = np.arange(count) * stride
+    starts = np.arange(count) * n_win
     sums = cs[starts + n_win] - cs[starts]
     return sums * (trace.dt_seconds / 3600.0)
 
@@ -213,14 +204,13 @@ def build_var_table(
     trace: RegulationTrace,
     horizons=DEFAULT_VAR_HORIZONS,
     eps_e: float = 0.05,
-    stride_hours: float | None = None,
 ) -> VaRTable:
     """Empirical eps_e / 1-eps_e quantiles of cumulative windows per horizon."""
     if not 0.0 < eps_e <= 0.5:
         raise ValueError(f"eps_e must be in (0, 0.5], got {eps_e}")
     hs, lows, highs, counts = [], [], [], []
     for h in horizons:
-        vals = cumulative_windows(trace, h, stride_hours)
+        vals = cumulative_windows(trace, h)
         hs.append(float(h))
         lows.append(empirical_quantile(vals, eps_e))
         highs.append(empirical_quantile(vals, 1.0 - eps_e))
@@ -235,11 +225,8 @@ def fit_direct_gaussian(trace: RegulationTrace) -> GaussianEnvelope:
     return GaussianEnvelope(mu, sigma, source="direct")
 
 
-def fit_gaussian_envelope(
-    trace: RegulationTrace,
-    quantile_grid=DEFAULT_QUANTILE_GRID,
-    eps_min: float = 0.01,
-) -> GaussianEnvelope:
+def fit_gaussian_envelope(trace: RegulationTrace,
+                          quantile_grid=DEFAULT_QUANTILE_GRID) -> GaussianEnvelope:
     """Smallest-sigma Gaussian whose upper-tail quantiles dominate the data.
 
     sigma is the max over grid levels q of (empirical_quantile(q) - mu) /
@@ -250,10 +237,8 @@ def fit_gaussian_envelope(
     if not grid:
         raise ValueError("quantile grid must be nonempty")
     for q in grid:
-        if not 0.5 < q <= 1.0 - eps_min:
-            raise ValueError(
-                f"grid level {q} outside (0.5, {1.0 - eps_min}]; adjust eps_min"
-            )
+        if not 0.5 < q <= MAX_GRID_LEVEL:
+            raise ValueError(f"grid level {q} outside (0.5, {MAX_GRID_LEVEL}]")
     mu = float(np.mean(trace.samples))
     sigma = 0.0
     for q in grid:
@@ -273,13 +258,7 @@ def mean_abs_signal(trace: RegulationTrace) -> float:
     return float(np.mean(np.abs(trace.samples)))
 
 
-def generate_trace(
-    kind: str,
-    hours: float,
-    dt_seconds: float,
-    seed: int,
-    **params,
-) -> RegulationTrace:
+def generate_trace(kind: str, hours: float, dt_seconds: float, seed: int) -> RegulationTrace:
     """Seeded synthetic regulation trace of one of the built-in kinds.
 
     gaussian          iid normal noise, sd 0.25, clipped to [-1, 1]
@@ -294,46 +273,36 @@ def generate_trace(
         raise ValueError("trace must span at least two samples")
     rng = np.random.Generator(np.random.PCG64(seed))
     if kind == "gaussian":
-        sd = params.get("sd", 0.25)
-        s = rng.normal(0.0, sd, size=n)
+        s = rng.normal(0.0, 0.25, size=n)
     elif kind == "clipped_gaussian":
-        sd = params.get("sd", 0.6)
-        s = rng.normal(0.0, sd, size=n)
+        s = rng.normal(0.0, 0.6, size=n)
     elif kind == "heavy_tailed":
-        core_sd = params.get("core_sd", 0.06)
-        spike_prob = params.get("spike_prob", 0.2)
-        spike_lo = params.get("spike_lo", 0.7)
-        spike_hi = params.get("spike_hi", 0.9)
-        s = rng.normal(0.0, core_sd, size=n)
-        spikes = rng.random(n) < spike_prob
-        magnitude = rng.uniform(spike_lo, spike_hi, size=n)
+        s = rng.normal(0.0, 0.06, size=n)
+        spikes = rng.random(n) < 0.2
+        magnitude = rng.uniform(0.7, 0.9, size=n)
         sign = np.where(rng.random(n) < 0.5, 1.0, -1.0)
         s = np.where(spikes, sign * magnitude, s)
     else:  # sinusoid_noise
-        amplitude = params.get("amplitude", 0.55)
-        period_s = params.get("period_seconds", 1800.0)
-        phi = params.get("ar_phi", 0.9)
-        innovation_sd = params.get("innovation_sd", 0.05)
         t = np.arange(n) * dt_seconds
-        base = amplitude * np.sin(2.0 * math.pi * t / period_s)
+        base = 0.55 * np.sin(2.0 * math.pi * t / 1800.0)
         noise = np.empty(n)
-        eps = rng.normal(0.0, innovation_sd, size=n)
+        eps = rng.normal(0.0, 0.05, size=n)
         acc = 0.0
         for i in range(n):
-            acc = phi * acc + eps[i]
+            acc = 0.9 * acc + eps[i]
             noise[i] = acc
         s = base + noise
     return RegulationTrace(np.clip(s, -1.0, 1.0), dt_seconds)
 
 
-def write_trace_csv(trace: RegulationTrace, path, start_epoch: float = 0.0) -> None:
-    """Write a trace as CSV rows of (epoch-second timestamp, signal value)."""
+def write_trace_csv(trace: RegulationTrace, path) -> None:
+    """Write a trace as CSV rows of (epoch-second timestamp from 0, signal value)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["timestamp", "s"])
         dt = trace.dt_seconds
         for i, v in enumerate(trace.samples):
-            writer.writerow([repr(start_epoch + i * dt), repr(float(v))])
+            writer.writerow([repr(i * dt), repr(float(v))])
 
 
 def _parse_timestamp(raw: str, line_no: int) -> float:

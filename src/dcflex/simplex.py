@@ -9,7 +9,7 @@ standard_form.presolve, so fixed columns, empty rows and bound-redundant
 rows never reach the tableau; branch and bound pins binaries through
 bounds, so they drop out of each node too. The one dense tableau is
 updated only on the nonzero rows x columns of each rank-1 pivot, and a
-model whose reduced tableau would exceed MAX_TABLEAU_BYTES is refused.
+model whose solve could hold more than MAX_TABLEAU_BYTES is refused.
 """
 
 from dataclasses import dataclass
@@ -112,7 +112,17 @@ def _recover(values_ext: np.ndarray, transforms, n_vars: int) -> np.ndarray:
     return out
 
 
-def solve_lp(model: StandardFormModel, max_iterations: int | None = None) -> LPResult:
+def _footprint(model: StandardFormModel) -> tuple[int, int, int]:
+    """(rows, least tableau columns, most bytes held) of a reduced model: the
+    tableau at its widest (n structural columns, two per free variable, plus
+    up to two slack, surplus or artificial columns per row), the structural
+    block kept beside it and a pivot's two temporaries as large as the tableau."""
+    rows = model.n_rows
+    n = model.n_vars + sum(v.lb == -INF and v.ub == INF for v in model.variables)
+    return rows, n + rows, 8 * rows * (3 * (n + 2 * rows) + n)
+
+
+def solve_lp(model: StandardFormModel) -> LPResult:
     """Solve the LP relaxation of a model to primal optimality.
 
     Integrality flags are ignored. The simplex runs on presolve's reduced
@@ -120,9 +130,8 @@ def solve_lp(model: StandardFormModel, max_iterations: int | None = None) -> LPR
     with every column fixed returns its fixed point, neither running the
     simplex. Returns variable values in the model's original space with the
     objective recomputed from the original model's data. Raises SolverError,
-    before allocating, when even the smallest possible tableau of the
-    reduced model (one slack or artificial per row) exceeds
-    MAX_TABLEAU_BYTES.
+    before allocating, when the solve of the reduced model could hold more
+    than MAX_TABLEAU_BYTES.
     """
     pre = presolve(model)
     if pre.model is None:
@@ -131,13 +140,12 @@ def solve_lp(model: StandardFormModel, max_iterations: int | None = None) -> LPR
     if model.n_vars == 0:
         x = pre.expand(np.zeros(0))
         return LPResult(OPTIMAL, full.evaluate_objective(x), x, 0)
-    rows = model.n_rows
-    cols = model.n_vars + sum(v.lb == -INF and v.ub == INF for v in model.variables) + rows
-    if rows * cols * 8 > MAX_TABLEAU_BYTES:
+    rows, cols, held = _footprint(model)
+    if held > MAX_TABLEAU_BYTES:
         raise SolverError(
             f"model {model.name}: its dense tableau needs at least {rows} rows x {cols} "
-            f"columns ({rows * cols * 8 / 2**20:.0f} MB), over the bundled solver's "
-            f"{MAX_TABLEAU_BYTES / 2**20:.0f} MB budget; use --backend cmd:<command>")
+            f"columns and the solve up to {held / 2**20:.0f} MB, over the bundled "
+            f"solver's {MAX_TABLEAU_BYTES / 2**20:.0f} MB budget; use --backend cmd:<command>")
     a, b, senses, ub_struct, cost_struct, transforms = _build_arrays(model)
     m, n_struct = a.shape
 
@@ -192,8 +200,7 @@ def solve_lp(model: StandardFormModel, max_iterations: int | None = None) -> LPR
     is_basic[basis] = True
     init_basis_cols = basis.copy()
 
-    if max_iterations is None:
-        max_iterations = 200 * (m + total) + 20_000
+    max_iterations = 200 * (m + total) + 20_000
 
     iterations = 0
     degenerate_run = 0

@@ -65,9 +65,8 @@ def validate_solution(
     cfg: ModelConfig,
     fitted: FittedSignal,
     solution: Solution,
-    tol: float = FEAS_TOL,
 ) -> ValidationReport:
-    """Re-check a solution against every constraint family."""
+    """Re-check a solution against every constraint family at FEAS_TOL."""
     cfg = resolve_config(cfg, inst.n_slots, fitted.mean_abs)
     report = ValidationReport()
     x = solution.x
@@ -75,13 +74,13 @@ def validate_solution(
     dh = cfg.slot_hours
 
     # Schedule box, completeness, and pin structure.
-    report.add("x_bounds", "min", float(-(x.min())), tol)
-    report.add("x_bounds", "max", float(x.max() - 1.0), tol)
+    report.add("x_bounds", "min", float(-(x.min())))
+    report.add("x_bounds", "max", float(x.max() - 1.0))
     if cfg.integral_x:
-        report.add("x_integral", "max |x - round(x)|", float(np.max(np.abs(x - np.round(x)))), tol)
+        report.add("x_integral", "max |x - round(x)|", float(np.max(np.abs(x - np.round(x)))))
     totals = x.sum(axis=(1, 2))
     for i in range(m):
-        report.add("completion", f"cluster {inst.jobs[i].id}", abs(totals[i] - 1.0), tol)
+        report.add("completion", f"cluster {inst.jobs[i].id}", abs(totals[i] - 1.0))
     # Independent placement stays inside the mode's cells too (temporal
     # moves at the baseline DC), so one pin check covers all strategies.
     for i in range(m):
@@ -94,15 +93,15 @@ def validate_solution(
                     stray = max(stray, abs(v - float(inst.x_base[i, t - 1, l - 1])))
                 elif (t, l) not in cells:
                     stray = max(stray, v)
-        report.add("mode_pins", f"cluster {inst.jobs[i].id}", stray, tol)
+        report.add("mode_pins", f"cluster {inst.jobs[i].id}", stray)
 
     # Resource capacities.
     for l, dc in enumerate(inst.dcs, start=1):
         for t in range(1, t_total + 1):
             cpu, mem, io = resource_usage(x, inst.jobs, l, t)
-            report.add("cpu_cap", f"dc {dc.id} slot {t}", cpu - dc.cpu_cap[t - 1], tol)
-            report.add("mem_cap", f"dc {dc.id} slot {t}", mem - dc.mem_cap[t - 1], tol)
-            report.add("io_cap", f"dc {dc.id} slot {t}", io - dc.io_cap[t - 1], tol)
+            report.add("cpu_cap", f"dc {dc.id} slot {t}", cpu - dc.cpu_cap[t - 1])
+            report.add("mem_cap", f"dc {dc.id} slot {t}", mem - dc.mem_cap[t - 1])
+            report.add("io_cap", f"dc {dc.id} slot {t}", io - dc.io_cap[t - 1])
 
     # QoS (linearized form, matching the optimizer's rows).
     base_lat = inst.baseline_latency
@@ -115,22 +114,22 @@ def validate_solution(
                 num += inst.latency.latency(job.user_region, inst.dcs[l - 1].id) * w
                 den += w
         bound = (base_lat[t - 1] + cfg.delta_qos) * den
-        report.add("qos", f"slot {t}", num - bound, tol * max(1.0, den))
+        report.add("qos", f"slot {t}", num - bound, FEAS_TOL * max(1.0, den))
 
     # Regulation power envelope: deterministic cap and chance constraint.
     nodal = load_matrix(x, inst.jobs, dh)
     moments = fitted.moments(cfg.signal_model)
     ccoef = chance_coefficient(moments, cfg.eps_p, cfg.extra_signal_variance)
     reg = solution.reg
-    report.add("reg_nonneg", "min", float(-(reg.min())), tol)
+    report.add("reg_nonneg", "min", float(-(reg.min())))
     for l, dc in enumerate(inst.dcs, start=1):
         for t in range(1, t_total + 1):
             load = nodal[l - 1, t - 1]
             r = reg[l - 1, t - 1]
             report.add("power_cap", f"dc {dc.id} slot {t}",
-                       load + r - dc.p_max[t - 1], tol)
+                       load + r - dc.p_max[t - 1])
             report.add("chance", f"dc {dc.id} slot {t}",
-                       ccoef * r - (load - dc.p_min[t - 1]), tol)
+                       ccoef * r - (load - dc.p_min[t - 1]))
 
     # Queue VaR rows at every checkpoint.
     for cp in queue_check_points(t_total, dh, cfg.var_horizons):
@@ -140,11 +139,11 @@ def validate_solution(
             r = reg[l - 1, cp.slot - 1]
             report.add(
                 "queue_hi", f"dc {inst.dcs[l - 1].id} tau {cp.tau_hours:g}h win {cp.horizon_hours:g}h",
-                q_base + r * s_hi - inst.queue.q_max[l - 1], tol,
+                q_base + r * s_hi - inst.queue.q_max[l - 1],
             )
             report.add(
                 "queue_lo", f"dc {inst.dcs[l - 1].id} tau {cp.tau_hours:g}h win {cp.horizon_hours:g}h",
-                inst.queue.q_min[l - 1] - (q_base + r * s_lo), tol,
+                inst.queue.q_min[l - 1] - (q_base + r * s_lo),
             )
 
     # Grid: balance residual, line limits, generator envelope, ramps.
@@ -158,22 +157,22 @@ def validate_solution(
         tpos = inst.grid.bus_position(line.to_bus)
         flow = line.susceptance * (solution.theta[fpos] - solution.theta[tpos])
         worst = float(np.max(np.abs(flow)) - line.limit_mw)
-        report.add("line_limit", f"line {line.id}", worst, tol)
+        report.add("line_limit", f"line {line.id}", worst)
     for g, gen in enumerate(inst.grid.generators):
         u = solution.commit[g]
         p = solution.gen[g]
         report.add("commit_binary", f"gen {gen.id}",
                    float(np.max(np.abs(u - np.round(u)))), 1e-6)
-        report.add("gen_max", f"gen {gen.id}", float(np.max(p - gen.p_max * u)), tol)
-        report.add("gen_min", f"gen {gen.id}", float(np.max(gen.p_min * u - p)), tol)
+        report.add("gen_max", f"gen {gen.id}", float(np.max(p - gen.p_max * u)))
+        report.add("gen_min", f"gen {gen.id}", float(np.max(gen.p_min * u - p)))
         for t in range(1, t_total):
             up = p[t] - p[t - 1] - gen.ramp_up * u[t - 1] - gen.startup_ramp * (u[t] - u[t - 1])
             dn = p[t - 1] - p[t] - gen.ramp_down * u[t] - gen.shutdown_ramp * (u[t - 1] - u[t])
-            report.add("ramp_up", f"gen {gen.id} slot {t + 1}", float(up), tol)
-            report.add("ramp_down", f"gen {gen.id} slot {t + 1}", float(dn), tol)
-    report.add("shed_nonneg", "min", float(-(solution.shed.min())), tol)
+            report.add("ramp_up", f"gen {gen.id} slot {t + 1}", float(up))
+            report.add("ramp_down", f"gen {gen.id} slot {t + 1}", float(dn))
+    report.add("shed_nonneg", "min", float(-(solution.shed.min())))
     slack_pos = inst.grid.bus_position(inst.grid.slack_bus)
-    report.add("slack_angle", "max |theta|", float(np.max(np.abs(solution.theta[slack_pos]))), tol)
+    report.add("slack_angle", "max |theta|", float(np.max(np.abs(solution.theta[slack_pos]))))
 
     # Objective bookkeeping (migration term is zero unless the hook is on).
     recomputed = (solution.generation_cost + solution.penalty_cost

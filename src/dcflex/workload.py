@@ -165,7 +165,8 @@ def load_matrix(x: np.ndarray, jobs, slot_hours: float) -> np.ndarray:
 def effective_latency(x: np.ndarray, t: int, jobs, latmap: LatencyMap) -> SlotLatency:
     """Schedule-weighted average latency at slot t (1-based).
 
-    An empty slot is reported as latency 0 with has_jobs False.
+    A slot whose total mass is at most COMPLETENESS_TOL holds only round-off
+    and is reported as empty: latency 0 with has_jobs False.
     """
     x = np.asarray(x)
     num = 0.0
@@ -176,7 +177,7 @@ def effective_latency(x: np.ndarray, t: int, jobs, latmap: LatencyMap) -> SlotLa
             if w != 0.0:
                 num += latmap.latency(job.user_region, l + 1) * w
                 den += w
-    if den <= 0.0:
+    if den <= COMPLETENESS_TOL:
         return SlotLatency(0.0, False)
     return SlotLatency(num / den, True)
 

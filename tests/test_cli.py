@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import shutil
@@ -7,10 +9,37 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dcflex
 from dcflex.cli import EXIT_INPUT, EXIT_OK, EXIT_SOLVER, main
+from dcflex.optimizer import ModelConfig
 from dcflex.signals import RegulationTrace, read_trace_csv, write_trace_csv
+
+MODEL_KEYS = tuple(ModelConfig.__dataclass_fields__)
+NUMERIC_KEYS = ("eps_p", "eps_e", "delta_qos", "c_penal", "slot_hours", "c_rc", "c_rp",
+                "var_horizons", "quantile_grid", "extra_signal_variance", "migration_cost",
+                "fit_split", "compliance_threshold")
+OUT_OF_RANGE = (("eps_p", 0.7), ("eps_e", 0.0), ("delta_qos", -1.0), ("slot_hours", 0.0),
+                ("c_penal", -5.0), ("fit_split", 1.5), ("compliance_threshold", -5.0),
+                ("forfeiture", "partial"), ("shifting_mode", "diagonal"),
+                ("strategy", "solo"), ("signal_model", "laplace"), ("integral_x", "yes"))
+
+
+def run_cli(argv):
+    """main(argv) with stderr captured: (exit code, stderr lines)."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue().splitlines()
+
+
+def run_child(*argv):
+    """The CLI in a child process, so a traceback would reach its stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(dcflex.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "dcflex.cli", *map(str, argv)],
+                          capture_output=True, text=True, env=env)
 
 
 @pytest.fixture(scope="module")
@@ -253,6 +282,93 @@ class TestExperimentConfig:
         assert main(["solve", "--bundle", str(bundle),
                      "--out", str(tmp_path / "o"), "--config", str(cfg_path),
                      "--quiet"]) == EXIT_INPUT
+
+
+@pytest.fixture(scope="module")
+def quick_bundle(bundle, tmp_path_factory):
+    """The `bundle` instance with a one-day trace: it loads fast, and every
+    command that gets past its settings fails on fitting that trace."""
+    path = tmp_path_factory.mktemp("bundles") / "quick"
+    assert main(["gen-instance", "--out", str(path), "--seed", "3", "--preset", "small",
+                 "--signal-days", "1", "--quiet"]) == EXIT_OK
+    return path
+
+
+class TestSettings:
+    @given(corruption=st.one_of(
+        st.from_regex(r"[a-z_]{1,12}", fullmatch=True)
+        .filter(lambda k: k not in MODEL_KEYS).map(lambda k: (k, 1.0)),
+        st.tuples(st.sampled_from(NUMERIC_KEYS),
+                  st.sampled_from(("abc", None, {"x": 1}, [True], float("nan")))),
+        st.sampled_from(OUT_OF_RANGE)))
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_corrupt_bundle_config_key_exits_4_with_one_line(self, quick_bundle, solved_dir,
+                                                              tmp_path_factory, corruption):
+        key, value = corruption
+        corrupt = tmp_path_factory.mktemp("corrupt")
+        for name in ("grid.json", "workload.csv", "latency.csv", "signal.csv", "dc.json"):
+            shutil.copy(quick_bundle / name, corrupt / name)
+        config = json.loads((quick_bundle / "config.json").read_text())
+        config[key] = value
+        (corrupt / "config.json").write_text(json.dumps(config))
+        common = ["--bundle", str(corrupt), "--out", str(corrupt / "out"), "--quiet"]
+        for argv in (["solve", *common],
+                     ["simulate", *common, "--solution", str(solved_dir / "solution.json"),
+                      "--seed", "1"],
+                     ["compare", *common]):
+            code, lines = run_cli(argv)
+            assert code == EXIT_INPUT and len(lines) == 1, (argv[0], lines)
+            assert repr(key) in lines[0] or f"{key} must" in lines[0], (argv[0], lines)
+
+    @pytest.mark.parametrize("source", ["bundle", "config"])
+    def test_unknown_model_key_exits_4_without_traceback(self, bundle, solved_dir, tmp_path,
+                                                         source):
+        target = tmp_path / "b"
+        shutil.copytree(bundle, target)
+        cfg_path = tmp_path / "exp.json"
+        if source == "bundle":
+            config = json.loads((target / "config.json").read_text())
+            (target / "config.json").write_text(json.dumps(dict(config, eps_q=0.1)))
+            cfg_path.write_text(json.dumps({"seed": 1}))
+        else:
+            cfg_path.write_text(json.dumps({"seed": 1, "model": {"eps_q": 0.1}}))
+        common = ["--bundle", target, "--out", tmp_path / "o", "--config", cfg_path, "--quiet"]
+        for argv in (["solve", *common],
+                     ["simulate", *common, "--solution", solved_dir / "solution.json"]):
+            proc = run_child(*argv)
+            assert proc.returncode == EXIT_INPUT, proc.stderr
+            assert proc.stderr.splitlines() == ["error: unknown model config keys ['eps_q']"]
+
+    @pytest.mark.parametrize("model, flags, field", [
+        ({"forfeiture": "partial"}, [], "forfeiture"),
+        ({}, ["--threshold", "-5"], "compliance_threshold"),
+        ({}, ["--eps-p", "7"], "eps_p"),
+    ])
+    def test_simulate_rejects_invalid_settings(self, bundle, solved_dir, tmp_path,
+                                               model, flags, field):
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({"model": model}))
+        code, lines = run_cli(["simulate", "--bundle", str(bundle),
+                               "--solution", str(solved_dir / "solution.json"),
+                               "--out", str(tmp_path / "sim"), "--seed", "1",
+                               "--config", str(cfg_path), *flags, "--quiet"])
+        assert code == EXIT_INPUT and len(lines) == 1
+        assert lines[0].startswith(f"error: {field} must")
+
+    def test_solve_fits_on_the_config_file_split(self, tmp_path):
+        bundle_dir = tmp_path / "demo"
+        assert main(["gen-instance", "--out", str(bundle_dir), "--seed", "7",
+                     "--preset", "demo", "--quiet"]) == EXIT_OK
+        # Half the demo trace holds 30 windows of at most 4 h, not of the
+        # bundle's 6 h horizon, so the file drops that window.
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({
+            "split": 0.5, "model": {"var_horizons": [0.25, 0.5, 1.0, 2.0, 3.0, 4.0]}}))
+        out = tmp_path / "s"
+        assert main(["solve", "--bundle", str(bundle_dir), "--out", str(out),
+                     "--config", str(cfg_path), "--quiet"]) == EXIT_OK
+        report = json.loads((out / "fit_report.json").read_text())
+        assert report["samples_fit"] == 129600
 
 
 def test_report_summarizes_run(solved_dir, capsys):

@@ -1,5 +1,5 @@
-"""Edge-path coverage: settlement modes, price arrays, window strides,
-and error reporting not exercised by the main flows."""
+"""Edge-path coverage: settlement modes, price arrays, and error
+reporting not exercised by the main flows."""
 
 import copy
 import json
@@ -11,12 +11,7 @@ from dcflex.cli import EXIT_INPUT, main
 from dcflex.grid import Bus, Generator, GridCase, Line, validate_case
 from dcflex.instance import build_synthetic, fit_signal_artifacts, small_params
 from dcflex.optimizer import ModelConfig, resolve_config, run_strategy
-from dcflex.signals import (
-    RegulationTrace,
-    cumulative_windows,
-    empirical_quantile,
-    generate_trace,
-)
+from dcflex.signals import RegulationTrace, empirical_quantile
 from dcflex.simulator import simulate
 from dcflex.workload import load_matrix
 
@@ -26,15 +21,6 @@ from dataclasses import replace
 def test_quantile_endpoints():
     assert empirical_quantile([4, 1, 9], 0.0) == 1
     assert empirical_quantile([4, 1, 9], 1.0) == 9
-
-
-def test_overlapping_stride_enlarges_sample():
-    trace = generate_trace("gaussian", hours=30, dt_seconds=30.0, seed=2)
-    non_overlap = cumulative_windows(trace, 0.5)
-    overlap = cumulative_windows(trace, 0.5, stride_hours=0.1)
-    assert overlap.size > 4 * non_overlap.size
-    # the non-overlapping values are a subsequence of the overlapping ones
-    assert np.allclose(overlap[::5][: non_overlap.size], non_overlap)
 
 
 def test_per_slot_price_arrays_accepted_and_length_checked():

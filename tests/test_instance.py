@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -121,6 +122,22 @@ class TestBundleIo:
         (tmp_path / "b" / "dc.json").unlink()
         with pytest.raises(FileNotFoundError, match="dc.json"):
             load_bundle(tmp_path / "b")
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("p_max", None, r"dc\.json: dcs\[1\] has no 'p_max'"),
+        ("arrivals", [0.5], r"dc\.json: dcs\[1\] 'arrivals' has shape \(1,\); "
+                            r"expected 4 values, one per slot"),
+    ])
+    def test_bad_dc_entry_names_file_dc_and_field(self, tmp_path, field, value, message):
+        generate_instance(replace(small_params(), signal_days=1.0), 3, tmp_path)
+        doc = json.loads((tmp_path / "dc.json").read_text())
+        if value is None:
+            del doc["dcs"][1][field]
+        else:
+            doc["dcs"][1][field] = value
+        (tmp_path / "dc.json").write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
+            load_bundle(tmp_path)
 
 
 class TestDemoPackageData:

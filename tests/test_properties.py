@@ -172,7 +172,7 @@ def test_objective_identity_exact_without_migration_hook(solved_base):
 
 
 def test_envelope_sigma_close_to_direct_on_gaussian_trace():
-    trace = generate_trace("gaussian", hours=200, dt_seconds=8.0, seed=31, sd=0.25)
+    trace = generate_trace("gaussian", hours=200, dt_seconds=8.0, seed=31)
     env = fit_gaussian_envelope(trace)
     direct = fit_direct_gaussian(trace)
     assert env.sigma == pytest.approx(direct.sigma, rel=0.05)

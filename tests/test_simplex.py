@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -5,7 +7,7 @@ from scipy.optimize import linprog
 from dcflex import simplex
 from dcflex.optimizer import solve_model
 from dcflex.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
-from dcflex.standard_form import INF, SolverError, StandardFormModel
+from dcflex.standard_form import INF, SolverError, StandardFormModel, presolve
 
 
 def simple_model():
@@ -259,3 +261,19 @@ def test_model_over_tableau_budget_is_refused_before_allocation(monkeypatch):
     lp.variables[0].ub, lp.variables[0].integer = 1.0, True
     with pytest.raises(SolverError, match="toy: "):
         solve_model(lp)
+
+
+def test_guard_counts_at_least_what_the_solve_holds():
+    # The least tableau alone, rows x (n + m) x 8 bytes, is under half of
+    # these peaks; the guard also counts surplus columns and temporaries.
+    rng = np.random.Generator(np.random.PCG64(5))
+    for trial in range(3):
+        model = _block_sparse_model(rng, int(rng.integers(100, 151)), int(rng.integers(80, 121)))
+        held = simplex._footprint(presolve(model).model)[2]
+        tracemalloc.start()
+        try:
+            assert solve_lp(model).status == OPTIMAL
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert held >= peak, f"trial {trial}"

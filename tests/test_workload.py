@@ -211,6 +211,15 @@ class TestQosDeviation:
         profile = baseline_latency_profile(x_base, jobs, latmap)
         assert profile[1] == pytest.approx(5.0)
 
+    def test_round_off_mass_is_not_work(self):
+        latmap = LatencyMap({("r1", 1): 5.0, ("r1", 2): 9.0})
+        jobs = [cluster("a", "r1")]
+        x_base = zeros_schedule(1, 2, 2)
+        x_base[0, 0, 0] = 1.0
+        x = x_base.copy()
+        x[0, 1, 1] = 5e-15  # a far DC in the slot the baseline leaves empty
+        assert qos_deviation(x, x_base, jobs, latmap)[1] == 0.0
+
 
 class TestCsvIo:
     def test_workload_round_trip(self, tmp_path):
