@@ -36,8 +36,14 @@ from .optimizer import (
     solution_from_json,
     solution_to_json,
 )
-from .signals import empirical_quantile, read_trace_csv
-from .simulator import compliance_report, monte_carlo, results_digest, write_series_csv
+from .signals import RegulationTrace, empirical_quantile, read_trace_csv
+from .simulator import (
+    compliance_report,
+    monte_carlo,
+    results_digest,
+    simulate,
+    write_series_csv,
+)
 from .validate import validate_solution
 from .workload import load_matrix
 
@@ -46,6 +52,20 @@ EXIT_INFEASIBLE = 2
 EXIT_VALIDATION = 3
 EXIT_INPUT = 4
 EXIT_SOLVER = 5
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# The --config file's top-level settings: what each must be, and its check.
+_TOP_LEVEL_TYPES = {
+    "seed": ("an integer", lambda v: v is None or _is_int(v)),
+    "scenarios": ("an integer >= 1", lambda v: _is_int(v) and v >= 1),
+    "backend": ("a string", lambda v: isinstance(v, str)),
+    "bundle": ("a string", lambda v: v is None or isinstance(v, str)),
+    "out": ("a string", lambda v: v is None or isinstance(v, str)),
+}
 
 
 @dataclass
@@ -77,6 +97,10 @@ class ExperimentConfig:
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"{path}: unknown experiment config keys {sorted(unknown)}")
+        # threshold, split and model are checked by ModelConfig.validate.
+        for key, (kind, ok) in _TOP_LEVEL_TYPES.items():
+            if key in data and not ok(data[key]):
+                raise ValueError(f"{path}: {key} must be {kind}, got {data[key]!r}")
         return cls(**data)
 
     def merge_flags(self, args) -> "ExperimentConfig":
@@ -274,17 +298,13 @@ def cmd_simulate(args) -> int:
         _write_json(out / "compliance.json",
                     compliance_report(results, cfg.compliance_threshold)),
     ]
-    first = results[0]
-    per_slot = first.samples_per_slot
-    needed = per_slot * inst.n_slots
-    from .signals import RegulationTrace
-
-    segment = RegulationTrace(
-        held_out.samples[first.trace_offset:first.trace_offset + needed].copy(),
-        held_out.dt_seconds,
-    )
+    # monte_carlo keeps summaries only; replay scenario 0 for its series.
+    start = results[0].trace_offset
+    needed = results[0].samples_per_slot * inst.n_slots
+    segment = RegulationTrace(held_out.samples[start:start + needed], held_out.dt_seconds)
     series_path = out / "series_scenario0.csv"
-    write_series_csv(first, inst, segment, series_path)
+    write_series_csv(simulate(inst, cfg, solution, segment, trace_offset=start),
+                     inst, segment, series_path)
     paths.append(series_path)
     frontier_path = out / "frontier.csv"
     with open(frontier_path, "w", newline="", encoding="utf-8") as fh:

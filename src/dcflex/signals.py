@@ -318,32 +318,50 @@ def _parse_timestamp(raw: str, line_no: int) -> float:
         ) from None
 
 
+def _read_trace_rows(fh) -> tuple[list[float], list[float]]:
+    """Stamps and values of a trace CSV read row by row from its start,
+    header skipped; a malformed row raises with its line number."""
+    reader = csv.reader(fh)
+    next(reader)
+    stamps: list[float] = []
+    values: list[float] = []
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) < 2:
+            raise ValueError(f"line {line_no}: expected 2 fields, got {len(row)}")
+        stamps.append(_parse_timestamp(row[0].strip(), line_no))
+        try:
+            values.append(float(row[1]))
+        except ValueError:
+            raise ValueError(f"line {line_no}: bad signal value {row[1]!r}") from None
+    return stamps, values
+
+
 def read_trace_csv(path) -> RegulationTrace:
     """Read a signal CSV with header ``timestamp,s``.
 
     Timestamps may be epoch seconds or ISO-8601; spacing must be uniform.
-    Malformed rows raise with their line number.
+    An all-numeric body parses in one ``np.loadtxt`` call; any body it
+    rejects (ISO-8601 stamps, quoted or empty fields) is read again row by
+    row, so malformed rows raise with their line number.
     """
-    stamps: list[float] = []
-    values: list[float] = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None or [h.strip().lower() for h in header[:2]] != ["timestamp", "s"]:
             raise ValueError(f"{path}: expected header 'timestamp,s', got {header}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < 2:
-                raise ValueError(f"line {line_no}: expected 2 fields, got {len(row)}")
-            stamps.append(_parse_timestamp(row[0].strip(), line_no))
-            try:
-                values.append(float(row[1]))
-            except ValueError:
-                raise ValueError(f"line {line_no}: bad signal value {row[1]!r}") from None
+        try:
+            with warnings.catch_warnings():
+                # A header-only file warns; the two-row check below reports it.
+                warnings.simplefilter("ignore", UserWarning)
+                body = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, usecols=(0, 1))
+            stamps, values = body[:, 0], body[:, 1]
+        except ValueError:
+            fh.seek(0)
+            stamps, values = _read_trace_rows(fh)
     if len(values) < 2:
         raise ValueError(f"{path}: trace needs at least two rows")
-    dt = stamps[1] - stamps[0]
+    dt = float(stamps[1] - stamps[0])
     if dt <= 0:
         raise ValueError(f"{path}: non-increasing timestamps")
     gaps = np.diff(stamps)

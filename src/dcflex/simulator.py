@@ -31,7 +31,11 @@ SIM_TOL = 1e-9
 
 @dataclass
 class ScenarioResult:
-    """One replayed scenario: trajectories, violations, settled revenue."""
+    """One replayed scenario: trajectories, violations, settled revenue.
+
+    ``simulate`` fills the trajectories; ``monte_carlo`` keeps only the
+    summary fields and leaves them empty, (N, T, 0) and (N, 0).
+    """
 
     scenario_id: int
     trace_offset: int
@@ -183,7 +187,10 @@ def monte_carlo(
     """Replay seeded random windows of the held-out trace; aggregate stats.
 
     Deterministic for a given (solution, trace, seed); scenario windows may
-    overlap when the held-out segment is short.
+    overlap when the held-out segment is short. Each result keeps its
+    summary only: ``power`` and ``queue`` are empty, so memory does not
+    grow with the scenario count. ``simulate`` on a result's
+    ``trace_offset`` gives its trajectories back.
     """
     if n_scenarios < 1:
         raise ValueError("need at least one scenario")
@@ -199,10 +206,12 @@ def monte_carlo(
     starts = sorted(int(v) for v in rng.integers(0, max_start + 1, size=n_scenarios))
     results = []
     for sid, start in enumerate(starts):
-        segment = RegulationTrace(held_out.samples[start:start + needed].copy(),
-                                  held_out.dt_seconds)
-        results.append(simulate(inst, cfg, solution, segment,
-                                scenario_id=sid, trace_offset=start))
+        segment = RegulationTrace(held_out.samples[start:start + needed], held_out.dt_seconds)
+        result = simulate(inst, cfg, solution, segment, scenario_id=sid, trace_offset=start)
+        # New empty arrays: a [:0] slice is a view that keeps the buffer alive.
+        result.power = np.empty(result.power.shape[:2] + (0,))
+        result.queue = np.empty((result.queue.shape[0], 0))
+        results.append(result)
     return results, aggregate(results)
 
 
@@ -266,6 +275,9 @@ def write_series_csv(result: ScenarioResult, inst: ProblemInstance,
                      segment: RegulationTrace, path) -> None:
     """One row per (dc, slot, sample): signal, power, queue, violations."""
     per_slot = result.samples_per_slot
+    if result.power.size == 0 or result.queue.size == 0:
+        raise ValueError("write_series_csv needs a result from simulate; "
+                         "monte_carlo results keep no trajectories")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["dc", "slot", "k", "s", "power_mw", "queue_mwh",

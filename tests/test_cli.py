@@ -283,6 +283,21 @@ class TestExperimentConfig:
                      "--out", str(tmp_path / "o"), "--config", str(cfg_path),
                      "--quiet"]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("key, value", [
+        ("seed", "x"), ("seed", True), ("scenarios", "many"), ("scenarios", 0),
+        ("backend", 5), ("bundle", ["b"]), ("out", 1.0)])
+    def test_config_top_level_type_exits_4_with_one_line(self, bundle, solved_dir, tmp_path,
+                                                         key, value):
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({"seed": 1, key: value}))
+        proc = run_child("simulate", "--bundle", bundle, "--out", tmp_path / "sim",
+                         "--solution", solved_dir / "solution.json",
+                         "--config", cfg_path, "--quiet")
+        assert proc.returncode == EXIT_INPUT, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {cfg_path}: {key} must be ")
+        assert lines[0].endswith(f", got {value!r}")
+
 
 @pytest.fixture(scope="module")
 def quick_bundle(bundle, tmp_path_factory):

@@ -265,6 +265,66 @@ class TestTraceCsv:
         with pytest.raises(ValueError, match="header"):
             read_trace_csv(path)
 
+    @pytest.mark.parametrize("body", [
+        "0,0.1\n2,0.2\n4,-0.3\n",                       # plain
+        "0,0.1\r\n2,0.2\r\n4,-0.3\r\n",                 # CRLF
+        "0,0.1\n\n2,0.2\n4,-0.3\n",                     # blank line mid-file
+        "0,0.1\n   \n2,0.2\n",                          # whitespace-only line
+        " 0 , 0.1 \n2,  0.2\n4,-0.3 \n",                # padded fields
+        "+0,+0.1\n+2,0.2\n",                             # leading +
+        "0,0.1,x\n2,0.2,y\n",                            # extra columns
+        "0,0.1\n2,0.2,5,6\n4,-0.3,1\n",                  # ragged columns
+        "0,nan\n2,0.2\n",
+        "0,inf\n2,0.2\n",
+        '"0","0.1"\n2,0.2\n',                            # quoted fields
+        "2024-01-01T00:00:00,0.1\n2024-01-01T00:00:02,0.2\n",
+        "0\n2,0.2\n",                                    # one field
+        "0,\n2,0.2\n",                                   # empty field
+        "0,0x1p-3\n2,0.2\n",
+        "0,1_0\n2,0.2\n",
+        "0,1D-1\n2,0.2\n",
+        "# note\n0,0.1\n2,0.2\n",
+        "0,0.1\n",                                       # one row
+        "",                                              # header only
+        "0,0.1\n2,0.2\n5,0.3\n",                         # irregular spacing
+    ])
+    def test_array_parse_matches_the_row_loop(self, tmp_path, monkeypatch, body):
+        path = tmp_path / "signal.csv"
+        path.write_bytes(b"timestamp,s\n" + body.encode())
+
+        def parse():
+            try:
+                trace = read_trace_csv(path)
+            except ValueError as exc:
+                return str(exc)
+            return trace.samples.tobytes(), repr(trace.dt_seconds)
+
+        fast = parse()
+
+        def reject(*args, **kwargs):
+            raise ValueError("row loop only")
+
+        monkeypatch.setattr(np, "loadtxt", reject)
+        assert fast == parse()
+
+    def test_written_trace_takes_the_array_parse_bitwise(self, tmp_path, monkeypatch):
+        trace = generate_trace("heavy_tailed", hours=0.5, dt_seconds=2.0, seed=4)
+        path = tmp_path / "signal.csv"
+        write_trace_csv(trace, path)
+        shapes = []
+        loadtxt = np.loadtxt
+
+        def spy(*args, **kwargs):
+            body = loadtxt(*args, **kwargs)
+            shapes.append(body.shape)
+            return body
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        back = read_trace_csv(path)
+        assert shapes == [(len(trace), 2)]
+        assert back.samples.tobytes() == trace.samples.tobytes()
+        assert back.dt_seconds == 2.0 and type(back.dt_seconds) is float
+
 
 def test_envelope_rejects_negative_sigma():
     with pytest.raises(ValueError):

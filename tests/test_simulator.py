@@ -134,6 +134,23 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo(inst, cfg, fitted, sol, tiny, n_scenarios=1, seed=1)
 
+    def test_keeps_summaries_only(self, solved, tmp_path):
+        inst, cfg, fitted, sol, held = solved
+        results, _ = monte_carlo(inst, cfg, fitted, sol, held, n_scenarios=4, seed=3)
+        for r in results:
+            # Fresh empty arrays, not views that would pin the trajectories.
+            assert r.power.size == r.queue.size == 0
+            assert r.power.base is None and r.queue.base is None
+            full = simulate(inst, cfg, sol, horizon_segment(inst, cfg, held, r.trace_offset),
+                            scenario_id=r.scenario_id, trace_offset=r.trace_offset)
+            assert r.summary() == full.summary()
+            assert r.checkpoint_ok == full.checkpoint_ok
+            for name in ("power_violation_frac", "queue_violation_frac", "slot_compliant"):
+                assert np.array_equal(getattr(r, name), getattr(full, name))
+        segment = horizon_segment(inst, cfg, held, results[0].trace_offset)
+        with pytest.raises(ValueError, match="needs a result from simulate"):
+            write_series_csv(results[0], inst, segment, tmp_path / "series.csv")
+
 
 class TestComplianceReport:
     def test_zero_violations_full_revenue(self, solved):
