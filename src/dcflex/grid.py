@@ -97,8 +97,9 @@ class GridCase:
         return max((g.cost_per_mwh for g in self.generators), default=0.0)
 
 
-def line_flow(theta_b: float, theta_j: float, line: Line) -> float:
-    """MW flow from the line's first endpoint to its second."""
+def line_flow(theta_b, theta_j, line: Line):
+    """MW flow from the line's first endpoint to its second; the angles may
+    be floats or equal-shaped arrays (one entry per slot)."""
     return line.susceptance * (theta_b - theta_j)
 
 
@@ -140,7 +141,7 @@ def power_balance_residual(
     for line in case.lines:
         fpos = case.bus_position(line.from_bus)
         tpos = case.bus_position(line.to_bus)
-        flow = line.susceptance * (theta[fpos] - theta[tpos])
+        flow = line_flow(theta[fpos], theta[tpos], line)
         residual[fpos] -= flow
         residual[tpos] += flow
     return residual

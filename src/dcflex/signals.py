@@ -27,8 +27,9 @@ TRACE_KINDS = ("gaussian", "clipped_gaussian", "heavy_tailed", "sinusoid_noise")
 class RegulationTrace:
     """A normalized regulation signal sampled at a fixed interval.
 
-    Samples must lie in [-1, 1]; ``dt_seconds`` is the sampling interval
-    (2 s for fast dynamic-regulation style signals).
+    Samples must lie in [-1, 1], so NaN is rejected; ``dt_seconds`` is the
+    finite, positive sampling interval (2 s for fast dynamic-regulation
+    style signals).
     """
 
     samples: np.ndarray
@@ -38,8 +39,10 @@ class RegulationTrace:
         arr = np.asarray(self.samples, dtype=float)
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError("trace needs at least two samples")
-        if self.dt_seconds <= 0:
-            raise ValueError(f"dt_seconds must be > 0, got {self.dt_seconds}")
+        if not (np.isfinite(self.dt_seconds) and self.dt_seconds > 0):
+            raise ValueError(f"dt_seconds must be finite and > 0, got {self.dt_seconds}")
+        if np.isnan(arr).any():
+            raise ValueError(f"signal sample {int(np.argmax(np.isnan(arr)))} is nan")
         if np.any(np.abs(arr) > 1.0 + 1e-12):
             bad = float(np.max(np.abs(arr)))
             raise ValueError(f"samples must lie in [-1, 1], found magnitude {bad}")
@@ -341,7 +344,8 @@ def _read_trace_rows(fh) -> tuple[list[float], list[float]]:
 def read_trace_csv(path) -> RegulationTrace:
     """Read a signal CSV with header ``timestamp,s``.
 
-    Timestamps may be epoch seconds or ISO-8601; spacing must be uniform.
+    Timestamps may be epoch seconds or ISO-8601; they must be finite and
+    uniformly spaced.
     An all-numeric body parses in one ``np.loadtxt`` call; any body it
     rejects (ISO-8601 stamps, quoted or empty fields) is read again row by
     row, so malformed rows raise with their line number.
@@ -361,6 +365,9 @@ def read_trace_csv(path) -> RegulationTrace:
             stamps, values = _read_trace_rows(fh)
     if len(values) < 2:
         raise ValueError(f"{path}: trace needs at least two rows")
+    finite = np.isfinite(stamps)
+    if not finite.all():
+        raise ValueError(f"line {int(np.argmin(finite)) + 2}: non-finite timestamp")
     dt = float(stamps[1] - stamps[0])
     if dt <= 0:
         raise ValueError(f"{path}: non-increasing timestamps")

@@ -4,7 +4,11 @@ The tableau method is extended with upper-bounded variables (nonbasic
 columns rest at either bound and may flip without a basis change), so
 box constraints never become rows. Dantzig pricing is used by default
 with a switch to Bland's rule after a run of degenerate steps, which
-guarantees termination on cycling-prone inputs. Every solve starts with
+guarantees termination on cycling-prone inputs. Model variables map to
+nonnegative columns through one set of arrays (x = lb + y, x = ub - y
+where only the upper bound is finite, x = y+ - y- where neither is), so
+the tableau data, the row flips to b >= 0 and the slack layout are built
+by whole-array operations. Every solve starts with
 standard_form.presolve, so fixed columns, empty rows and bound-redundant
 rows never reach the tableau; branch and bound pins binaries through
 bounds, so they drop out of each node too. The one dense tableau is
@@ -38,77 +42,51 @@ class LPResult:
     iterations: int
 
 
-class _Transform:
-    """Column-level mapping from model variables to shifted/split columns."""
-
-    SHIFT = 0   # x = lb + y
-    MIRROR = 1  # x = ub - y
-    SPLIT = 2   # x = y_pos - y_neg
-
-    def __init__(self, kind, offset, col, col2=None):
-        self.kind = kind
-        self.offset = offset
-        self.col = col
-        self.col2 = col2
-
-
 def _build_arrays(model: StandardFormModel):
-    """Dense constraint data in the solver's all-nonnegative column space."""
-    n = model.n_vars
-    transforms: list[_Transform] = []
-    col_ub: list[float] = []
-    col_cost: list[float] = []
+    """Dense constraint data in the solver's all-nonnegative column space.
+
+    The column map is four arrays over the model's variables: ``col`` (each
+    variable's first column), ``sign`` (-1 where only the upper bound is
+    finite), ``offset`` and ``free``. A bounded-below variable is x = lb + y,
+    one bounded above only is x = ub - y, and a free one is x = y+ - y-
+    with y- in column col + 1. Returns (a, b, senses, column upper bounds,
+    column costs, (col, sign, offset, free)).
+    """
+    lb = np.array([v.lb for v in model.variables], dtype=float)
+    ub = np.array([v.ub for v in model.variables], dtype=float)
+    free = (lb == -INF) & (ub == INF)
+    sign = np.where((lb == -INF) & ~free, -1.0, 1.0)
+    offset = np.where(free, 0.0, np.where(lb == -INF, ub, lb))
+    col = np.arange(model.n_vars) + np.cumsum(free) - free
+    n_cols = model.n_vars + int(free.sum())
     cvec = model.objective_vector()
-    n_cols = 0
-    for j, v in enumerate(model.variables):
-        if v.lb == -INF and v.ub == INF:
-            transforms.append(_Transform(_Transform.SPLIT, 0.0, n_cols, n_cols + 1))
-            col_ub += [INF, INF]
-            col_cost += [cvec[j], -cvec[j]]
-            n_cols += 2
-        elif v.lb == -INF:
-            transforms.append(_Transform(_Transform.MIRROR, v.ub, n_cols))
-            col_ub.append(INF)
-            col_cost.append(-cvec[j])
-            n_cols += 1
-        else:
-            transforms.append(_Transform(_Transform.SHIFT, v.lb, n_cols))
-            col_ub.append(v.ub - v.lb if v.ub != INF else INF)
-            col_cost.append(cvec[j])
-            n_cols += 1
+    col_ub = np.full(n_cols, INF)
+    col_ub[col] = ub - lb  # inf for every column without a finite box
+    col_cost = np.empty(n_cols)
+    col_cost[col] = sign * cvec
+    col_cost[col[free] + 1] = -cvec[free]
 
     m = model.n_rows
+    terms = np.array([t for row in model.rows for t in row.coeffs], dtype=float).reshape(-1, 2)
+    ri = np.repeat(np.arange(m), [len(row.coeffs) for row in model.rows])
+    j, coef = terms[:, 0].astype(int), terms[:, 1]
     a = np.zeros((m, n_cols))
-    b = np.zeros(m)
-    senses = []
-    for ri, row in enumerate(model.rows):
-        rhs = row.rhs
-        for j, coef in row.coeffs:
-            tr = transforms[j]
-            if tr.kind == _Transform.SHIFT:
-                a[ri, tr.col] += coef
-                rhs -= coef * tr.offset
-            elif tr.kind == _Transform.MIRROR:
-                a[ri, tr.col] -= coef
-                rhs -= coef * tr.offset
-            else:
-                a[ri, tr.col] += coef
-                a[ri, tr.col2] -= coef
-        b[ri] = rhs
-        senses.append(row.sense)
-    assert n_cols == len(col_ub) and n == len(transforms)
-    return a, b, senses, np.array(col_ub), np.array(col_cost), transforms
+    np.add.at(a, (ri, col[j]), sign[j] * coef)
+    split = free[j]
+    np.add.at(a, (ri[split], col[j[split]] + 1), -coef[split])
+    # ufunc.at applies terms in order, so each rhs folds its coefficients
+    # one at a time, in row order.
+    b = np.array([row.rhs for row in model.rows], dtype=float)
+    np.subtract.at(b, ri[~split], coef[~split] * offset[j[~split]])
+    senses = np.array([row.sense for row in model.rows], dtype="U2")
+    return a, b, senses, col_ub, col_cost, (col, sign, offset, free)
 
 
-def _recover(values_ext: np.ndarray, transforms, n_vars: int) -> np.ndarray:
-    out = np.zeros(n_vars)
-    for j, tr in enumerate(transforms):
-        if tr.kind == _Transform.SHIFT:
-            out[j] = tr.offset + values_ext[tr.col]
-        elif tr.kind == _Transform.MIRROR:
-            out[j] = tr.offset - values_ext[tr.col]
-        else:
-            out[j] = values_ext[tr.col] - values_ext[tr.col2]
+def _recover(values_ext: np.ndarray, cmap) -> np.ndarray:
+    """Model-space point from column values through _build_arrays' map."""
+    col, sign, offset, free = cmap
+    out = offset + sign * values_ext[col]
+    out[free] = values_ext[col[free]] - values_ext[col[free] + 1]
     return out
 
 
@@ -146,53 +124,32 @@ def solve_lp(model: StandardFormModel) -> LPResult:
             f"model {model.name}: its dense tableau needs at least {rows} rows x {cols} "
             f"columns and the solve up to {held / 2**20:.0f} MB, over the bundled "
             f"solver's {MAX_TABLEAU_BYTES / 2**20:.0f} MB budget; use --backend cmd:<command>")
-    a, b, senses, ub_struct, cost_struct, transforms = _build_arrays(model)
+    a, b, senses, ub_struct, cost_struct, cmap = _build_arrays(model)
     m, n_struct = a.shape
 
     # Normalize to b >= 0 so slack/artificial starting values are feasible.
-    for ri in range(m):
-        if b[ri] < 0:
-            a[ri] *= -1.0
-            b[ri] = -b[ri]
-            if senses[ri] == "<=":
-                senses[ri] = ">="
-            elif senses[ri] == ">=":
-                senses[ri] = "<="
+    flip = b < 0
+    a *= np.where(flip, -1.0, 1.0)[:, None]
+    b[flip] = -b[flip]
+    le = np.where(flip, senses == ">=", senses == "<=")
+    ge = np.where(flip, senses == "<=", senses == ">=")
 
-    n_slack = sum(1 for s in senses if s == "<=")
-    n_surplus = sum(1 for s in senses if s == ">=")
-    n_art = sum(1 for s in senses if s in ("=", ">="))
-    total = n_struct + n_slack + n_surplus + n_art
+    # Row by row: a slack for <=, a surplus and an artificial for >=, an
+    # artificial for =; the last column of each row starts basic.
+    width = 1 + ge
+    start = n_struct + np.cumsum(width) - width
+    basis = start + ge
+    art_cols = basis[~le]
+    total = n_struct + m + int(ge.sum())
 
     tableau = np.zeros((m, total))
     tableau[:, :n_struct] = a
+    tableau[np.arange(m), basis] = 1.0
+    tableau[ge, start[ge]] = -1.0
     ub = np.concatenate([ub_struct, np.full(total - n_struct, INF)])
     phase2_cost = np.concatenate([cost_struct, np.zeros(total - n_struct)])
     phase1_cost = np.zeros(total)
-
-    basis = np.empty(m, dtype=int)
-    art_cols: list[int] = []
-    next_col = n_struct
-    for ri, sense in enumerate(senses):
-        if sense == "<=":
-            tableau[ri, next_col] = 1.0
-            basis[ri] = next_col
-            next_col += 1
-        elif sense == ">=":
-            tableau[ri, next_col] = -1.0
-            next_col += 1
-            tableau[ri, next_col] = 1.0
-            basis[ri] = next_col
-            art_cols.append(next_col)
-            phase1_cost[next_col] = 1.0
-            next_col += 1
-        else:
-            tableau[ri, next_col] = 1.0
-            basis[ri] = next_col
-            art_cols.append(next_col)
-            phase1_cost[next_col] = 1.0
-            next_col += 1
-    assert next_col == total
+    phase1_cost[art_cols] = 1.0
 
     xb = b.copy()
     at_upper = np.zeros(total, dtype=bool)
@@ -301,8 +258,7 @@ def solve_lp(model: StandardFormModel) -> LPResult:
         return LPResult(INFEASIBLE, None, None, iterations)
 
     # Artificials are pinned at zero for phase 2 instead of being pivoted out.
-    for j in art_cols:
-        ub[j] = 0.0
+    ub[art_cols] = 0.0
     degenerate_run = 0
     status = run_phase(phase2_cost, phase_one=False)
     if status in (ITERATION_LIMIT, UNBOUNDED):
@@ -312,12 +268,10 @@ def solve_lp(model: StandardFormModel) -> LPResult:
     values_ext = np.where(at_upper & np.isfinite(ub), ub, 0.0)
     values_ext[~np.isfinite(values_ext)] = 0.0
     values_ext[basis] = xb
-    x = _recover(values_ext, transforms, model.n_vars)
-    # Clamp round-off excursions back into the declared boxes.
-    for j, v in enumerate(model.variables):
-        if v.lb != -INF:
-            x[j] = max(x[j], v.lb)
-        if v.ub != INF:
-            x[j] = min(x[j], v.ub)
-    x = pre.expand(x)
+    x = _recover(values_ext, cmap)
+    # Clamp round-off excursions back into the declared boxes; on a tie the
+    # recovered value is kept (numpy returns the second operand).
+    lo = np.array([v.lb for v in model.variables])
+    hi = np.array([v.ub for v in model.variables])
+    x = pre.expand(np.minimum(hi, np.maximum(lo, x)))
     return LPResult(OPTIMAL, full.evaluate_objective(x), x, iterations)

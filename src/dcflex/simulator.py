@@ -12,6 +12,7 @@ import csv
 import hashlib
 import json
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -83,6 +84,11 @@ class ScenarioResult:
         }
 
 
+def _outside(values: np.ndarray, lo, hi) -> np.ndarray:
+    """Where values lie more than SIM_TOL outside [lo, hi]."""
+    return (values < lo - SIM_TOL) | (values > hi + SIM_TOL)
+
+
 def simulate(
     inst: ProblemInstance,
     cfg: ModelConfig,
@@ -113,9 +119,7 @@ def simulate(
     p_min = np.stack([dc.p_min for dc in inst.dcs])
     p_max = np.stack([dc.p_max for dc in inst.dcs])
     power = nodal[:, :, None] - s[None, :, :] * reg[:, :, None]
-    viol_lo = power < p_min[:, :, None] - SIM_TOL
-    viol_hi = power > p_max[:, :, None] + SIM_TOL
-    power_violation_frac = (viol_lo | viol_hi).mean(axis=2)
+    power_violation_frac = _outside(power, p_min[:, :, None], p_max[:, :, None]).mean(axis=2)
 
     # Queue: arrivals prorate uniformly; service is scheduled energy per
     # sample shifted by the regulation energy (positive signal slows
@@ -131,9 +135,7 @@ def simulate(
         start = queue[:, t * per_slot]
         block = start[:, None] + np.cumsum(delta, axis=1)
         queue[:, t * per_slot + 1: (t + 1) * per_slot + 1] = block
-        outside = (block < inst.queue.q_min[:, None] - SIM_TOL) | (
-            block > inst.queue.q_max[:, None] + SIM_TOL
-        )
+        outside = _outside(block, inst.queue.q_min[:, None], inst.queue.q_max[:, None])
         q_viol_frac[:, t] = outside.mean(axis=1)
 
     checkpoint_ok = []
@@ -274,25 +276,30 @@ def compliance_report(results: list[ScenarioResult], threshold: float = 0.25) ->
 def write_series_csv(result: ScenarioResult, inst: ProblemInstance,
                      segment: RegulationTrace, path) -> None:
     """One row per (dc, slot, sample): signal, power, queue, violations."""
-    per_slot = result.samples_per_slot
     if result.power.size == 0 or result.queue.size == 0:
         raise ValueError("write_series_csv needs a result from simulate; "
                          "monte_carlo results keep no trajectories")
+    n_dc, t_total, per_slot = result.power.shape
+    p_min = np.stack([dc.p_min for dc in inst.dcs])
+    p_max = np.stack([dc.p_max for dc in inst.dcs])
+    queue = result.queue[:, 1:].reshape(n_dc, t_total, per_slot)
+    power_viol = _outside(result.power, p_min[:, :, None], p_max[:, :, None]).astype(int)
+    queue_viol = _outside(queue, inst.queue.q_min[:, None, None],
+                          inst.queue.q_max[:, None, None]).astype(int)
+    signal = segment.samples[:t_total * per_slot].reshape(t_total, per_slot)
+    ks = range(1, per_slot + 1)
+    # One (dc, slot) block of rows at a time; csv writes a float as its
+    # repr, so every value keeps its bits.
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["dc", "slot", "k", "s", "power_mw", "queue_mwh",
                          "power_violation", "queue_violation"])
         for l, dc in enumerate(inst.dcs):
-            for t in range(result.power.shape[1]):
-                for k in range(per_slot):
-                    sval = float(segment.samples[t * per_slot + k])
-                    p = float(result.power[l, t, k])
-                    q = float(result.queue[l, t * per_slot + k + 1])
-                    pv = int(p < dc.p_min[t] - SIM_TOL or p > dc.p_max[t] + SIM_TOL)
-                    qv = int(q < inst.queue.q_min[l] - SIM_TOL
-                             or q > inst.queue.q_max[l] + SIM_TOL)
-                    writer.writerow([dc.id, t + 1, k + 1, repr(sval), repr(p),
-                                     repr(q), pv, qv])
+            for t in range(t_total):
+                writer.writerows(zip(
+                    repeat(dc.id), repeat(t + 1), ks, signal[t].tolist(),
+                    result.power[l, t].tolist(), queue[l, t].tolist(),
+                    power_viol[l, t].tolist(), queue_viol[l, t].tolist()))
 
 
 def results_digest(aggregate_stats: dict) -> str:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import power_balance_residual
+from .grid import line_flow, power_balance_residual
 from .optimizer import (
     FittedSignal,
     ModelConfig,
@@ -155,7 +155,7 @@ def validate_solution(
     for k, line in enumerate(inst.grid.lines, start=1):
         fpos = inst.grid.bus_position(line.from_bus)
         tpos = inst.grid.bus_position(line.to_bus)
-        flow = line.susceptance * (solution.theta[fpos] - solution.theta[tpos])
+        flow = line_flow(solution.theta[fpos], solution.theta[tpos], line)
         worst = float(np.max(np.abs(flow)) - line.limit_mw)
         report.add("line_limit", f"line {line.id}", worst)
     for g, gen in enumerate(inst.grid.generators):

@@ -113,6 +113,14 @@ class TestFitSignal:
         assert code == EXIT_INPUT
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body", ["nan,0.1\n2,0.2\n", "0,0.1\n2,nan\n"])
+    def test_nan_trace_exits_4_with_one_line(self, tmp_path, body):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("timestamp,s\n" + body)
+        code, lines = run_cli(["fit-signal", "--trace", str(bad), "--out", str(tmp_path / "o")])
+        assert code == EXIT_INPUT
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
+
 
 class TestSolve:
     def test_solution_and_validation_artifacts(self, solved_dir):

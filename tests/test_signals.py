@@ -275,6 +275,8 @@ class TestTraceCsv:
         "0,0.1,x\n2,0.2,y\n",                            # extra columns
         "0,0.1\n2,0.2,5,6\n4,-0.3,1\n",                  # ragged columns
         "0,nan\n2,0.2\n",
+        "nan,0.1\n2,0.2\n",
+        "0,0.1\n2,nan\n",
         "0,inf\n2,0.2\n",
         '"0","0.1"\n2,0.2\n',                            # quoted fields
         "2024-01-01T00:00:00,0.1\n2024-01-01T00:00:02,0.2\n",

@@ -148,25 +148,75 @@ def _scipy_solve(model):
     )
 
 
+def _matches_reference(model, trial) -> bool:
+    """Assert solve_lp agrees with HiGHS on status (and the optimum when
+    both find one); True when the optimum was compared."""
+    ours = solve_lp(model)
+    ref = _scipy_solve(model)
+    if ours.status == OPTIMAL:
+        assert ref.status == 0, f"trial {trial}: we say optimal, reference disagrees"
+        scale = max(1.0, abs(ref.fun))
+        assert abs(ours.objective - ref.fun) / scale <= 1e-6, f"trial {trial}"
+        assert model.max_violation(ours.x) <= 1e-7
+        return True
+    if ours.status == INFEASIBLE:
+        assert ref.status == 2, f"trial {trial}: infeasibility disagreement"
+    elif ours.status == UNBOUNDED:
+        assert ref.status == 3, f"trial {trial}: unboundedness disagreement"
+    return False
+
+
 def test_hundred_random_lps_match_reference_solver():
     rng = np.random.Generator(np.random.PCG64(2024))
     checked = 0
     for trial in range(100):
         model = _random_model(rng, n_vars=int(rng.integers(2, 9)), n_rows=int(rng.integers(1, 8)))
-        ours = solve_lp(model)
-        ref = _scipy_solve(model)
-        if ours.status == OPTIMAL:
-            assert ref.status == 0, f"trial {trial}: we say optimal, reference disagrees"
-            scale = max(1.0, abs(ref.fun))
-            assert abs(ours.objective - ref.fun) / scale <= 1e-6, f"trial {trial}"
-            assert model.max_violation(ours.x) <= 1e-7
-            checked += 1
-        elif ours.status == INFEASIBLE:
-            assert ref.status == 2, f"trial {trial}: infeasibility disagreement"
-        elif ours.status == UNBOUNDED:
-            assert ref.status == 3, f"trial {trial}: unboundedness disagreement"
+        checked += _matches_reference(model, trial)
     # Construction keeps a feasible point, so the optimal branch dominates.
     assert checked >= 60
+
+
+def test_upper_bounded_only_columns_match_reference_solver():
+    # No model builder emits a column with lb = -inf and a finite ub (the
+    # solver's x = ub - y columns), so half of _random_model's columns are
+    # turned into that kind here; raising an infinite ub to 3 + u keeps the
+    # construction's feasible point, which lies in [-2, 3].
+    rng = np.random.Generator(np.random.PCG64(31))
+    checked = mirrored = 0
+    for trial in range(100):
+        model = _random_model(rng, n_vars=int(rng.integers(2, 9)), n_rows=int(rng.integers(1, 8)))
+        for v in model.variables:
+            if rng.random() < 0.5:
+                v.lb, v.ub = -INF, v.ub if v.ub != INF else 3.0 + float(rng.uniform(0.0, 2.0))
+                mirrored += 1
+        checked += _matches_reference(model, trial)
+    # Dropping lower bounds leaves some objectives unbounded below.
+    assert checked >= 50 and mirrored >= 200
+
+
+def test_column_map_of_shift_mirror_and_free_columns():
+    m = StandardFormModel("map")
+    m.add_variable("shift", lb=1.0, ub=4.0, obj=1.0)    # x = 1 + y0
+    m.add_variable("mirror", lb=-INF, ub=2.0, obj=-2.0)  # x = 2 - y1
+    m.add_variable("free", lb=-INF, ub=INF, obj=0.5)    # x = y2 - y3
+    m.add_row("r0", [(0, 2.0), (1, 3.0), (2, 1.0)], "<=", 10.0)
+    m.add_row("r1", [(0, -1.0), (1, 1.0), (2, -2.0)], ">=", -5.0)
+    a, b, senses, col_ub, col_cost, cmap = simplex._build_arrays(m)
+    np.testing.assert_array_equal(a, [[2.0, -3.0, 1.0, -1.0], [-1.0, -1.0, -2.0, 2.0]])
+    np.testing.assert_array_equal(b, [10.0 - 2.0 - 6.0, -5.0 + 1.0 - 2.0])
+    assert list(senses) == ["<=", ">="]
+    np.testing.assert_array_equal(col_ub, [3.0, INF, INF, INF])
+    np.testing.assert_array_equal(col_cost, [1.0, 2.0, 0.5, -0.5])
+
+    # A model-space point mapped into the columns comes back bitwise.
+    col, sign, offset, free = cmap
+    np.testing.assert_array_equal(col, [0, 1, 2])
+    for x in ([2.5, -1.25, -0.75], [1.0, 2.0, 0.375], [4.0, 2.0, 0.0]):
+        x = np.array(x)
+        y = np.zeros(4)
+        y[col] = np.where(free, np.maximum(x, 0.0), sign * (x - offset))
+        y[col[free] + 1] = np.maximum(-x[free], 0.0)
+        assert simplex._recover(y, cmap).tobytes() == x.tobytes(), x
 
 
 def test_solution_is_primal_feasible_tightly():
