@@ -253,7 +253,6 @@ def cmd_solve(args) -> int:
     inst, bundle_cfg, trace = load_bundle(exp.bundle)
     cfg = _model_config(args, bundle_cfg, exp)
     fitted = fit_signal_artifacts(trace, cfg)
-    cfg = resolve_config(cfg, inst.n_slots, fitted.mean_abs)
     solution = run_strategy(inst, cfg, fitted, backend=exp.backend)
     report = validate_solution(inst, cfg, fitted, solution)
     env_doc, table_doc, fit_doc = _fit_report(fitted, trace, cfg)
@@ -344,8 +343,7 @@ def cmd_compare(args) -> int:
     # none of which a cell changes.
     fitted = fit_signal_artifacts(trace, base_cfg)
     for strategy, mode in cells:
-        cfg = resolve_config(replace(base_cfg, strategy=strategy, shifting_mode=mode),
-                             inst.n_slots, fitted.mean_abs)
+        cfg = replace(base_cfg, strategy=strategy, shifting_mode=mode)
         try:
             solution = run_strategy(inst, cfg, fitted, backend=args.backend)
             report = validate_solution(inst, cfg, fitted, solution)

@@ -157,8 +157,18 @@ def build_synthetic(params: GenParams, seed: int) -> tuple[ProblemInstance, Mode
     rng = np.random.Generator(np.random.PCG64(seed))
     n_dc, t_total = params.n_dc, params.n_slots
     n_bus, n_gen = params.n_buses, params.n_gens
+    for name in ("n_dc", "n_slots", "n_clusters"):
+        if getattr(params, name) < 1:
+            raise ValueError(f"{name} must be at least 1, got {getattr(params, name)}")
     if n_bus < max(2, n_dc):
         raise ValueError("need at least as many buses as DCs (and two overall)")
+    # The cost and capacity ladders below hold three units.
+    if not 1 <= n_gen <= min(3, n_bus):
+        raise ValueError(f"n_gens must be between 1 and {min(3, n_bus)}, got {n_gen}")
+    for name in ("signal_dt_seconds", "signal_days"):
+        value = getattr(params, name)
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
     dh = SLOT_HOURS
     _check_signal_interval(dh, params.signal_dt_seconds)
 

@@ -8,14 +8,19 @@ constraints at sub-hour and multi-slot checkpoints. Also implements the
 three bidding strategies (decoupled, independent, cooperative) and the
 shifting-mode restrictions (none, spatial, temporal, joint).
 
-Each variable block and each DC constraint family is emitted in one place:
-_x_columns declares the schedule columns (admissible cells, friction,
-integrality), _r_columns the regulation-capacity columns, _schedule_rows
-the completion, QoS and resource rows, _regulation_rows the power cap,
-chance and queue VaR rows. The full model, the per-DC models and the
-regulation-only model differ only in the DCs, clusters and fixed values
-they pass. validate.py re-derives every family independently on purpose,
-so it stays a check on these emitters rather than a copy of them.
+Each variable block is declared once, by _columns, which returns its
+column indices as an array: _x_columns gives the schedule columns
+(admissible cells, friction, integrality) as an (M, T, N) array and
+_r_columns the regulation-capacity columns as an (N, T) array, each -1
+where a model declares no column; build_model adds the grid blocks p, u,
+th and q. Every row emitter looks its columns up in these arrays, and
+_block_sizes is the one statement of build_model's block order. Each DC
+constraint family is emitted in one place: _schedule_rows the completion,
+QoS and resource rows, _regulation_rows the power cap, chance and queue
+VaR rows. The full model, the per-DC models and the regulation-only model
+differ only in the DCs, clusters and fixed values they pass. validate.py
+re-derives every family independently on purpose, so it stays a check on
+these emitters rather than a copy of them.
 """
 
 import json
@@ -154,25 +159,22 @@ class ModelConfig:
             raise ValueError(f"c_penal must exceed the highest generator cost "
                              f"{max_gen_cost}, got {self.c_penal}")
 
-    def prices(self, t_total: int, mean_abs: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(c_rc, c_rp, m_bar) as per-slot arrays."""
+    def prices(self, t_total: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(c_rc, c_rp, m_bar) as per-slot arrays of a resolved config."""
+        if self.m_bar is None:
+            raise ValueError("m_bar is unresolved; call resolve_config with the fitted signal")
+
         def as_array(v, name):
             arr = np.full(t_total, float(v)) if np.isscalar(v) else np.asarray(v, dtype=float)
             if arr.size != t_total:
                 raise ValueError(f"{name} has {arr.size} entries, horizon is {t_total}")
             return arr
 
-        c_rc = as_array(self.c_rc, "c_rc")
-        c_rp = as_array(self.c_rp, "c_rp")
-        if self.m_bar is None:
-            m_bar = np.full(t_total, mean_abs)
-        else:
-            m_bar = as_array(self.m_bar, "m_bar")
-        return c_rc, c_rp, m_bar
+        return tuple(as_array(getattr(self, name), name) for name in ("c_rc", "c_rp", "m_bar"))
 
-    def revenue_rate(self, t_total: int, mean_abs: float) -> np.ndarray:
+    def revenue_rate(self, t_total: int) -> np.ndarray:
         """$ per MW of committed capacity and slot: c_rc + c_rp * m_bar."""
-        c_rc, c_rp, m_bar = self.prices(t_total, mean_abs)
+        c_rc, c_rp, m_bar = self.prices(t_total)
         return c_rc + c_rp * m_bar
 
     def to_dict(self) -> dict:
@@ -488,96 +490,90 @@ def _row_family(name: str) -> str:
     return re.sub(r"(_[0-9p.]+)+$", "", name)
 
 
-class _VarMap:
-    """Index bookkeeping for the co-optimization variable blocks."""
+def _columns(model: StandardFormModel, prefix: str, axes, lb, ub, obj=0.0,
+             integer=False) -> np.ndarray:
+    """Declare column ``{prefix}_{a}_{b}...`` for each point of the product
+    of the label sequences ``axes``, in C order, with ``lb``, ``ub``, ``obj``
+    and ``integer`` broadcast over the block. Returns the column indices as
+    Python ints in an object array: rows then hold plain ints, which the
+    presolve and solver loops read faster than numpy integers."""
+    shape = tuple(len(a) for a in axes)
+    first = model.n_vars
+    spec = (np.broadcast_to(v, shape).ravel().tolist() for v in (lb, ub, obj, integer))
+    for pos, lo, hi, c, flag in zip(np.ndindex(shape), *spec):
+        label = "_".join(str(a[k]) for a, k in zip(axes, pos))
+        model.add_variable(f"{prefix}_{label}", lo, hi, integer=flag, obj=c)
+    return np.arange(first, model.n_vars).reshape(shape).astype(object)
 
-    def __init__(self, m, t_total, n_dc, n_gen, n_bus):
-        self.m, self.t, self.n, self.g, self.b = m, t_total, n_dc, n_gen, n_bus
 
-    def r(self, l, t):
-        return self.m * self.t * self.n + (l - 1) * self.t + (t - 1)
-
-    def p(self, g, t):
-        return self.m * self.t * self.n + self.n * self.t + (g - 1) * self.t + (t - 1)
-
-    def u(self, g, t):
-        return self.p(self.g, self.t) + 1 + (g - 1) * self.t + (t - 1)
-
-    def theta(self, b, t):
-        return self.u(self.g, self.t) + 1 + (b - 1) * self.t + (t - 1)
-
-    def q(self, b, t):
-        return self.theta(self.b, self.t) + 1 + (b - 1) * self.t + (t - 1)
-
-    @property
-    def total(self):
-        return self.m * self.t * self.n + self.t * (self.n + 2 * self.g + 2 * self.b)
+def _block_sizes(inst: ProblemInstance) -> list[int]:
+    """Column counts of build_model's blocks x, R, p, u, th and q, in order."""
+    t, n_gen, n_bus = inst.n_slots, len(inst.grid.generators), len(inst.grid.buses)
+    return [len(inst.jobs) * t * inst.n_dc, inst.n_dc * t] + [n_gen * t] * 2 + [n_bus * t] * 2
 
 
 def _x_columns(model: StandardFormModel, inst: ProblemInstance, cfg: ModelConfig,
-               members, dcs, fix_x: np.ndarray | None = None):
+               members, dcs, fix_x: np.ndarray | None = None) -> np.ndarray:
     """Declare x[i, t, l] of the clusters ``members`` over the DCs ``dcs``
-    (1-based), cluster-major; returns xcol(i, t, l) -> column.
+    (1-based), cluster-major; returns the (M, T, N) column array, -1 where
+    no column is declared.
 
     A cluster may use its allowed_cells inside ``dcs``: one such cell pins
     it there, several are free in [0, 1] (integral under cfg.integral_x),
     and every other cell is fixed at 0. ``fix_x`` pins every column. Each
     column carries the migration friction of its hops.
     """
-    if fix_x is not None and fix_x.shape != (len(inst.jobs), inst.n_slots, inst.n_dc):
+    shape = (len(inst.jobs), inst.n_slots, inst.n_dc)
+    if fix_x is not None and fix_x.shape != shape:
         raise ModelBuildError(f"x family: fix_x shape {fix_x.shape} mismatches model")
-    cols = {}
+    members, dcs = np.asarray(members, dtype=int), np.asarray(dcs, dtype=int)
+    cells = np.ix_(members, np.arange(inst.n_slots), dcs - 1)
+    allowed = np.zeros(shape)
     for i in members:
-        cells = {(t, l) for t, l in allowed_cells(inst, cfg, i) if l in dcs}
-        weight = inst.jobs[i].weight
-        for t in range(1, inst.n_slots + 1):
-            for l in dcs:
-                name = f"x_{i + 1}_{t}_{l}"
-                fric = cfg.migration_cost * weight * int(inst.hops[i, t - 1, l - 1])
-                if fix_x is not None:
-                    lo = hi = float(fix_x[i, t - 1, l - 1])
-                elif len(cells) == 1 or (t, l) not in cells:
-                    lo = hi = 1.0 if (t, l) in cells else 0.0
-                else:
-                    lo, hi = 0.0, 1.0
-                cols[i, t, l] = model.add_variable(name, lo, hi, obj=fric,
-                                                   integer=cfg.integral_x and lo < hi)
-    return lambda i, t, l: cols[i, t, l]
+        for t, l in allowed_cells(inst, cfg, i):
+            allowed[i, t - 1, l - 1] = 1.0
+    hi = allowed[cells]
+    lo = hi * (hi.sum(axis=(1, 2)) == 1)[:, None, None]
+    if fix_x is not None:
+        lo = hi = fix_x[cells]
+    weights = np.array([inst.jobs[i].weight for i in members])[:, None, None]
+    xcol = np.full(shape, -1, dtype=object)
+    xcol[cells] = _columns(model, "x", (members + 1, range(1, inst.n_slots + 1), dcs), lo, hi,
+                           obj=cfg.migration_cost * weights * inst.hops[cells],
+                           integer=cfg.integral_x & (lo < hi))
+    return xcol
 
 
 def _r_columns(model: StandardFormModel, inst: ProblemInstance, cfg: ModelConfig,
-               dcs, fix_r: np.ndarray | None = None):
+               dcs, fix_r: np.ndarray | None = None) -> np.ndarray:
     """Declare R[l, t] of the DCs ``dcs`` (1-based), DC-major, priced at the
-    revenue rate of the resolved config; returns rcol(l, t) -> column.
-    ``fix_r`` (N, T) pins every column."""
-    if cfg.m_bar is None:
-        raise ModelBuildError(
-            "revenue family: m_bar is unresolved; call resolve_config with the "
-            "fitted signal before building"
-        )
-    rev = cfg.revenue_rate(inst.n_slots, 0.0)
-    cols = {}
-    for l in dcs:
-        for t in range(1, inst.n_slots + 1):
-            lo, hi = (0.0, INF) if fix_r is None else (float(fix_r[l - 1, t - 1]),) * 2
-            cols[l, t] = model.add_variable(f"R_{l}_{t}", lo, hi,
-                                            obj=-rev[t - 1] * cfg.slot_hours)
-    return lambda l, t: cols[l, t]
+    revenue rate of the resolved config; returns the (N, T) column array,
+    -1 where no column is declared. ``fix_r`` (N, T) pins every column."""
+    try:
+        rev = cfg.revenue_rate(inst.n_slots)
+    except ValueError as exc:
+        raise ModelBuildError(f"revenue family: {exc}") from exc
+    dcs = np.asarray(dcs, dtype=int)
+    lo, hi = (0.0, INF) if fix_r is None else (fix_r[dcs - 1],) * 2
+    rcol = np.full((inst.n_dc, inst.n_slots), -1, dtype=object)
+    rcol[dcs - 1] = _columns(model, "R", (dcs, range(1, inst.n_slots + 1)), lo, hi,
+                             obj=-rev * cfg.slot_hours)
+    return rcol
 
 
 def _schedule_rows(model: StandardFormModel, inst: ProblemInstance, cfg: ModelConfig,
                    dcs, members, xcol) -> None:
     """Completion, QoS and CPU/memory/IO rows of the clusters ``members``
-    placed over the DCs ``dcs`` (1-based); ``xcol(i, t, l)`` is the column
-    of x[i, t, l]. Zero coefficients are dropped by add_row."""
+    placed over the DCs ``dcs`` (1-based); ``xcol`` is the column array of
+    _x_columns. Zero coefficients are dropped by add_row."""
     slots = range(1, inst.n_slots + 1)
     for i in members:
-        model.add_row(f"done_{i + 1}", [(xcol(i, t, l), 1.0) for t in slots for l in dcs],
-                      "=", 1.0)
+        model.add_row(f"done_{i + 1}",
+                      [(xcol[i, t - 1, l - 1], 1.0) for t in slots for l in dcs], "=", 1.0)
     for t in slots:
         bound = inst.baseline_latency[t - 1] + cfg.delta_qos
         coeffs = [
-            (xcol(i, t, l),
+            (xcol[i, t - 1, l - 1],
              inst.latency.latency(inst.jobs[i].user_region, inst.dcs[l - 1].id) - bound)
             for i in members for l in dcs
         ]
@@ -590,7 +586,8 @@ def _schedule_rows(model: StandardFormModel, inst: ProblemInstance, cfg: ModelCo
                 ("mem", "r_mem", dc.mem_cap[t - 1]),
                 ("io", "r_io", dc.io_cap[t - 1]),
             ):
-                coeffs = [(xcol(i, t, l), inst.jobs[i].weight * getattr(inst.jobs[i], r_attr))
+                coeffs = [(xcol[i, t - 1, l - 1],
+                           inst.jobs[i].weight * getattr(inst.jobs[i], r_attr))
                           for i in members]
                 model.add_row(f"{tag}_{l}_{t}", coeffs, "<=", float(cap))
 
@@ -600,9 +597,10 @@ def _regulation_rows(model: StandardFormModel, inst: ProblemInstance, cfg: Model
                      rcol, x_fixed: np.ndarray) -> None:
     """Power cap, upward chance and VaR queue rows of the DCs ``dcs``.
 
-    ``rcol(l, t)`` is the column of R[l, t]. The x terms of the clusters
-    ``members`` stay variable; the rest of each row is evaluated on the
-    frozen schedule ``x_fixed`` and folded into its right-hand side.
+    ``xcol`` and ``rcol`` are the column arrays of _x_columns and
+    _r_columns. The x terms of the clusters ``members`` stay variable; the
+    rest of each row is evaluated on the frozen schedule ``x_fixed`` and
+    folded into its right-hand side.
     Raises ModelBuildError when the chance coefficient or a VaR horizon
     cannot be had from ``moments`` and ``var_table``.
     """
@@ -621,20 +619,21 @@ def _regulation_rows(model: StandardFormModel, inst: ProblemInstance, cfg: Model
     for l in dcs:
         dc = inst.dcs[l - 1]
         for t in range(1, inst.n_slots + 1):
-            x_load = [(xcol(i, t, l), mw[i]) for i in members]
-            model.add_row(f"pcap_{l}_{t}", x_load + [(rcol(l, t), 1.0)], "<=",
+            x_load = [(xcol[i, t - 1, l - 1], mw[i]) for i in members]
+            r = rcol[l - 1, t - 1]
+            model.add_row(f"pcap_{l}_{t}", x_load + [(r, 1.0)], "<=",
                           float(dc.p_max[t - 1] - load[l - 1, t - 1]))
-            model.add_row(f"chance_{l}_{t}", [(j, -c) for j, c in x_load] + [(rcol(l, t), ccoef)],
+            model.add_row(f"chance_{l}_{t}", [(j, -c) for j, c in x_load] + [(r, ccoef)],
                           "<=", float(load[l - 1, t - 1] - dc.p_min[t - 1]))
     member_set = set(members)
     for cp, (s_lo, s_hi) in zip(points, var_bounds):
         htag = format(cp.horizon_hours, "g").replace(".", "p")
         for l in dcs:
             const, coeffs = queue_baseline_expr(inst, dh, l, cp.tau_hours)
-            x_terms = [(xcol(i, t, l), coef) for (i, t), coef in sorted(coeffs.items())
+            x_terms = [(xcol[i, t - 1, l - 1], coef) for (i, t), coef in sorted(coeffs.items())
                        if i in member_set]
             q_fixed = _queue_value(const, coeffs, l, x_fixed)
-            r_slot = rcol(l, cp.slot)
+            r_slot = rcol[l - 1, cp.slot - 1]
             model.add_row(f"qhi_{l}_{cp.slot}_{htag}", x_terms + [(r_slot, s_hi)], "<=",
                           float(inst.queue.q_max[l - 1]) - q_fixed)
             model.add_row(f"qlo_{l}_{cp.slot}_{htag}", x_terms + [(r_slot, s_lo)], ">=",
@@ -669,94 +668,61 @@ def build_model(
     mw = cluster_energies_mwh(inst.jobs) / dh  # MW contribution of a fully placed cluster
 
     model = StandardFormModel(name)
-    vm = _VarMap(m, t_total, n_dc, n_gen, n_bus)
     members = range(m)
     dcs = range(1, n_dc + 1)
 
     # Variable blocks. Pins are bounds so the count formula stays exact.
     xcol = _x_columns(model, inst, cfg, members, dcs, fix_x)
     rcol = _r_columns(model, inst, cfg, dcs, fix_r)
-    for g, gen in enumerate(gens, start=1):
-        for t in range(1, t_total + 1):
-            model.add_variable(f"p_{g}_{t}", 0.0, gen.p_max, obj=gen.cost_per_mwh * dh)
-    for g in range(1, n_gen + 1):
-        for t in range(1, t_total + 1):
-            model.add_variable(f"u_{g}_{t}", 0.0, 1.0, integer=True)
-    slack_pos = inst.grid.bus_position(inst.grid.slack_bus) + 1
-    for b in range(1, n_bus + 1):
-        for t in range(1, t_total + 1):
-            if b == slack_pos:
-                model.add_variable(f"th_{b}_{t}", 0.0, 0.0)
-            else:
-                model.add_variable(f"th_{b}_{t}", -INF, INF)
-    for b in range(1, n_bus + 1):
-        for t in range(1, t_total + 1):
-            model.add_variable(f"q_{b}_{t}", 0.0, INF, obj=cfg.c_penal * dh)
-    assert model.n_vars == vm.total
+    slots = range(1, t_total + 1)
+    gen_axes, bus_axes = (range(1, n_gen + 1), slots), (range(1, n_bus + 1), slots)
+    p = _columns(model, "p", gen_axes, 0.0, [[gen.p_max] for gen in gens],
+                 obj=[[gen.cost_per_mwh * dh] for gen in gens])
+    u = _columns(model, "u", gen_axes, 0.0, 1.0, integer=True)
+    slack = (np.arange(n_bus) == inst.grid.bus_position(inst.grid.slack_bus))[:, None]
+    th = _columns(model, "th", bus_axes, np.where(slack, 0.0, -INF), np.where(slack, 0.0, INF))
+    q = _columns(model, "q", bus_axes, 0.0, INF, obj=cfg.c_penal * dh)
 
-    dc_pos_at_bus: dict[int, list[int]] = {}
-    for l, dc in enumerate(inst.dcs, start=1):
-        dc_pos_at_bus.setdefault(inst.grid.bus_position(dc.bus) + 1, []).append(l)
-    gen_at_bus: dict[int, list[int]] = {}
-    for g, gen in enumerate(gens, start=1):
-        gen_at_bus.setdefault(inst.grid.bus_position(gen.bus) + 1, []).append(g)
+    gen_bus = np.array([inst.grid.bus_position(gen.bus) for gen in gens])
+    dc_bus = np.array([inst.grid.bus_position(dc.bus) for dc in inst.dcs])
 
     # Nodal balance: gen + shed - DC load - net outflow = base load.
-    for t in range(1, t_total + 1):
+    for t in slots:
         for b in range(1, n_bus + 1):
-            coeffs = [(vm.q(b, t), 1.0)]
-            for g in gen_at_bus.get(b, []):
-                coeffs.append((vm.p(g, t), 1.0))
-            for l in dc_pos_at_bus.get(b, []):
-                for i in range(m):
-                    if mw[i] != 0.0:
-                        coeffs.append((xcol(i, t, l), -mw[i]))
+            coeffs = [(q[b - 1, t - 1], 1.0)] + [(j, 1.0) for j in p[gen_bus == b - 1, t - 1]]
+            coeffs += [(j, -mw[i]) for i in range(m) for j in xcol[i, t - 1, dc_bus == b - 1]]
             for line in inst.grid.lines:
                 fpos = inst.grid.bus_position(line.from_bus) + 1
                 tpos = inst.grid.bus_position(line.to_bus) + 1
                 if fpos == b:
-                    coeffs.append((vm.theta(fpos, t), -line.susceptance))
-                    coeffs.append((vm.theta(tpos, t), line.susceptance))
+                    coeffs.append((th[fpos - 1, t - 1], -line.susceptance))
+                    coeffs.append((th[tpos - 1, t - 1], line.susceptance))
                 elif tpos == b:
-                    coeffs.append((vm.theta(tpos, t), -line.susceptance))
-                    coeffs.append((vm.theta(fpos, t), line.susceptance))
+                    coeffs.append((th[tpos - 1, t - 1], -line.susceptance))
+                    coeffs.append((th[fpos - 1, t - 1], line.susceptance))
             model.add_row(f"bal_{b}_{t}", coeffs, "=", float(buses[b - 1].base_load[t - 1]))
 
     for k, line in enumerate(inst.grid.lines, start=1):
-        fpos = inst.grid.bus_position(line.from_bus) + 1
-        tpos = inst.grid.bus_position(line.to_bus) + 1
-        for t in range(1, t_total + 1):
-            flow = [(vm.theta(fpos, t), line.susceptance), (vm.theta(tpos, t), -line.susceptance)]
+        th_from = th[inst.grid.bus_position(line.from_bus)]
+        th_to = th[inst.grid.bus_position(line.to_bus)]
+        for t in slots:
+            flow = [(th_from[t - 1], line.susceptance), (th_to[t - 1], -line.susceptance)]
             model.add_row(f"flow_hi_{k}_{t}", flow, "<=", line.limit_mw)
             model.add_row(f"flow_lo_{k}_{t}", flow, ">=", -line.limit_mw)
 
     for g, gen in enumerate(gens, start=1):
-        for t in range(1, t_total + 1):
-            model.add_row(f"pmax_{g}_{t}", [(vm.p(g, t), 1.0), (vm.u(g, t), -gen.p_max)], "<=", 0.0)
-            model.add_row(f"pmin_{g}_{t}", [(vm.p(g, t), -1.0), (vm.u(g, t), gen.p_min)], "<=", 0.0)
-        for t in range(2, t_total + 1):
-            model.add_row(
-                f"rup_{g}_{t}",
-                [
-                    (vm.p(g, t), 1.0),
-                    (vm.p(g, t - 1), -1.0),
-                    (vm.u(g, t - 1), -(gen.ramp_up - gen.startup_ramp)),
-                    (vm.u(g, t), -gen.startup_ramp),
-                ],
-                "<=",
-                0.0,
-            )
-            model.add_row(
-                f"rdn_{g}_{t}",
-                [
-                    (vm.p(g, t - 1), 1.0),
-                    (vm.p(g, t), -1.0),
-                    (vm.u(g, t), -(gen.ramp_down - gen.shutdown_ramp)),
-                    (vm.u(g, t - 1), -gen.shutdown_ramp),
-                ],
-                "<=",
-                0.0,
-            )
+        pg, ug = p[g - 1], u[g - 1]
+        for t in slots:
+            model.add_row(f"pmax_{g}_{t}", [(pg[t - 1], 1.0), (ug[t - 1], -gen.p_max)], "<=", 0.0)
+            model.add_row(f"pmin_{g}_{t}", [(pg[t - 1], -1.0), (ug[t - 1], gen.p_min)], "<=", 0.0)
+        # Ramps: p[s1] - p[s0] - (ramp - edge) u[s0] - edge u[s1] <= 0 for the
+        # slots (s1, s0) = (t, t - 1) going up and (t - 1, t) going down.
+        for t in range(1, t_total):
+            for tag, s1, s0, ramp, edge in (("rup", t, t - 1, gen.ramp_up, gen.startup_ramp),
+                                            ("rdn", t - 1, t, gen.ramp_down, gen.shutdown_ramp)):
+                model.add_row(f"{tag}_{g}_{t + 1}", [(pg[s1], 1.0), (pg[s0], -1.0),
+                                                     (ug[s0], -(ramp - edge)), (ug[s1], -edge)],
+                              "<=", 0.0)
 
     _schedule_rows(model, inst, cfg, dcs, members, xcol)
     _regulation_rows(model, inst, cfg, moments, var_table, dcs, members, xcol, rcol,
@@ -767,32 +733,30 @@ def build_model(
 
 
 def resolve_config(cfg: ModelConfig, t_total: int, mean_abs: float) -> ModelConfig:
-    """Fill the defaulted mileage proxy so all phases price revenue alike."""
+    """Fill the defaulted mileage proxy so all phases price revenue alike:
+    the only code that turns ``m_bar: null`` into ``mean_abs`` per slot."""
     if cfg.m_bar is not None:
         return cfg
     return replace(cfg, m_bar=[mean_abs] * t_total)
 
 
 def extract_solution(inst: ProblemInstance, cfg: ModelConfig, values: np.ndarray,
-                     status: str, mean_abs: float, stats: dict | None = None) -> Solution:
-    """Map raw variable values back to named arrays and price the objective."""
+                     status: str, stats: dict | None = None) -> Solution:
+    """Split build_model's values into its blocks (_block_sizes), each a
+    copy, and price the objective at the resolved config's revenue rate."""
     t_total, n_dc, m = inst.n_slots, inst.n_dc, len(inst.jobs)
-    n_gen, n_bus = len(inst.grid.generators), len(inst.grid.buses)
-    vm = _VarMap(m, t_total, n_dc, n_gen, n_bus)
-    # The blocks are contiguous in _VarMap order; each is copied so the
-    # Solution never shares memory with the solver's vector.
-    blocks = np.split(np.asarray(values, dtype=float)[:vm.total],
-                      [vm.r(1, 1), vm.p(1, 1), vm.u(1, 1), vm.theta(1, 1), vm.q(1, 1)])
+    ends = np.cumsum(_block_sizes(inst))
+    blocks = np.split(np.asarray(values, dtype=float)[:ends[-1]], ends[:-1])
     x = blocks[0].reshape(m, t_total, n_dc).copy()
     reg, gen, commit, theta, shed = (b.reshape(-1, t_total).copy() for b in blocks[1:])
     reg = np.clip(reg, 0.0, None)
     dh = cfg.slot_hours
     generation_cost = float(sum(
-        inst.grid.generators[g].cost_per_mwh * gen[g, t] * dh
-        for g in range(n_gen) for t in range(t_total)
+        unit.cost_per_mwh * gen[g, t] * dh
+        for g, unit in enumerate(inst.grid.generators) for t in range(t_total)
     ))
     penalty_cost = float(cfg.c_penal * shed.sum() * dh)
-    rev_rate = cfg.revenue_rate(t_total, mean_abs)
+    rev_rate = cfg.revenue_rate(t_total)
     regulation_revenue = float(sum(rev_rate[t] * reg[:, t].sum() * dh for t in range(t_total)))
     migration = migration_cost_of(inst, cfg, x)
     objective_total = generation_cost + penalty_cost + migration - regulation_revenue
@@ -978,7 +942,8 @@ def residual_supply_segments(inst: ProblemInstance, slot_hours: float,
 
 
 def build_per_dc_model(inst: ProblemInstance, cfg: ModelConfig, moments: GaussianEnvelope,
-                       var_table: VaRTable, l: int) -> tuple[StandardFormModel, list[int]]:
+                       var_table: VaRTable,
+                       l: int) -> tuple[StandardFormModel, np.ndarray, np.ndarray]:
     """Single-DC bill-minus-revenue optimization.
 
     Covers the clusters whose baseline sits at DC l, over their allowed
@@ -988,8 +953,8 @@ def build_per_dc_model(inst: ProblemInstance, cfg: ModelConfig, moments: Gaussia
     and the DC's queue VaR rows. Energy is billed against the residual
     supply curve (price-taker view), so the DC is cost-aware without
     seeing the other DCs' decisions or the network. ``cfg`` must be
-    resolved. Returns the model plus the covered cluster indices; the x
-    variables follow the R block in cluster-major order.
+    resolved. Returns the model and its x and R column arrays, those of
+    _x_columns and _r_columns, -1 outside the covered clusters and DC.
     """
     t_total = inst.n_slots
     dh = cfg.slot_hours
@@ -1003,18 +968,16 @@ def build_per_dc_model(inst: ProblemInstance, cfg: ModelConfig, moments: Gaussia
     # Energy bill: own energy per slot fills priced supply segments; the
     # convex merit order makes the LP use cheap segments first.
     for t in range(1, t_total + 1):
-        seg_vars = []
-        for s, (width, price) in enumerate(segments[t - 1]):
-            seg_vars.append(model.add_variable(
-                f"bill_{t}_{s}", 0.0, width, obj=price))
-        coeffs = [(xcol(i, t, l), float(energies[i])) for i in members if energies[i] != 0.0]
-        coeffs += [(sv, -1.0) for sv in seg_vars]
+        widths, prices = zip(*segments[t - 1])
+        bill = _columns(model, "bill", ([t], range(len(widths))), 0.0, [widths], obj=[prices])
+        coeffs = [(xcol[i, t - 1, l - 1], float(energies[i])) for i in members]
+        coeffs += [(sv, -1.0) for sv in bill[0]]
         model.add_row(f"bill_{t}", coeffs, "=", 0.0)
 
     _schedule_rows(model, inst, cfg, (l,), members, xcol)
     _regulation_rows(model, inst, cfg, moments, var_table, (l,), members, xcol, rcol,
                      np.zeros((len(inst.jobs), t_total, inst.n_dc)))
-    return model, members
+    return model, xcol, rcol
 
 
 def run_strategy(inst: ProblemInstance, cfg: ModelConfig, fitted: FittedSignal,
@@ -1027,48 +990,45 @@ def run_strategy(inst: ProblemInstance, cfg: ModelConfig, fitted: FittedSignal,
     proven optimum under one status contract.
     """
     moments = fitted.moments(cfg.signal_model)
-    mean_abs = fitted.mean_abs
-    cfg = resolve_config(cfg, inst.n_slots, mean_abs)
+    cfg = resolve_config(cfg, inst.n_slots, fitted.mean_abs)
     if cfg.strategy == "cooperative":
         model = build_model(inst, cfg, moments, fitted.var_table)
         values, stats = solve_model(model, backend)
-        return extract_solution(inst, cfg, values, "optimal", mean_abs, stats)
+        return extract_solution(inst, cfg, values, "optimal", stats)
 
     if cfg.strategy == "decoupled":
         phase1 = build_model(inst, cfg, moments, fitted.var_table,
                              fix_r=np.zeros((inst.n_dc, inst.n_slots)), name="decoupled_phase1")
         values1, stats1 = solve_model(phase1, backend)
-        vm = _VarMap(len(inst.jobs), inst.n_slots, inst.n_dc,
-                     len(inst.grid.generators), len(inst.grid.buses))
-        x1 = values1[:vm.r(1, 1)].reshape(vm.m, vm.t, vm.n)
+        n_x, n_r = _block_sizes(inst)[:2]
+        x1 = values1[:n_x].reshape(len(inst.jobs), inst.n_slots, inst.n_dc)
         phase2 = build_regulation_only_model(inst, cfg, moments, fitted.var_table, x1)
         relaxed = _absorb_frozen_round_off(phase2)
         values2, stats2 = solve_model(phase2, backend)
         stats2["relaxed_rows"] = relaxed
         # Phase 2's R columns follow the same (l, t) order as the R block.
         values = np.array(values1, dtype=float)
-        values[vm.r(1, 1):vm.p(1, 1)] = values2
-        return extract_solution(inst, cfg, values, "optimal", mean_abs,
+        values[n_x:n_x + n_r] = values2
+        return extract_solution(inst, cfg, values, "optimal",
                                 {"phase1": stats1, "phase2": stats2})
 
     if cfg.strategy == "independent":
-        t_total, n_dc = inst.n_slots, inst.n_dc
         x_all = inst.x_base.copy()
-        reg_all = np.zeros((n_dc, t_total))
+        reg_all = np.zeros((inst.n_dc, inst.n_slots))
         per_dc_stats = []
-        for l in range(1, n_dc + 1):
-            model, members = build_per_dc_model(inst, cfg, moments, fitted.var_table, l)
+        for l in range(1, inst.n_dc + 1):
+            model, xcol, rcol = build_per_dc_model(inst, cfg, moments, fitted.var_table, l)
             values, stats = solve_model(model, backend)
-            # The R block comes first, then the members' x in cluster-major
-            # order; members leave no mass at other DCs.
-            reg_all[l - 1] = np.maximum(values[:t_total], 0.0)
-            x_all[members] = 0.0
-            x_all[members, :, l - 1] = values[t_total:t_total * (1 + len(members))].reshape(-1, t_total)
+            # The covered clusters leave no mass at other DCs.
+            reg_all[l - 1] = np.maximum(values[rcol[l - 1].astype(int)], 0.0)
+            placed = xcol >= 0
+            x_all[placed.any(axis=(1, 2))] = 0.0
+            x_all[placed] = values[xcol[placed].astype(int)]
             per_dc_stats.append({"dc": l, **stats})
         dispatch = build_model(inst, cfg, moments, fitted.var_table,
                                fix_x=x_all, fix_r=reg_all, name="independent_dispatch")
         values, stats = solve_model(dispatch, backend)
-        return extract_solution(inst, cfg, values, "optimal", mean_abs,
+        return extract_solution(inst, cfg, values, "optimal",
                                 {"dispatch": stats, "per_dc": per_dc_stats})
 
     raise ValueError(f"unknown strategy {cfg.strategy!r}")

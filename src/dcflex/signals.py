@@ -308,7 +308,7 @@ def write_trace_csv(trace: RegulationTrace, path) -> None:
             writer.writerow([repr(i * dt), repr(float(v))])
 
 
-def _parse_timestamp(raw: str, line_no: int) -> float:
+def _parse_timestamp(raw: str, path, line_no: int) -> float:
     try:
         return float(raw)
     except ValueError:
@@ -317,13 +317,13 @@ def _parse_timestamp(raw: str, line_no: int) -> float:
         return datetime.fromisoformat(raw).timestamp()
     except ValueError:
         raise ValueError(
-            f"line {line_no}: timestamp {raw!r} is neither epoch seconds nor ISO-8601"
+            f"{path} line {line_no}: timestamp {raw!r} is neither epoch seconds nor ISO-8601"
         ) from None
 
 
-def _read_trace_rows(fh) -> tuple[list[float], list[float]]:
+def _read_trace_rows(fh, path) -> tuple[list[float], list[float]]:
     """Stamps and values of a trace CSV read row by row from its start,
-    header skipped; a malformed row raises with its line number."""
+    header skipped; a malformed row raises with its path and line."""
     reader = csv.reader(fh)
     next(reader)
     stamps: list[float] = []
@@ -332,23 +332,33 @@ def _read_trace_rows(fh) -> tuple[list[float], list[float]]:
         if not row:
             continue
         if len(row) < 2:
-            raise ValueError(f"line {line_no}: expected 2 fields, got {len(row)}")
-        stamps.append(_parse_timestamp(row[0].strip(), line_no))
+            raise ValueError(f"{path} line {line_no}: expected 2 fields, got {len(row)}")
+        stamps.append(_parse_timestamp(row[0].strip(), path, line_no))
         try:
             values.append(float(row[1]))
         except ValueError:
-            raise ValueError(f"line {line_no}: bad signal value {row[1]!r}") from None
+            raise ValueError(f"{path} line {line_no}: bad signal value {row[1]!r}") from None
     return stamps, values
+
+
+def _sample_lines(path) -> list[int]:
+    """File line of each sample of a trace CSV: its non-blank body rows."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        return [line_no for line_no, row in enumerate(reader, start=2) if row]
 
 
 def read_trace_csv(path) -> RegulationTrace:
     """Read a signal CSV with header ``timestamp,s``.
 
     Timestamps may be epoch seconds or ISO-8601; they must be finite and
-    uniformly spaced.
+    uniformly spaced, and values must lie in [-1, 1]. Every fault is
+    reported with the path and the file line of the offending row; for a
+    spacing fault, the row after the gap.
     An all-numeric body parses in one ``np.loadtxt`` call; any body it
     rejects (ISO-8601 stamps, quoted or empty fields) is read again row by
-    row, so malformed rows raise with their line number.
+    row. Samples are mapped to file lines only once a check fails.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         header = next(csv.reader(fh), None)
@@ -362,17 +372,26 @@ def read_trace_csv(path) -> RegulationTrace:
             stamps, values = body[:, 0], body[:, 1]
         except ValueError:
             fh.seek(0)
-            stamps, values = _read_trace_rows(fh)
+            stamps, values = _read_trace_rows(fh, path)
+    stamps, values = np.asarray(stamps, dtype=float), np.asarray(values, dtype=float)
+
+    def fault(k: int, what: str) -> ValueError:
+        return ValueError(f"{path} line {_sample_lines(path)[k]}: {what}")
+
     if len(values) < 2:
         raise ValueError(f"{path}: trace needs at least two rows")
     finite = np.isfinite(stamps)
     if not finite.all():
-        raise ValueError(f"line {int(np.argmin(finite)) + 2}: non-finite timestamp")
+        raise fault(int(np.argmin(finite)), "non-finite timestamp")
     dt = float(stamps[1] - stamps[0])
     if dt <= 0:
-        raise ValueError(f"{path}: non-increasing timestamps")
-    gaps = np.diff(stamps)
-    if np.any(np.abs(gaps - dt) > 1e-6 * max(1.0, dt)):
-        bad = int(np.argmax(np.abs(gaps - dt))) + 2
-        raise ValueError(f"line {bad}: irregular sampling interval")
-    return RegulationTrace(np.asarray(values), dt)
+        raise fault(1, "non-increasing timestamps")
+    irregular = np.abs(np.diff(stamps) - dt) > 1e-6 * max(1.0, dt)
+    if irregular.any():
+        raise fault(int(np.argmax(irregular)) + 1, "irregular sampling interval")
+    try:
+        return RegulationTrace(values, dt)
+    except ValueError:
+        # Only a value can fail now: NaN, or beyond the trace's tolerance.
+        k = int(np.argmax(~(np.abs(values) <= 1.0 + 1e-12)))
+        raise fault(k, f"signal value {float(values[k])!r} is outside [-1, 1]") from None

@@ -99,12 +99,13 @@ def simulate(
 ) -> ScenarioResult:
     """Replay one horizon-length signal segment against a solution.
 
-    ``cfg`` must be price-resolved (m_bar set). The segment must cover the
-    whole horizon at its sampling interval.
+    ``cfg`` must be price-resolved (see optimizer.resolve_config): its
+    revenue rate is computed before the replay, so an unresolved ``m_bar``
+    raises ValueError first. The segment must cover the whole horizon at
+    its sampling interval.
     """
-    if cfg.m_bar is None:
-        raise ValueError("resolve the config (m_bar) before simulating")
     t_total, n_dc = inst.n_slots, inst.n_dc
+    rev_rate = cfg.revenue_rate(t_total)
     per_slot = int(round(cfg.slot_hours * 3600.0 / segment.dt_seconds))
     needed = per_slot * t_total
     if len(segment) < needed:
@@ -151,7 +152,6 @@ def simulate(
             )
 
     slot_compliant = power_violation_frac <= cfg.compliance_threshold + SIM_TOL
-    rev_rate = cfg.revenue_rate(t_total, 0.0)
     committed = float(sum(rev_rate[t] * reg[:, t].sum() * cfg.slot_hours
                           for t in range(t_total)))
     realized = 0.0

@@ -20,7 +20,6 @@ from .optimizer import (
     chance_coefficient,
     queue_baseline_value,
     queue_check_points,
-    resolve_config,
 )
 from .workload import load_matrix, qos_deviation, resource_usage
 
@@ -67,7 +66,6 @@ def validate_solution(
     solution: Solution,
 ) -> ValidationReport:
     """Re-check a solution against every constraint family at FEAS_TOL."""
-    cfg = resolve_config(cfg, inst.n_slots, fitted.mean_abs)
     report = ValidationReport()
     x = solution.x
     m, t_total, n_dc = x.shape

@@ -19,7 +19,7 @@ FLEX_CLASSES = ("fixed", "interactive", "deferrable")
 COMPLETENESS_TOL = 1e-9
 
 
-class InfeasibleBaseline(Exception):
+class InfeasibleBaseline(ValueError):
     """No data center can host a cluster within per-slot capacities."""
 
 

@@ -84,6 +84,24 @@ class TestGenInstance:
         assert code == EXIT_INPUT
         assert "does not divide" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, setting", [
+        (("--gens", "4"), "n_gens"),
+        (("--gens", "5"), "n_gens"),
+        (("--signal-dt", "0"), "signal_dt_seconds"),
+        (("--signal-dt", "nan"), "signal_dt_seconds"),
+        (("--clusters", "0"), "n_clusters"),
+        (("--clusters", "1"), "cpu"),
+        (("--n-dc", "0"), "n_dc"),
+        (("--slots", "0"), "n_slots"),
+    ])
+    def test_bad_shape_exits_4_with_one_line(self, tmp_path, args, setting):
+        proc = run_child("gen-instance", "--out", tmp_path / "b", "--seed", 7,
+                         "--preset", "demo", *args)
+        lines = proc.stderr.splitlines()
+        assert proc.returncode == EXIT_INPUT and len(lines) == 1, proc.stderr
+        assert lines[0].startswith("error: ") and setting in lines[0], lines
+        assert not (tmp_path / "b").exists()
+
     def test_dimension_overrides(self, tmp_path):
         out = tmp_path / "c"
         assert main(["gen-instance", "--out", str(out), "--seed", "1",
@@ -121,6 +139,19 @@ class TestFitSignal:
         assert code == EXIT_INPUT
         assert len(lines) == 1 and lines[0].startswith("error:"), lines
 
+    @pytest.mark.parametrize("body, line", [
+        ("0,0.1\n2,0.2\n5,0.3\n", 4),            # the row after the gap
+        ("0,0.1\n\nnan,0.2\n", 4),
+        ("0,0.1\n\n2,0.2\n\n5,0.3\n", 6),
+        ("0,0.1\n2,nan\n", 3),
+    ])
+    def test_trace_fault_names_path_and_file_line(self, tmp_path, body, line):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("timestamp,s\n" + body)
+        code, lines = run_cli(["fit-signal", "--trace", str(bad), "--out", str(tmp_path / "o")])
+        assert code == EXIT_INPUT and len(lines) == 1, lines
+        assert lines[0].startswith(f"error: {bad} line {line}: "), lines
+
 
 class TestSolve:
     def test_solution_and_validation_artifacts(self, solved_dir):
@@ -154,6 +185,18 @@ class TestSolve:
         code = main(["solve", "--bundle", str(skewed), "--out", str(tmp_path / "o"), "--quiet"])
         assert code == EXIT_INPUT
         assert "does not divide" in capsys.readouterr().err
+
+    def test_unhostable_cluster_exits_4_with_one_line(self, bundle, tmp_path):
+        cramped = tmp_path / "cramped"
+        shutil.copytree(bundle, cramped)
+        dc_doc = json.loads((cramped / "dc.json").read_text())
+        for entry in dc_doc["dcs"]:
+            entry["cpu_cap"] = [1.0] * len(entry["cpu_cap"])
+        (cramped / "dc.json").write_text(json.dumps(dc_doc))
+        proc = run_child("solve", "--bundle", cramped, "--out", tmp_path / "o", "--quiet")
+        lines = proc.stderr.splitlines()
+        assert proc.returncode == EXIT_INPUT and len(lines) == 1, proc.stderr
+        assert lines[0].startswith("error: ") and "cpu" in lines[0], lines
 
     def test_solver_failure_exits_5_without_traceback(self, bundle, tmp_path):
         env = dict(os.environ, PYTHONPATH=str(Path(dcflex.__file__).parents[1]))

@@ -25,11 +25,11 @@ def test_quantile_endpoints():
 
 def test_per_slot_price_arrays_accepted_and_length_checked():
     cfg = ModelConfig(c_rc=[1.0, 2.0, 3.0], c_rp=[0.5, 0.5, 0.5], m_bar=0.4)
-    c_rc, c_rp, m_bar = cfg.prices(3, 0.0)
+    c_rc, c_rp, m_bar = cfg.prices(3)
     assert list(c_rc) == [1.0, 2.0, 3.0]
     assert np.allclose(m_bar, 0.4)
     with pytest.raises(ValueError, match="c_rc"):
-        cfg.prices(4, 0.0)
+        cfg.prices(4)
 
 
 def test_proportional_forfeiture_scales_revenue():
@@ -52,7 +52,7 @@ def test_proportional_forfeiture_scales_revenue():
     s = np.ones(needed)
     s[::2] = 0.0
     res_half = simulate(inst, cfg, over, RegulationTrace(s, trace.dt_seconds))
-    rev_rate = cfg.revenue_rate(inst.n_slots, 0.0)
+    rev_rate = cfg.revenue_rate(inst.n_slots)
     pay = over.reg * rev_rate[None, :] * cfg.slot_hours
     expected = float((pay * (1.0 - res_half.power_violation_frac)).sum())
     assert res_half.realized_revenue == pytest.approx(expected, rel=1e-6)

@@ -103,7 +103,7 @@ class TestBuildModel:
         inst, cfg, moments, table = tiny_setup(shifting_mode="none")
         model = build_model(inst, cfg, moments, table)
         values, _ = solve_model(model)
-        sol = extract_solution(inst, cfg, values, "optimal", 0.4)
+        sol = extract_solution(inst, cfg, values, "optimal")
         assert np.allclose(sol.x, inst.x_base, atol=1e-9)
 
     def test_chance_row_at_eps_half_uses_mean_only(self):
@@ -170,7 +170,7 @@ class TestSolveAndValidateTiny:
         inst, cfg, moments, table = tiny_setup()
         model = build_model(inst, cfg, moments, table)
         values, stats = solve_model(model)
-        sol = extract_solution(inst, cfg, values, "optimal", 0.4, stats)
+        sol = extract_solution(inst, cfg, values, "optimal", stats)
         recon = sol.generation_cost + sol.penalty_cost + sol.migration_cost - sol.regulation_revenue
         assert sol.objective_total == pytest.approx(recon, rel=1e-9)
         assert np.all(sol.reg >= 0)
@@ -179,7 +179,7 @@ class TestSolveAndValidateTiny:
         inst, cfg, moments, table = tiny_setup()
         model = build_model(inst, cfg, moments, table)
         values, _ = solve_model(model)
-        sol = extract_solution(inst, cfg, values, "optimal", 0.4)
+        sol = extract_solution(inst, cfg, values, "optimal")
         assert model.evaluate_objective(values) == pytest.approx(
             sol.objective_total, rel=1e-6, abs=1e-6
         )
@@ -264,7 +264,7 @@ class TestSolutionJson:
         inst, cfg, moments, table = tiny_setup()
         model = build_model(inst, cfg, moments, table)
         values, _ = solve_model(model)
-        sol = extract_solution(inst, cfg, values, "optimal", 0.4)
+        sol = extract_solution(inst, cfg, values, "optimal")
         path = tmp_path / "solution.json"
         solution_to_json(sol, inst.jobs, path)
         back = solution_from_json(path)
@@ -369,6 +369,36 @@ def test_config_validation_and_round_trip():
         ModelConfig(c_penal=1.0).validate(max_gen_cost=10.0)
     with pytest.raises(ValueError):
         ModelConfig(shifting_mode="diagonal").validate()
+
+
+def test_column_arrays_match_column_names():
+    # Extracting each column's own index maps every cell to its column.
+    inst, cfg, moments, table = tiny_setup()
+    model = build_model(inst, cfg, moments, table)
+    names = [v.name for v in model.variables]
+    sol = extract_solution(inst, cfg, np.arange(model.n_vars, dtype=float), "optimal")
+    for (i, t, l), j in np.ndenumerate(sol.x):
+        assert names[int(j)] == f"x_{i + 1}_{t + 1}_{l + 1}"
+    for prefix, block in (("R", sol.reg), ("p", sol.gen), ("u", sol.commit),
+                          ("th", sol.theta), ("q", sol.shed)):
+        for (a, t), j in np.ndenumerate(block):
+            assert names[int(j)] == f"{prefix}_{a + 1}_{t + 1}"
+    assert sol.shed.max() == model.n_vars - 1
+
+    for l in range(1, inst.n_dc + 1):
+        model, xcol, rcol = build_per_dc_model(inst, cfg, moments, table, l)
+        names = [v.name for v in model.variables]
+        members = [i for i in range(len(inst.jobs)) if inst.baseline_dc(i)[1] == l]
+        covered = np.zeros(xcol.shape, dtype=bool)
+        covered[members, :, l - 1] = True
+        assert ((xcol >= 0) == covered).all() and (xcol[~covered] == -1).all()
+        assert ((rcol >= 0) == (np.arange(inst.n_dc) == l - 1)[:, None]).all()
+        for (i, t, k), j in np.ndenumerate(xcol):
+            assert j < 0 or names[j] == f"x_{i + 1}_{t + 1}_{k + 1}"
+        for (k, t), j in np.ndenumerate(rcol):
+            assert j < 0 or names[j] == f"R_{k + 1}_{t + 1}"
+        declared = sorted(xcol[covered].tolist() + rcol[l - 1].tolist())
+        assert declared == [j for j, n in enumerate(names) if n[:2] in ("x_", "R_")]
 
 
 def test_resolve_config_fills_m_bar():

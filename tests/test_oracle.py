@@ -36,7 +36,7 @@ def oracle_best_objective(inst, cfg, moments, table):
     g_count = len(gens)
     ccoef = chance_coefficient(moments, cfg.eps_p, cfg.extra_signal_variance)
     assert ccoef > 0
-    rev_rate = cfg.revenue_rate(t_total, 0.0)
+    rev_rate = cfg.revenue_rate(t_total)
     dh = cfg.slot_hours
     base_lat = inst.baseline_latency
     points = queue_check_points(t_total, dh, cfg.var_horizons)

@@ -139,7 +139,7 @@ def test_mode_none_objective_equals_baseline_dispatch_reference(solved_base):
     dispatch = reference_unit_commitment_cost(inst, cfg_none, nodal)
     ccoef = chance_coefficient(fitted.envelope, cfg_none.eps_p,
                                cfg_none.extra_signal_variance)
-    rev_rate = cfg_none.revenue_rate(inst.n_slots, fitted.mean_abs)
+    rev_rate = cfg_none.revenue_rate(inst.n_slots)
     points = queue_check_points(inst.n_slots, cfg_none.slot_hours, cfg_none.var_horizons)
     revenue = capacity_revenue(inst, cfg_none, inst.x_base, nodal, ccoef,
                                rev_rate, points, fitted.var_table)

@@ -289,6 +289,8 @@ class TestTraceCsv:
         "0,0.1\n",                                       # one row
         "",                                              # header only
         "0,0.1\n2,0.2\n5,0.3\n",                         # irregular spacing
+        "0,0.1\n\nnan,0.2\n",                             # blank line, then a fault
+        "0,0.1\n\n2,0.2\n\n5,0.3\n",                      # blank lines, then a gap
     ])
     def test_array_parse_matches_the_row_loop(self, tmp_path, monkeypatch, body):
         path = tmp_path / "signal.csv"

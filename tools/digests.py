@@ -1,0 +1,129 @@
+"""Print sha256 digests of dcflex's seeded outputs, one line each.
+
+Run from any directory:
+
+    python3 tools/digests.py > digests.txt
+
+Two checkouts that produce the same outputs print the same text, so a
+before-and-after check of a change is a ``diff`` of two such files. It
+prints three sections:
+
+- ``demo``: every artifact of the README demo flow (``gen-instance
+  --preset demo --seed 7``, ``fit-signal``, ``solve``, ``simulate
+  --scenarios 20 --seed 11``, ``compare`` of three strategies in mode
+  joint, ``report``);
+- ``mid``: every artifact of a 4 DC x 12 slot x 24 cluster bundle at
+  seed 7, solved through ``--backend cmd:python3
+  perfbench/highs_adapter.py`` and replayed with ``simulate --scenarios
+  200 --seed 11``;
+- ``cell``: 126 in-process solves on the bundled solver, the demo
+  instance at seed 7 and the ``small`` preset at seeds 1-20, each under
+  cooperative, independent and decoupled in mode joint and cooperative in
+  modes none, spatial and temporal. A cell prints the sha256 of its
+  ``solution.json`` text, its objective in hex and whether
+  ``validate_solution`` passed.
+
+The commands run in this checkout's root, so the ``cmd:`` backend string
+recorded in ``solution.json`` is the same in every checkout. It takes
+about half a minute on two cores.
+"""
+
+import hashlib
+import json
+import os
+import sys
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from dcflex.cli import main  # noqa: E402
+from dcflex.instance import (  # noqa: E402
+    DEMO_SEED,
+    build_synthetic,
+    demo_params,
+    fit_signal_artifacts,
+    small_params,
+)
+from dcflex.optimizer import InfeasibleModel, SolverError, run_strategy  # noqa: E402
+from dcflex.validate import validate_solution  # noqa: E402
+
+ADAPTER = "cmd:python3 perfbench/highs_adapter.py"
+CELLS = [(s, "joint") for s in ("cooperative", "independent", "decoupled")]
+CELLS += [("cooperative", m) for m in ("none", "spatial", "temporal")]
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run(*argv) -> None:
+    code = main([*map(str, argv), "--quiet"])
+    if code != 0:
+        raise SystemExit(f"dcflex {argv[0]} exited {code}")
+
+
+def _print_tree(section: str, root: Path) -> None:
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        print(f"{section} {path.relative_to(root)} {_sha256(path.read_bytes())}")
+
+
+def demo_flow(root: Path) -> None:
+    bundle, solve = root / "b1", root / "s1"
+    _run("gen-instance", "--out", bundle, "--seed", 7, "--preset", "demo")
+    _run("fit-signal", "--trace", bundle / "signal.csv", "--out", root / "fit")
+    _run("solve", "--bundle", bundle, "--out", solve, "--mode", "joint",
+         "--strategy", "cooperative")
+    _run("simulate", "--bundle", bundle, "--solution", solve / "solution.json",
+         "--out", solve, "--scenarios", 20, "--seed", 11)
+    _run("compare", "--bundle", bundle, "--out", root / "cmp",
+         "--strategies", "cooperative,independent,decoupled", "--modes", "joint")
+    _run("report", "--out", solve)
+    _print_tree("demo", root)
+
+
+def mid_flow(root: Path) -> None:
+    bundle, solve = root / "bundle", root / "solve"
+    _run("gen-instance", "--out", bundle, "--seed", 7, "--n-dc", 4, "--slots", 12,
+         "--clusters", 24)
+    _run("solve", "--bundle", bundle, "--out", solve, "--mode", "joint",
+         "--strategy", "cooperative", "--backend", ADAPTER)
+    _run("simulate", "--bundle", bundle, "--solution", solve / "solution.json",
+         "--out", solve, "--scenarios", 200, "--seed", 11)
+    _print_tree("mid", root)
+
+
+def cells() -> None:
+    instances = [("demo", DEMO_SEED, demo_params())]
+    instances += [("small", s, small_params()) for s in range(1, 21)]
+    for name, seed, params in instances:
+        inst, cfg, trace = build_synthetic(params, seed)
+        fitted = fit_signal_artifacts(trace, cfg)
+        for strategy, mode in CELLS:
+            c = replace(cfg, strategy=strategy, shifting_mode=mode)
+            try:
+                sol = run_strategy(inst, c, fitted)
+            except (InfeasibleModel, SolverError) as exc:
+                print(f"cell {name} {seed} {strategy} {mode} {type(exc).__name__}: {exc}")
+                continue
+            text = json.dumps(sol.to_dict(inst.jobs), indent=2, sort_keys=True) + "\n"
+            ok = validate_solution(inst, c, fitted, sol).ok
+            print(f"cell {name} {seed} {strategy} {mode} {_sha256(text.encode())} "
+                  f"{sol.objective_total.hex()} {'valid' if ok else 'VIOLATIONS'}")
+
+
+def run() -> None:
+    os.chdir(ROOT)
+    # The cmd: adapter imports dcflex in a child process.
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    with tempfile.TemporaryDirectory(prefix="dcflex_digests_") as tmp:
+        demo_flow(Path(tmp) / "demo")
+        mid_flow(Path(tmp) / "mid")
+    cells()
+
+
+if __name__ == "__main__":
+    run()
