@@ -6,7 +6,7 @@ solve exactly.
 """
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,6 +24,7 @@ class MIPResult:
     x: np.ndarray | None
     best_bound: float | None
     nodes: int
+    presolve: dict = field(default_factory=dict)  # the root's presolve counts
 
     @property
     def gap(self) -> float | None:
@@ -74,7 +75,7 @@ def solve_mip(model: StandardFormModel) -> MIPResult:
     int_idx = _check_binary(model)
     root = solve_lp(model)
     if root.status in (INFEASIBLE, UNBOUNDED, ITERATION_LIMIT):
-        return MIPResult(root.status, None, None, None, 1)
+        return MIPResult(root.status, None, None, None, 1, root.presolve)
 
     incumbent_x: np.ndarray | None = None
     incumbent_obj = float("inf")
@@ -123,7 +124,7 @@ def solve_mip(model: StandardFormModel) -> MIPResult:
             heapq.heappush(heap, (result.objective, counter, child_fixed, child_branch))
 
     if incumbent_x is None:
-        return MIPResult(INFEASIBLE, None, None, None, nodes)
+        return MIPResult(INFEASIBLE, None, None, None, nodes, root.presolve)
     # Re-solve with the binary pattern pinned so continuous values are clean
     # at exactly integral binaries.
     pattern = {j: float(round(incumbent_x[j])) for j in int_idx}
@@ -138,4 +139,4 @@ def solve_mip(model: StandardFormModel) -> MIPResult:
         obj = model.evaluate_objective(x)
     # The search stops only when no open node can beat the incumbent, so the
     # incumbent's objective is the proven bound.
-    return MIPResult(OPTIMAL, obj, x, incumbent_obj, nodes)
+    return MIPResult(OPTIMAL, obj, x, incumbent_obj, nodes, root.presolve)

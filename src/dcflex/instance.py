@@ -222,18 +222,22 @@ def build_synthetic(params: GenParams, seed: int) -> tuple[ProblemInstance, Mode
             entries[(f"r{r}", l)] = round(5.0 + 8.0 * ring + float(rng.uniform(0.0, 1.0)), 3)
     latmap = LatencyMap(entries)
 
-    # Resource capacities: generous, binding only under heavy concentration.
-    total_cpu = sum(j.weight * j.r_cpu for j in jobs)
-    total_mem = sum(j.weight * j.r_mem for j in jobs)
-    total_io = sum(j.weight * j.r_io for j in jobs)
+    # Resource capacities: generous, binding only under heavy concentration,
+    # and never below the largest single cluster's need, so each one fits.
+    def cap(need):
+        return max(1.0, 0.75 * sum(need(j) for j in jobs), max(need(j) for j in jobs))
+
+    cpu_cap = cap(lambda j: j.weight * j.r_cpu)
+    mem_cap = cap(lambda j: j.weight * j.r_mem)
+    io_cap = cap(lambda j: j.weight * j.r_io)
     dc_buses = sorted(rng.choice(np.arange(1, n_bus + 1), size=n_dc, replace=False).tolist())
     dcs_tmp = []
     for l in range(1, n_dc + 1):
         dcs_tmp.append(DataCenterSpec(
             id=l, bus=int(dc_buses[l - 1]),
-            cpu_cap=np.full(t_total, max(1.0, 0.75 * total_cpu)),
-            mem_cap=np.full(t_total, max(1.0, 0.75 * total_mem)),
-            io_cap=np.full(t_total, max(1.0, 0.75 * total_io)),
+            cpu_cap=np.full(t_total, cpu_cap),
+            mem_cap=np.full(t_total, mem_cap),
+            io_cap=np.full(t_total, io_cap),
             p_min=np.zeros(t_total), p_max=np.full(t_total, 1e6),
         ))
     x_base = baseline_assignment(jobs, latmap, dcs_tmp)

@@ -834,13 +834,12 @@ def solve_model(model: StandardFormModel, backend: str = BACKEND_BUNDLED):
     command in a temporary directory and expands the values it returns; a
     model that presolve proves infeasible, or whose columns are all fixed,
     runs no command. Returns (values, stats) only for a proven optimum;
-    stats carry the presolve counts {"cols": [before, after], "rows":
-    [before, after]} of the model as given (for B&B, the root). Raises
-    InfeasibleModel, carrying the family report of diagnose_infeasibility
-    on the same backend, when no feasible point exists, and SolverError on
-    any other status.
+    stats carry the counts of the one presolve of the model as given (for
+    B&B, the root's): {"cols", "rows", "nnz"}, each [before, after].
+    Raises InfeasibleModel, carrying the family report of
+    diagnose_infeasibility on the same backend, when no feasible point
+    exists, and SolverError on any other status.
     """
-    pre = presolve(model)
     if backend == BACKEND_BUNDLED:
         if any(v.integer and v.ub - v.lb > 1e-12 for v in model.variables):
             res = solve_mip(model)
@@ -850,8 +849,10 @@ def solve_model(model: StandardFormModel, backend: str = BACKEND_BUNDLED):
         else:
             res = solve_lp(model)
             stats = {"backend": "bundled", "iterations": res.iterations, "status": res.status}
-        status, values = res.status, res.x
+        status, values, counts = res.status, res.x, res.presolve
     elif backend.startswith("cmd:"):
+        pre = presolve(model)
+        counts = pre.counts
         if pre.model is None:
             status, values = INFEASIBLE, None
         elif pre.model.n_vars == 0:
@@ -870,7 +871,7 @@ def solve_model(model: StandardFormModel, backend: str = BACKEND_BUNDLED):
     if status != OPTIMAL:
         raise SolverError(f"model {model.name}: {stats['backend']} solver "
                           f"ended with status {status}")
-    stats["presolve"] = pre.counts
+    stats["presolve"] = counts
     return values, stats
 
 

@@ -9,14 +9,16 @@ nonnegative columns through one set of arrays (x = lb + y, x = ub - y
 where only the upper bound is finite, x = y+ - y- where neither is), so
 the tableau data, the row flips to b >= 0 and the slack layout are built
 by whole-array operations. Every solve starts with
-standard_form.presolve, so fixed columns, empty rows and bound-redundant
-rows never reach the tableau; branch and bound pins binaries through
-bounds, so they drop out of each node too. The one dense tableau is
-updated only on the nonzero rows x columns of each rank-1 pivot, and a
-model whose solve could hold more than MAX_TABLEAU_BYTES is refused.
+standard_form.presolve, so fixed columns, empty rows, bound-redundant
+rows, duplicate rows and parallel rows never reach the tableau, and a
+row over one continuous column arrives as a bound; branch and bound pins
+binaries through bounds, so they drop out of each node too. The one
+dense tableau is updated only on the nonzero rows x columns of each
+rank-1 pivot, and a model whose solve could hold more than
+MAX_TABLEAU_BYTES is refused.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,6 +42,7 @@ class LPResult:
     objective: float | None
     x: np.ndarray | None
     iterations: int
+    presolve: dict = field(default_factory=dict)  # its counts; {} if it proved infeasibility
 
 
 def _build_arrays(model: StandardFormModel):
@@ -107,9 +110,9 @@ def solve_lp(model: StandardFormModel) -> LPResult:
     model; a presolve proof of infeasibility returns INFEASIBLE, and a model
     with every column fixed returns its fixed point, neither running the
     simplex. Returns variable values in the model's original space with the
-    objective recomputed from the original model's data. Raises SolverError,
-    before allocating, when the solve of the reduced model could hold more
-    than MAX_TABLEAU_BYTES.
+    objective recomputed from the original model's data, and presolve's
+    counts. Raises SolverError, before allocating, when the solve of the
+    reduced model could hold more than MAX_TABLEAU_BYTES.
     """
     pre = presolve(model)
     if pre.model is None:
@@ -117,7 +120,7 @@ def solve_lp(model: StandardFormModel) -> LPResult:
     full, model = model, pre.model
     if model.n_vars == 0:
         x = pre.expand(np.zeros(0))
-        return LPResult(OPTIMAL, full.evaluate_objective(x), x, 0)
+        return LPResult(OPTIMAL, full.evaluate_objective(x), x, 0, pre.counts)
     rows, cols, held = _footprint(model)
     if held > MAX_TABLEAU_BYTES:
         raise SolverError(
@@ -249,20 +252,20 @@ def solve_lp(model: StandardFormModel) -> LPResult:
 
     status = run_phase(phase1_cost, phase_one=True)
     if status == ITERATION_LIMIT:
-        return LPResult(ITERATION_LIMIT, None, None, iterations)
+        return LPResult(ITERATION_LIMIT, None, None, iterations, pre.counts)
     refresh_xb()
     art_set = set(art_cols)
     art_values = sum(xb[ri] for ri in range(m) if basis[ri] in art_set) + sum(
         ub[j] if at_upper[j] else 0.0 for j in art_cols if not is_basic[j])
     if status == INFEASIBLE or art_values > FEAS_TOL * max(1.0, float(np.max(np.abs(b))) if m else 1.0):
-        return LPResult(INFEASIBLE, None, None, iterations)
+        return LPResult(INFEASIBLE, None, None, iterations, pre.counts)
 
     # Artificials are pinned at zero for phase 2 instead of being pivoted out.
     ub[art_cols] = 0.0
     degenerate_run = 0
     status = run_phase(phase2_cost, phase_one=False)
     if status in (ITERATION_LIMIT, UNBOUNDED):
-        return LPResult(status, None, None, iterations)
+        return LPResult(status, None, None, iterations, pre.counts)
 
     refresh_xb()
     values_ext = np.where(at_upper & np.isfinite(ub), ub, 0.0)
@@ -274,4 +277,4 @@ def solve_lp(model: StandardFormModel) -> LPResult:
     lo = np.array([v.lb for v in model.variables])
     hi = np.array([v.ub for v in model.variables])
     x = pre.expand(np.minimum(hi, np.maximum(lo, x)))
-    return LPResult(OPTIMAL, full.evaluate_objective(x), x, iterations)
+    return LPResult(OPTIMAL, full.evaluate_objective(x), x, iterations, pre.counts)

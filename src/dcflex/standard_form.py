@@ -138,8 +138,9 @@ class Presolved:
     """A reduced model and the map back to the original columns.
 
     ``model`` keeps the columns ``keep`` (original indices, in order) and
-    the rows no reduction removed; ``fixed`` is a full-length point that
-    holds every dropped column at its fixed value. When an empty row proves
+    the rows no reduction removed; its bounds are the original's, tightened
+    where a singleton row became a bound. ``fixed`` is a full-length point
+    that holds every dropped column at its fixed value. When a row proves
     the original infeasible, ``model`` is None and ``infeasible_row`` names
     that row.
     """
@@ -147,7 +148,7 @@ class Presolved:
     model: StandardFormModel | None
     keep: np.ndarray
     fixed: np.ndarray
-    counts: dict  # {"cols": [before, after], "rows": [before, after]}
+    counts: dict  # {"cols", "rows", "nnz"}: [before, after] each
     infeasible_row: str | None = None
 
     def expand(self, values) -> np.ndarray:
@@ -157,16 +158,44 @@ class Presolved:
         return x
 
 
+def _one_difference(a: tuple, b: tuple):
+    """Position of the one entry where a and b differ; -1 when they are
+    equal, None when they differ in more than one."""
+    diff = -1
+    for i, (u, v) in enumerate(zip(a, b)):
+        if u != v:
+            if diff >= 0:
+                return None
+            diff = i
+    return diff
+
+
 def presolve(model: StandardFormModel) -> Presolved:
-    """Trivial reductions (Andersen & Andersen, Math. Prog. 71, 1995).
+    """Row and column reductions (Andersen & Andersen, Math. Prog. 71, 1995;
+    Achterberg et al., INFORMS J. Comput. 32, 2020).
 
     Drops every column with lb == ub, folding its value into the row
     right-hand sides (the objective constant is recovered by evaluating the
     original model on the expanded point). Drops rows left empty after
     checking their sense within EMPTY_ROW_TOL, and <=/>= rows that the
-    activity bounds of their remaining columns prove slack. No bound is
-    changed. Bounds are read at call time and nothing is cached, so a
-    caller may re-bound columns between calls.
+    activity bounds of their remaining columns prove slack. Then, row by
+    row in model order:
+
+    - a row over one continuous column becomes a tighter bound on it; a
+      bound crossing larger than EMPTY_ROW_TOL in row units proves the model
+      infeasible, and a smaller one keeps the row as a row. Integer columns
+      keep their rows, because branch and bound pins them through bounds;
+    - a row equal in sense, right-hand side and every (column, coefficient)
+      to a kept row is dropped;
+    - of two <= (or two >=) rows equal but for the coefficient of one
+      column with lb >= 0, only the one that implies the other is kept: the
+      larger coefficient for <=, the smaller for >=.
+
+    A bound tightened by a singleton serves the rows after it. Matching is
+    exact float equality, grouped by (sense, rhs, columns), so the cost
+    stays linear in the nonzeros. The original model is left as
+    it is: bounds are read at call time and nothing is cached, so a caller
+    may re-bound columns between calls.
     """
     n = model.n_vars
     fixed = [0.0] * n
@@ -181,7 +210,19 @@ def presolve(model: StandardFormModel) -> Presolved:
     reduced.objective = {new_of[j]: c for j, c in model.objective.items() if new_of[j] >= 0}
     lbs = [v.lb for v in reduced.variables]
     ubs = [v.ub for v in reduced.variables]
+    kept = []  # surviving rows in model order; None where a later row implies it
+    groups: dict[tuple, list] = {}  # (sense, rhs, columns) -> [(index in kept, coefficients)]
+
+    def tol(row):
+        """EMPTY_ROW_TOL at the scale of the row's rhs and folded terms."""
+        return EMPTY_ROW_TOL * max([1.0, abs(row.rhs)] + [abs(c * fixed[j]) for j, c in row.coeffs])
+
+    def infeasible(row):
+        return Presolved(None, np.zeros(0, dtype=int), np.array(fixed), {},
+                         infeasible_row=row.name)
+
     for row in model.rows:
+        sense = row.sense
         coeffs = [(new_of[j], c) for j, c in row.coeffs if new_of[j] >= 0]
         rhs = row.rhs
         if len(coeffs) < len(row.coeffs):
@@ -189,21 +230,50 @@ def presolve(model: StandardFormModel) -> Presolved:
                 if new_of[j] < 0:
                     rhs -= c * fixed[j]
         if not coeffs:
-            scale = max([1.0, abs(row.rhs)] + [abs(c * fixed[j]) for j, c in row.coeffs])
-            tol = EMPTY_ROW_TOL * scale
-            if (row.sense != ">=" and rhs < -tol) or (row.sense != "<=" and rhs > tol):
-                return Presolved(None, np.zeros(0, dtype=int), np.array(fixed), {},
-                                 infeasible_row=row.name)
+            if (sense != ">=" and rhs < -tol(row)) or (sense != "<=" and rhs > tol(row)):
+                return infeasible(row)
             continue
         # Activity bounds over the remaining columns; no term is NaN because
         # each sum takes only upper (or only lower) extremes.
-        if row.sense == "<=":
+        if sense == "<=":
             if sum(c * (ubs[k] if c > 0 else lbs[k]) for k, c in coeffs) <= rhs:
                 continue
-        elif row.sense == ">=":
+        elif sense == ">=":
             if sum(c * (lbs[k] if c > 0 else ubs[k]) for k, c in coeffs) >= rhs:
                 continue
-        reduced.rows.append(LinearRow(row.name, coeffs, row.sense, rhs))
+        if len(coeffs) == 1 and not reduced.variables[coeffs[0][0]].integer:
+            (k, c), = coeffs
+            lo, hi = lbs[k], ubs[k]
+            if sense == "=" or (sense == ">=") == (c > 0):
+                lo = max(lo, rhs / c)
+            if sense == "=" or (sense == "<=") == (c > 0):
+                hi = min(hi, rhs / c)
+            if lo <= hi:
+                lbs[k] = reduced.variables[k].lb = lo
+                ubs[k] = reduced.variables[k].ub = hi
+                continue
+            if (lo - hi) * abs(c) > tol(row):
+                return infeasible(row)
+            # A round-off crossing: the row stays a row.
+        cols, vals = zip(*coeffs)
+        group = groups.setdefault((sense, rhs, cols), [])
+        weaker = []
+        for entry in group:
+            i = _one_difference(vals, entry[1])
+            if i is None or (i >= 0 and (sense == "=" or lbs[cols[i]] < 0)):
+                continue
+            if i < 0 or (vals[i] < entry[1][i]) == (sense == "<="):
+                break  # equal to, or implied by, a kept row
+            weaker.append(entry)
+        else:
+            for entry in weaker:
+                kept[entry[0]] = None
+                group.remove(entry)
+            group.append((len(kept), vals))
+            kept.append(LinearRow(row.name, coeffs, sense, rhs))
+    reduced.rows = [row for row in kept if row is not None]
     keep = np.array([j for j in range(n) if new_of[j] >= 0], dtype=int)
-    counts = {"cols": [n, reduced.n_vars], "rows": [model.n_rows, reduced.n_rows]}
+    counts = {"cols": [n, reduced.n_vars], "rows": [model.n_rows, reduced.n_rows],
+              "nnz": [sum(len(r.coeffs) for r in model.rows),
+                      sum(len(r.coeffs) for r in reduced.rows)]}
     return Presolved(reduced, keep, np.array(fixed), counts)

@@ -90,7 +90,7 @@ class TestGenInstance:
         (("--signal-dt", "0"), "signal_dt_seconds"),
         (("--signal-dt", "nan"), "signal_dt_seconds"),
         (("--clusters", "0"), "n_clusters"),
-        (("--clusters", "1"), "cpu"),
+        (("--buses", "1"), "buses"),
         (("--n-dc", "0"), "n_dc"),
         (("--slots", "0"), "n_slots"),
     ])
@@ -101,6 +101,15 @@ class TestGenInstance:
         assert proc.returncode == EXIT_INPUT and len(lines) == 1, proc.stderr
         assert lines[0].startswith("error: ") and setting in lines[0], lines
         assert not (tmp_path / "b").exists()
+
+    def test_one_cluster_bundle_generates_solves_and_validates(self, tmp_path):
+        bundle, out = tmp_path / "one", tmp_path / "o"
+        assert main(["gen-instance", "--out", str(bundle), "--seed", "7",
+                     "--preset", "demo", "--clusters", "1", "--quiet"]) == EXIT_OK
+        assert main(["solve", "--bundle", str(bundle), "--out", str(out),
+                     "--quiet"]) == EXIT_OK
+        assert json.loads((out / "validation.json").read_text())["ok"] is True
+        assert json.loads((out / "solution.json").read_text())["dims"]["clusters"] == 1
 
     def test_dimension_overrides(self, tmp_path):
         out = tmp_path / "c"

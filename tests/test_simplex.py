@@ -300,9 +300,11 @@ def test_model_over_tableau_budget_is_refused_before_allocation(monkeypatch):
 
     monkeypatch.setattr(simplex, "MAX_TABLEAU_BYTES", 64)
     monkeypatch.setattr(simplex, "_build_arrays", no_arrays)
-    lp = simple_model()
-    lp.add_variable("z", lb=-INF, ub=INF)
-    lp.add_row("tie", [(0, 1.0), (1, 1.0)], "=", 1.0)
+    lp = StandardFormModel("toy")
+    x = lp.add_variable("x", lb=0.0, obj=1.0)
+    z = lp.add_variable("z", lb=-INF, ub=INF)
+    lp.add_row("floor", [(x, 1.0), (z, -1.0)], ">=", 3.0)
+    lp.add_row("tie", [(x, 1.0), (z, 1.0)], "=", 1.0)
     # 2 rows x (2 variables + 1 split column + 2 rows) = 80 bytes > 64.
     with pytest.raises(SolverError, match=r"toy: .* 2 rows x 5 columns .*--backend cmd:"):
         solve_lp(lp)
