@@ -1,7 +1,8 @@
 """Bundled MIP solver: best-first branch and bound over binary variables.
 
-Each node re-solves the LP relaxation with tightened bounds via the
-bundled simplex. Binaries only; desk-scale models (a few dozen binaries)
+Each node re-solves the LP relaxation on the bundled simplex with the
+node's binaries passed as solve_lp's pins, so no solve writes to the
+caller's model. Binaries only; desk-scale models (a few dozen binaries)
 solve exactly.
 """
 
@@ -55,21 +56,6 @@ def _fractional(x: np.ndarray, int_idx: list[int]):
     return worst_j
 
 
-def _solve_with_bounds(model: StandardFormModel, fixed: dict[int, float]):
-    saved = {}
-    for j, val in fixed.items():
-        v = model.variables[j]
-        saved[j] = (v.lb, v.ub)
-        v.lb = val
-        v.ub = val
-    try:
-        return solve_lp(model)
-    finally:
-        for j, (lb, ub) in saved.items():
-            model.variables[j].lb = lb
-            model.variables[j].ub = ub
-
-
 def solve_mip(model: StandardFormModel) -> MIPResult:
     """Exact minimization over the model's binaries by branch and bound."""
     int_idx = _check_binary(model)
@@ -90,10 +76,6 @@ def solve_mip(model: StandardFormModel) -> MIPResult:
         return False
 
     consider(root)
-    if incumbent_x is None and int_idx:
-        # Rounding heuristic for an early incumbent to prune against.
-        rounded = {j: float(round(root.x[j])) for j in int_idx}
-        consider(_solve_with_bounds(model, rounded))
 
     counter = 0
     heap: list = []
@@ -109,7 +91,7 @@ def solve_mip(model: StandardFormModel) -> MIPResult:
         for val in (0.0, 1.0):
             child_fixed = dict(fixed)
             child_fixed[branch_j] = val
-            result = _solve_with_bounds(model, child_fixed)
+            result = solve_lp(model, child_fixed)
             nodes += 1
             if result.status != OPTIMAL:
                 continue
@@ -126,17 +108,10 @@ def solve_mip(model: StandardFormModel) -> MIPResult:
     if incumbent_x is None:
         return MIPResult(INFEASIBLE, None, None, None, nodes, root.presolve)
     # Re-solve with the binary pattern pinned so continuous values are clean
-    # at exactly integral binaries.
-    pattern = {j: float(round(incumbent_x[j])) for j in int_idx}
-    final = _solve_with_bounds(model, pattern)
+    # at exactly integral binaries; if that fails, the incumbent's own solve
+    # stands. The search stops only when no open node can beat the
+    # incumbent, so its objective is the proven bound.
+    final = solve_lp(model, {j: float(round(incumbent_x[j])) for j in int_idx})
     if final.status == OPTIMAL:
-        x = final.x
-        obj = final.objective
-    else:
-        x = incumbent_x.copy()
-        for j in int_idx:
-            x[j] = float(round(x[j]))
-        obj = model.evaluate_objective(x)
-    # The search stops only when no open node can beat the incumbent, so the
-    # incumbent's objective is the proven bound.
-    return MIPResult(OPTIMAL, obj, x, incumbent_obj, nodes, root.presolve)
+        return MIPResult(OPTIMAL, final.objective, final.x, incumbent_obj, nodes, root.presolve)
+    return MIPResult(OPTIMAL, incumbent_obj, incumbent_x, incumbent_obj, nodes, root.presolve)

@@ -327,15 +327,16 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     inst, bundle_cfg, trace = load_bundle(args.bundle)
     base_cfg = _model_config(args, bundle_cfg, None)
     strategies = args.strategies.split(",") if args.strategies else ["cooperative"]
     modes = args.modes.split(",") if args.modes else [base_cfg.shifting_mode]
     cells = [(s, m) for s in strategies for m in modes]
-    if len(cells) < 1:
-        raise ValueError("compare needs at least one strategy/mode cell")
+    # Every cell is checked before the first solve writes anything.
+    for strategy, mode in cells:
+        replace(base_cfg, strategy=strategy, shifting_mode=mode).validate()
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     rows, errors = [], []
     paths = []
     base_total = np.sum([b.base_load for b in inst.grid.buses], axis=0)

@@ -248,7 +248,8 @@ class ProblemInstance:
 
     @cached_property
     def baseline_latency(self) -> np.ndarray:
-        return baseline_latency_profile(self.x_base, self.jobs, self.latency)
+        return baseline_latency_profile(self.x_base, self.jobs, self.latency,
+                                        [dc.id for dc in self.dcs])
 
     def validate(self) -> None:
         from .grid import validate_case

@@ -11,8 +11,8 @@ the tableau data, the row flips to b >= 0 and the slack layout are built
 by whole-array operations. Every solve starts with
 standard_form.presolve, so fixed columns, empty rows, bound-redundant
 rows, duplicate rows and parallel rows never reach the tableau, and a
-row over one continuous column arrives as a bound; branch and bound pins
-binaries through bounds, so they drop out of each node too. The one
+row over one continuous column arrives as a bound; the columns branch and
+bound pins at a node are fixed there too, so they drop out as well. The one
 dense tableau is updated only on the nonzero rows x columns of each
 rank-1 pivot, and a model whose solve could hold more than
 MAX_TABLEAU_BYTES is refused.
@@ -22,11 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .standard_form import INF, SolverError, StandardFormModel, presolve
+from .standard_form import EMPTY_ROW_TOL, INF, SolverError, StandardFormModel, presolve
 
 PIVOT_TOL = 1e-9
 RC_TOL = 1e-9
-FEAS_TOL = 1e-7
 DEGENERATE_STREAK = 40
 MAX_TABLEAU_BYTES = 256 * 2**20
 
@@ -103,18 +102,20 @@ def _footprint(model: StandardFormModel) -> tuple[int, int, int]:
     return rows, n + rows, 8 * rows * (3 * (n + 2 * rows) + n)
 
 
-def solve_lp(model: StandardFormModel) -> LPResult:
+def solve_lp(model: StandardFormModel, pins: dict | None = None) -> LPResult:
     """Solve the LP relaxation of a model to primal optimality.
 
-    Integrality flags are ignored. The simplex runs on presolve's reduced
-    model; a presolve proof of infeasibility returns INFEASIBLE, and a model
-    with every column fixed returns its fixed point, neither running the
-    simplex. Returns variable values in the model's original space with the
-    objective recomputed from the original model's data, and presolve's
-    counts. Raises SolverError, before allocating, when the solve of the
-    reduced model could hold more than MAX_TABLEAU_BYTES.
+    Integrality flags are ignored, and each column of ``pins`` ({column:
+    value}) is held at its value without touching the model. The simplex
+    runs on presolve's reduced model; a presolve proof of infeasibility
+    returns INFEASIBLE, and a model with every column fixed returns its
+    fixed point, neither running the simplex. Returns variable values in
+    the model's original space with the objective recomputed from the
+    original model's data, and presolve's counts. Raises SolverError,
+    before allocating, when the solve of the reduced model could hold more
+    than MAX_TABLEAU_BYTES.
     """
-    pre = presolve(model)
+    pre = presolve(model, pins)
     if pre.model is None:
         return LPResult(INFEASIBLE, None, None, 0)
     full, model = model, pre.model
@@ -255,9 +256,9 @@ def solve_lp(model: StandardFormModel) -> LPResult:
         return LPResult(ITERATION_LIMIT, None, None, iterations, pre.counts)
     refresh_xb()
     art_set = set(art_cols)
-    art_values = sum(xb[ri] for ri in range(m) if basis[ri] in art_set) + sum(
-        ub[j] if at_upper[j] else 0.0 for j in art_cols if not is_basic[j])
-    if status == INFEASIBLE or art_values > FEAS_TOL * max(1.0, float(np.max(np.abs(b))) if m else 1.0):
+    art_values = sum(xb[ri] for ri in range(m) if basis[ri] in art_set)
+    scale = max(1.0, float(np.max(np.abs(b)))) if m else 1.0
+    if status == INFEASIBLE or art_values > EMPTY_ROW_TOL * scale:
         return LPResult(INFEASIBLE, None, None, iterations, pre.counts)
 
     # Artificials are pinned at zero for phase 2 instead of being pivoted out.
@@ -269,7 +270,6 @@ def solve_lp(model: StandardFormModel) -> LPResult:
 
     refresh_xb()
     values_ext = np.where(at_upper & np.isfinite(ub), ub, 0.0)
-    values_ext[~np.isfinite(values_ext)] = 0.0
     values_ext[basis] = xb
     x = _recover(values_ext, cmap)
     # Clamp round-off excursions back into the declared boxes; on a tie the

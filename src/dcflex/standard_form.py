@@ -14,8 +14,8 @@ import numpy as np
 SENSES = ("<=", "=", ">=")
 
 INF = float("inf")
-# Relative tolerance of the sense check on a row presolve leaves empty; the
-# bundled simplex accepts phase-1 residue at the same 1e-7.
+# Relative tolerance of the sense check on a row presolve leaves empty, and
+# of the phase-1 residue the bundled simplex accepts.
 EMPTY_ROW_TOL = 1e-7
 
 
@@ -170,11 +170,12 @@ def _one_difference(a: tuple, b: tuple):
     return diff
 
 
-def presolve(model: StandardFormModel) -> Presolved:
+def presolve(model: StandardFormModel, pins: dict | None = None) -> Presolved:
     """Row and column reductions (Andersen & Andersen, Math. Prog. 71, 1995;
     Achterberg et al., INFORMS J. Comput. 32, 2020).
 
-    Drops every column with lb == ub, folding its value into the row
+    Drops every column with lb == ub, and every column of ``pins``
+    ({column: value}) at its pinned value, folding the value into the row
     right-hand sides (the objective constant is recovered by evaluating the
     original model on the expanded point). Drops rows left empty after
     checking their sense within EMPTY_ROW_TOL, and <=/>= rows that the
@@ -184,7 +185,7 @@ def presolve(model: StandardFormModel) -> Presolved:
     - a row over one continuous column becomes a tighter bound on it; a
       bound crossing larger than EMPTY_ROW_TOL in row units proves the model
       infeasible, and a smaller one keeps the row as a row. Integer columns
-      keep their rows, because branch and bound pins them through bounds;
+      keep their rows;
     - a row equal in sense, right-hand side and every (column, coefficient)
       to a kept row is dropped;
     - of two <= (or two >=) rows equal but for the coefficient of one
@@ -193,16 +194,17 @@ def presolve(model: StandardFormModel) -> Presolved:
 
     A bound tightened by a singleton serves the rows after it. Matching is
     exact float equality, grouped by (sense, rhs, columns), so the cost
-    stays linear in the nonzeros. The original model is left as
-    it is: bounds are read at call time and nothing is cached, so a caller
-    may re-bound columns between calls.
+    stays linear in the nonzeros. The original model is left as it is.
     """
+    pins = pins or {}
     n = model.n_vars
     fixed = [0.0] * n
     new_of = [-1] * n  # reduced index of each column, -1 when fixed
     reduced = StandardFormModel(model.name)
     for j, v in enumerate(model.variables):
-        if v.lb == v.ub:
+        if j in pins:
+            fixed[j] = pins[j]
+        elif v.lb == v.ub:
             fixed[j] = v.lb
         else:
             new_of[j] = reduced.n_vars

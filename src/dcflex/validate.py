@@ -183,4 +183,5 @@ def validate_solution(
 
 def qos_deviation_report(inst: ProblemInstance, solution: Solution) -> np.ndarray:
     """Per-slot latency deviation of the solved schedule from baseline."""
-    return qos_deviation(solution.x, inst.x_base, inst.jobs, inst.latency)
+    return qos_deviation(solution.x, inst.x_base, inst.jobs, inst.latency,
+                         [dc.id for dc in inst.dcs])

@@ -162,8 +162,9 @@ def load_matrix(x: np.ndarray, jobs, slot_hours: float) -> np.ndarray:
     return aggregate_load(x, jobs, slot_hours).reshape(n_dc, -1)
 
 
-def effective_latency(x: np.ndarray, t: int, jobs, latmap: LatencyMap) -> SlotLatency:
-    """Schedule-weighted average latency at slot t (1-based).
+def effective_latency(x: np.ndarray, t: int, jobs, latmap: LatencyMap, dc_ids) -> SlotLatency:
+    """Schedule-weighted average latency at slot t (1-based); dc_ids[l] is
+    the id of the DC in column l of x.
 
     A slot whose total mass is at most COMPLETENESS_TOL holds only round-off
     and is reported as empty: latency 0 with has_jobs False.
@@ -175,14 +176,14 @@ def effective_latency(x: np.ndarray, t: int, jobs, latmap: LatencyMap) -> SlotLa
         for l in range(x.shape[2]):
             w = float(x[i, t - 1, l])
             if w != 0.0:
-                num += latmap.latency(job.user_region, l + 1) * w
+                num += latmap.latency(job.user_region, dc_ids[l]) * w
                 den += w
     if den <= COMPLETENESS_TOL:
         return SlotLatency(0.0, False)
     return SlotLatency(num / den, True)
 
 
-def baseline_latency_profile(x_base: np.ndarray, jobs, latmap: LatencyMap) -> np.ndarray:
+def baseline_latency_profile(x_base: np.ndarray, jobs, latmap: LatencyMap, dc_ids) -> np.ndarray:
     """Per-slot baseline latency, with empty slots filled by the horizon mean.
 
     Deferring work into a slot the baseline left empty needs a reference
@@ -193,7 +194,7 @@ def baseline_latency_profile(x_base: np.ndarray, jobs, latmap: LatencyMap) -> np
     values = np.zeros(t_total)
     mass = np.zeros(t_total)
     for t in range(1, t_total + 1):
-        lat = effective_latency(x_base, t, jobs, latmap)
+        lat = effective_latency(x_base, t, jobs, latmap, dc_ids)
         if lat.has_jobs:
             values[t - 1] = lat.value
             mass[t - 1] = 1.0
@@ -204,15 +205,16 @@ def baseline_latency_profile(x_base: np.ndarray, jobs, latmap: LatencyMap) -> np
     return values
 
 
-def qos_deviation(x: np.ndarray, x_base: np.ndarray, jobs, latmap: LatencyMap) -> np.ndarray:
+def qos_deviation(x: np.ndarray, x_base: np.ndarray, jobs, latmap: LatencyMap,
+                  dc_ids) -> np.ndarray:
     """Per-slot latency deviation of x from the baseline profile.
 
     Slots where x schedules nothing contribute deviation 0.
     """
-    profile = baseline_latency_profile(x_base, jobs, latmap)
+    profile = baseline_latency_profile(x_base, jobs, latmap, dc_ids)
     out = np.zeros_like(profile)
     for t in range(1, len(profile) + 1):
-        lat = effective_latency(x, t, jobs, latmap)
+        lat = effective_latency(x, t, jobs, latmap, dc_ids)
         if lat.has_jobs:
             out[t - 1] = lat.value - profile[t - 1]
     return out

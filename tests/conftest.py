@@ -1,10 +1,19 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dcflex
 from dcflex.grid import Bus, Generator, GridCase, Line
 from dcflex.instance import build_synthetic, fit_signal_artifacts, small_params
 from dcflex.optimizer import ModelConfig, ProblemInstance, QueueParameters
 from dcflex.workload import DataCenterSpec, JobCluster, LatencyMap
+
+# Child processes of the suite, such as the reference solvers behind the
+# cmd: backend, import the same dcflex as the suite.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(dcflex.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
 
 
 def tiny_instance():

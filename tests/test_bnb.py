@@ -8,7 +8,7 @@ from scipy.optimize import Bounds as ScipyBounds
 import dcflex.bnb as bnb
 from dcflex.bnb import solve_mip
 from dcflex.simplex import ITERATION_LIMIT, OPTIMAL, LPResult, solve_lp
-from dcflex.standard_form import INF, StandardFormModel
+from dcflex.standard_form import INF, SolverError, StandardFormModel
 
 
 def knapsack_model(values, weights, capacity):
@@ -157,3 +157,64 @@ def test_root_iteration_limit_is_not_reported_as_time_limit(monkeypatch):
     monkeypatch.setattr(bnb, "solve_lp", lambda model: LPResult(ITERATION_LIMIT, None, None, 9))
     res = solve_mip(knapsack_model([10, 13, 7], [3, 4, 2], 5))
     assert res.status == ITERATION_LIMIT and res.x is None
+
+
+def _bounds(model):
+    return [(v.lb, v.ub) for v in model.variables]
+
+
+@pytest.mark.parametrize("raise_at", [None, 3])
+def test_solves_leave_the_callers_bounds_as_they_were(monkeypatch, raise_at):
+    model = knapsack_model([10, 13, 7, 8, 11, 4], [3, 4, 2, 3, 4, 1], 8)
+    before = _bounds(model)
+    calls = []
+
+    def spy(m, pins=None):
+        calls.append(pins)
+        assert m is model and _bounds(m) == before
+        if len(calls) == raise_at:
+            raise SolverError("node solve failed")
+        return solve_lp(m, pins)
+
+    monkeypatch.setattr(bnb, "solve_lp", spy)
+    if raise_at is None:
+        assert solve_mip(model).status == OPTIMAL
+    else:
+        with pytest.raises(SolverError):
+            solve_mip(model)
+    assert len(calls) >= 3 and calls[0] is None and calls[2]  # the third is a node's
+    assert _bounds(model) == before
+
+
+def test_failed_final_resolve_returns_the_incumbents_own_solve(monkeypatch):
+    model = knapsack_model([10, 13, 7, 8, 11, 4], [3, 4, 2, 3, 4, 1], 8)
+    int_idx = model.integer_indices()
+    results = []
+
+    def near_integral(m, pins=None):
+        # Binaries within INT_TOL of 0 or 1 count as integral; hold them
+        # 1e-9 inside so a rounded point differs from the solved one.
+        res = solve_lp(m, pins)
+        if res.status == OPTIMAL:
+            res.x[int_idx] = np.clip(res.x[int_idx], 1e-9, 1.0 - 1e-9)
+        results.append(res)
+        return res
+
+    monkeypatch.setattr(bnb, "solve_lp", near_integral)
+    clean = solve_mip(model)
+    n_calls = len(results)
+    results.clear()
+
+    def final_fails(m, pins=None):
+        if len(results) == n_calls - 1:
+            return LPResult(ITERATION_LIMIT, None, None, 0)
+        return near_integral(m, pins)
+
+    monkeypatch.setattr(bnb, "solve_lp", final_fails)
+    res = solve_mip(model)
+    assert len(results) == n_calls - 1
+    incumbent = min((r for r in results if r.status == OPTIMAL
+                     and bnb._fractional(r.x, int_idx) < 0), key=lambda r: r.objective)
+    assert res.status == OPTIMAL and res.nodes == clean.nodes
+    assert res.objective == incumbent.objective == res.best_bound == clean.objective
+    assert res.x.tolist() == incumbent.x.tolist()

@@ -2,17 +2,14 @@ import contextlib
 import csv
 import io
 import json
-import os
 import shutil
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import dcflex
 from dcflex.cli import EXIT_INPUT, EXIT_OK, EXIT_SOLVER, main
 from dcflex.optimizer import ModelConfig
 from dcflex.signals import RegulationTrace, read_trace_csv, write_trace_csv
@@ -35,11 +32,14 @@ def run_cli(argv):
     return code, err.getvalue().splitlines()
 
 
+def run_python(*argv):
+    """Python in a child process; conftest puts this dcflex on its path."""
+    return subprocess.run([sys.executable, *map(str, argv)], capture_output=True, text=True)
+
+
 def run_child(*argv):
     """The CLI in a child process, so a traceback would reach its stderr."""
-    env = dict(os.environ, PYTHONPATH=str(Path(dcflex.__file__).parents[1]))
-    return subprocess.run([sys.executable, "-m", "dcflex.cli", *map(str, argv)],
-                          capture_output=True, text=True, env=env)
+    return run_python("-m", "dcflex.cli", *argv)
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +58,13 @@ def solved_dir(bundle, tmp_path_factory):
                  "--mode", "joint", "--strategy", "cooperative", "--quiet"])
     assert code == EXIT_OK
     return out
+
+
+def test_cli_import_loads_no_scipy():
+    # Importing scipy.optimize about doubles a CLI process's resident memory.
+    proc = run_python("-c", "import sys, dcflex.cli; "
+                      "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
 
 
 class TestGenInstance:
@@ -208,11 +215,8 @@ class TestSolve:
         assert lines[0].startswith("error: ") and "cpu" in lines[0], lines
 
     def test_solver_failure_exits_5_without_traceback(self, bundle, tmp_path):
-        env = dict(os.environ, PYTHONPATH=str(Path(dcflex.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "dcflex.cli", "solve", "--bundle", str(bundle),
-             "--out", str(tmp_path / "o"), "--backend", "cmd:false", "--quiet"],
-            capture_output=True, text=True, env=env)
+        proc = run_child("solve", "--bundle", bundle, "--out", tmp_path / "o",
+                         "--backend", "cmd:false", "--quiet")
         assert proc.returncode == EXIT_SOLVER
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
         # `false` writes nothing to stderr: the line names the model and
@@ -221,13 +225,10 @@ class TestSolve:
 
     def test_model_over_tableau_budget_exits_5_with_one_line(self, bundle, tmp_path):
         # The budget is a constant, so the child lowers it before running main.
-        env = dict(os.environ, PYTHONPATH=str(Path(dcflex.__file__).parents[1]))
         code = ("import sys; import dcflex.simplex as s; s.MAX_TABLEAU_BYTES = 1024; "
                 "from dcflex.cli import main; sys.exit(main(sys.argv[1:]))")
-        proc = subprocess.run(
-            [sys.executable, "-c", code, "solve", "--bundle", str(bundle),
-             "--out", str(tmp_path / "o"), "--quiet"],
-            capture_output=True, text=True, env=env)
+        proc = run_python("-c", code, "solve", "--bundle", bundle, "--out", tmp_path / "o",
+                          "--quiet")
         assert proc.returncode == EXIT_SOLVER
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: model coopt: ")
@@ -300,6 +301,19 @@ class TestCompare:
         assert len(rows) == 4
         curves = [p.name for p in out.iterdir() if p.name.startswith("loadcurve_")]
         assert len(curves) == 4
+
+    @pytest.mark.parametrize("strategies, modes, bad", [
+        ("cooperative,bogus", "joint", "bogus"),
+        ("cooperative", "joint,sideways", "sideways"),
+    ])
+    def test_bad_cell_exits_4_before_any_solve(self, bundle, tmp_path, strategies, modes,
+                                               bad):
+        out = tmp_path / "bad"
+        code, lines = run_cli(["compare", "--bundle", str(bundle), "--out", str(out),
+                               "--strategies", strategies, "--modes", modes, "--quiet"])
+        assert code == EXIT_INPUT and len(lines) == 1, lines
+        assert lines[0].startswith("error: ") and repr(bad) in lines[0], lines
+        assert not out.exists()
 
 
 class TestExperimentConfig:

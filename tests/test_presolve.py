@@ -2,6 +2,8 @@
 LPs with fixed columns and redundant, duplicate, parallel and singleton
 rows against HiGHS."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -291,3 +293,32 @@ def test_seeded_lps_with_fixed_columns_and_redundant_rows_match_highs(backend):
         obj = model.evaluate_objective(values)
         assert abs(obj - ref.fun) <= 1e-6 * max(1.0, abs(ref.fun)), f"trial {trial}"
         assert model.max_violation(values) <= 1e-7, f"trial {trial}"
+
+
+def _as_data(pre):
+    reduced = pre.model
+    return (None if reduced is None else (
+                [(v.name, v.lb, v.ub, v.integer) for v in reduced.variables],
+                [(r.name, r.coeffs, r.sense, r.rhs) for r in reduced.rows],
+                reduced.objective),
+            pre.keep.tolist(), pre.fixed.tolist(), pre.counts, pre.infeasible_row)
+
+
+def test_pins_act_as_fixed_bounds_on_a_copy():
+    rng = np.random.Generator(np.random.PCG64(66))
+    for trial in range(4):
+        model = _with_presolve_targets(rng, _block_sparse_model(rng, 48, 24, n_blocks=2))
+        # Pinned at an optimum, so the pinned model stays feasible.
+        optimum = solve_lp(model).x
+        open_cols = [j for j, v in enumerate(model.variables) if v.lb != v.ub]
+        pins = {int(j): float(optimum[j]) for j in rng.choice(open_cols, size=6, replace=False)}
+        fixed = copy.deepcopy(model)
+        for j, value in pins.items():
+            fixed.variables[j].lb = fixed.variables[j].ub = value
+        before = copy.deepcopy(model)
+        pre, ref = presolve(model, pins), presolve(fixed)
+        assert _as_data(pre) == _as_data(ref), f"trial {trial}"
+        assert pre.model is not None and pre.counts["cols"][1] < len(open_cols)
+        values = rng.uniform(-1.0, 1.0, pre.model.n_vars)
+        assert pre.expand(values).tolist() == ref.expand(values).tolist()
+        assert model == before, f"trial {trial}"

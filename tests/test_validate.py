@@ -1,9 +1,14 @@
 import copy
+import json
+import shutil
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from conftest import tiny_config, tiny_instance
+from dcflex.instance import (DEMO_SEED, demo_params, fit_signal_artifacts, generate_instance,
+                             load_bundle)
 from dcflex.optimizer import FittedSignal, run_strategy
 from dcflex.signals import GaussianEnvelope, VaRTable
 from dcflex.validate import qos_deviation_report, validate_solution
@@ -93,3 +98,42 @@ def test_qos_deviation_of_solution_within_tolerance():
     inst, cfg, fitted, sol = solved_tiny()
     dev = qos_deviation_report(inst, sol)
     assert np.all(dev <= cfg.delta_qos + 1e-9)
+
+
+@pytest.fixture(scope="module")
+def demo_solved(tmp_path_factory):
+    bundle = tmp_path_factory.mktemp("demo") / "b"
+    generate_instance(demo_params(), DEMO_SEED, bundle)
+    inst, cfg, trace = load_bundle(bundle)
+    fitted = fit_signal_artifacts(trace, cfg)
+    return bundle, inst, cfg, fitted, run_strategy(inst, cfg, fitted)
+
+
+def _relabel_dcs(bundle, out, ids):
+    """A copy of the bundle whose k-th DC in dc.json has id ids[k], with
+    latency.csv relabelled to match."""
+    shutil.copytree(bundle, out)
+    doc = json.loads((out / "dc.json").read_text())
+    new_id = {}
+    for entry, dc_id in zip(doc["dcs"], ids):
+        new_id[str(entry["id"])] = str(dc_id)
+        entry["id"] = dc_id
+    (out / "dc.json").write_text(json.dumps(doc))
+    header, *rows = (out / "latency.csv").read_text().splitlines()
+    relabelled = [f"{region},{new_id[dc]},{value}"
+                  for region, dc, value in (row.split(",") for row in rows)]
+    (out / "latency.csv").write_text("\n".join([header, *relabelled]) + "\n")
+    return out
+
+
+@pytest.mark.parametrize("ids", [[11, 12, 13], [2, 1, 3]])
+def test_qos_baseline_looks_dcs_up_by_id(demo_solved, tmp_path, ids):
+    bundle, inst, cfg, fitted, sol = demo_solved
+    moved, _, _ = load_bundle(_relabel_dcs(bundle, tmp_path / "b", ids))
+    assert [dc.id for dc in moved.dcs] == ids
+    assert moved.baseline_latency.tolist() == inst.baseline_latency.tolist()
+    moved_sol = run_strategy(moved, cfg, fitted)
+    assert abs(moved_sol.objective_total - sol.objective_total) <= 1e-9 * abs(sol.objective_total)
+    assert validate_solution(moved, cfg, fitted, moved_sol).ok
+    assert np.allclose(qos_deviation_report(moved, moved_sol), qos_deviation_report(inst, sol),
+                       rtol=0.0, atol=1e-9)

@@ -90,7 +90,7 @@ class TestEffectiveLatency:
         jobs = [cluster(), cluster("j2")]
         x = zeros_schedule(2, 1, 2)
         x[:, 0, 0] = 1.0
-        lat = effective_latency(x, 1, jobs, latmap)
+        lat = effective_latency(x, 1, jobs, latmap, [1, 2])
         assert lat.value == pytest.approx(5.0) and lat.has_jobs
 
     def test_equal_weights_mean(self):
@@ -98,7 +98,7 @@ class TestEffectiveLatency:
         jobs = [cluster(region="r1"), cluster("j2", region="r2")]
         x = zeros_schedule(2, 1, 1)
         x[:, 0, 0] = 1.0
-        assert effective_latency(x, 1, jobs, latmap).value == pytest.approx(15.0)
+        assert effective_latency(x, 1, jobs, latmap, [1]).value == pytest.approx(15.0)
 
     def test_weighted_mean(self):
         latmap = LatencyMap({("r1", 1): 4.0, ("r2", 1): 8.0})
@@ -106,11 +106,11 @@ class TestEffectiveLatency:
         x = zeros_schedule(2, 1, 1)
         x[0, 0, 0] = 0.25
         x[1, 0, 0] = 0.75
-        assert effective_latency(x, 1, jobs, latmap).value == pytest.approx(7.0)
+        assert effective_latency(x, 1, jobs, latmap, [1]).value == pytest.approx(7.0)
 
     def test_empty_slot_flagged(self):
         latmap = LatencyMap({("r1", 1): 4.0})
-        lat = effective_latency(zeros_schedule(1, 2, 1), 2, [cluster()], latmap)
+        lat = effective_latency(zeros_schedule(1, 2, 1), 2, [cluster()], latmap, [1])
         assert lat.value == 0.0 and not lat.has_jobs
 
 
@@ -191,7 +191,7 @@ class TestQosDeviation:
         jobs = [cluster("a", "r1"), cluster("b", "r2", slot=2)]
         dcs = [dc_spec(1, 1), dc_spec(2, 2)]
         x = baseline_assignment(jobs, latmap, dcs)
-        assert np.all(qos_deviation(x, x, jobs, latmap) == 0.0)
+        assert np.all(qos_deviation(x, x, jobs, latmap, [1, 2]) == 0.0)
 
     def test_move_to_far_dc(self):
         latmap = LatencyMap({("r1", 1): 5.0, ("r1", 2): 9.0})
@@ -200,7 +200,7 @@ class TestQosDeviation:
         x_base[:, 0, 0] = 1.0
         x = zeros_schedule(2, 1, 2)
         x[:, 0, 1] = 1.0
-        dev = qos_deviation(x, x_base, jobs, latmap)
+        dev = qos_deviation(x, x_base, jobs, latmap, [1, 2])
         assert dev[0] == pytest.approx(4.0)
 
     def test_empty_baseline_slot_uses_horizon_mean(self):
@@ -208,7 +208,7 @@ class TestQosDeviation:
         jobs = [cluster("a", "r1")]
         x_base = zeros_schedule(1, 2, 1)
         x_base[0, 0, 0] = 1.0
-        profile = baseline_latency_profile(x_base, jobs, latmap)
+        profile = baseline_latency_profile(x_base, jobs, latmap, [1])
         assert profile[1] == pytest.approx(5.0)
 
     def test_round_off_mass_is_not_work(self):
@@ -218,7 +218,7 @@ class TestQosDeviation:
         x_base[0, 0, 0] = 1.0
         x = x_base.copy()
         x[0, 1, 1] = 5e-15  # a far DC in the slot the baseline leaves empty
-        assert qos_deviation(x, x_base, jobs, latmap)[1] == 0.0
+        assert qos_deviation(x, x_base, jobs, latmap, [1, 2])[1] == 0.0
 
 
 class TestCsvIo:
