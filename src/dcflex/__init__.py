@@ -46,7 +46,6 @@ from .optimizer import (
     build_model,
     chance_coefficient,
     derived_link_flows,
-    queue_baseline_expr,
     resolve_config,
     run_strategy,
     solve_model,
@@ -106,7 +105,6 @@ __all__ = [
     "build_model",
     "chance_coefficient",
     "derived_link_flows",
-    "queue_baseline_expr",
     "resolve_config",
     "run_strategy",
     "solve_model",

@@ -281,11 +281,15 @@ def cmd_simulate(args) -> int:
     exp = _experiment(args)
     if exp.seed is None:
         raise ValueError("simulate needs an explicit --seed (flag or config)")
-    out = Path(exp.out)
-    out.mkdir(parents=True, exist_ok=True)
     inst, bundle_cfg, trace = load_bundle(exp.bundle)
     cfg = _model_config(args, bundle_cfg, exp)
     solution = solution_from_json(args.solution)
+    shape = (len(inst.jobs), inst.n_slots, inst.n_dc)
+    if solution.x.shape != shape:
+        raise ValueError(f"{args.solution}: (clusters, slots, dcs) {solution.x.shape} do not "
+                         f"match the bundle's {shape}")
+    out = Path(exp.out)
+    out.mkdir(parents=True, exist_ok=True)
     fitted = fit_signal_artifacts(trace, cfg)
     cfg = resolve_config(cfg, inst.n_slots, fitted.mean_abs)
     _, held_out = trace.split(cfg.fit_split)

@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import Bus, Generator, GridCase, Line, read_grid_json, write_grid_json
+from .grid import (Bus, Generator, GridCase, Line, case_from_dict, read_grid_json,
+                   write_grid_json)
 from .optimizer import ModelConfig, ProblemInstance, QueueParameters
 from .signals import (
     RegulationTrace,
@@ -363,6 +364,31 @@ def generate_instance(params: GenParams, seed: int, out_dir) -> list[Path]:
     return save_bundle(out_dir, inst, cfg, trace)
 
 
+def _non_finite(node, where: str = "") -> str | None:
+    """Location of the first non-finite number in a parsed JSON value, as
+    ``key[index].key``, or None."""
+    if isinstance(node, float):
+        return None if math.isfinite(node) else where
+    if isinstance(node, dict):
+        children = ((f"{where}.{key}" if where else key, v) for key, v in node.items())
+    elif isinstance(node, list):
+        children = ((f"{where}[{k}]", v) for k, v in enumerate(node))
+    else:
+        return None
+    return next(filter(None, (_non_finite(v, w) for w, v in children)), None)
+
+
+def _read_json(path):
+    """A JSON document; a NaN or infinite number in it raises ValueError
+    naming the file and the field."""
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    where = _non_finite(doc)
+    if where is not None:
+        raise ValueError(f"{path}: {where} is not finite")
+    return doc
+
+
 def _dc_entry(path, k, entry: dict, t_total: int) -> dict:
     """The fields of dc.json entry k as float arrays: one value per slot
     for _DC_PER_SLOT, a single number for _DC_SCALARS."""
@@ -385,13 +411,12 @@ def load_bundle(bundle_dir) -> tuple[ProblemInstance, ModelConfig, RegulationTra
     missing = [name for name in BUNDLE_FILES if not (bundle / name).exists()]
     if missing:
         raise FileNotFoundError(f"{bundle}: bundle is missing {missing}")
-    grid = read_grid_json(bundle / "grid.json")
+    grid = case_from_dict(_read_json(bundle / "grid.json"))
     jobs = read_workload_csv(bundle / "workload.csv")
     latmap = read_latency_csv(bundle / "latency.csv")
     trace = read_trace_csv(bundle / "signal.csv")
-    with open(bundle / "dc.json", encoding="utf-8") as fh:
-        entries = [_dc_entry(bundle / "dc.json", k, entry, grid.n_slots)
-                   for k, entry in enumerate(json.load(fh)["dcs"])]
+    entries = [_dc_entry(bundle / "dc.json", k, entry, grid.n_slots)
+               for k, entry in enumerate(_read_json(bundle / "dc.json")["dcs"])]
     dcs = [DataCenterSpec(id=int(e["id"]), bus=int(e["bus"]), cpu_cap=e["cpu_cap"],
                           mem_cap=e["mem_cap"], io_cap=e["io_cap"], p_min=e["p_min"],
                           p_max=e["p_max"]) for e in entries]

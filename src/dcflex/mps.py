@@ -12,6 +12,7 @@ and write whitespace-separated ``name value`` lines for an optimal
 solution, or exit 2 for an infeasible model.
 """
 
+import math
 import shlex
 import subprocess
 from pathlib import Path
@@ -186,7 +187,8 @@ def read_solution_file(path, model: StandardFormModel) -> np.ndarray:
     """Parse ``name value`` lines into a value vector over model variables.
 
     Unknown leading tokens (status banners etc.) are skipped; variables the
-    file omits default to zero. Raises when nothing matches the model.
+    file omits default to zero. Raises when nothing matches the model or a
+    model variable's value is not finite.
     """
     index = {v.name: j for j, v in enumerate(model.variables)}
     values = np.zeros(model.n_vars)
@@ -196,10 +198,13 @@ def read_solution_file(path, model: StandardFormModel) -> np.ndarray:
         if len(tokens) < 2 or tokens[0] not in index:
             continue
         try:
-            values[index[tokens[0]]] = float(tokens[1])
-            matched += 1
+            value = float(tokens[1])
         except ValueError:
             continue
+        if not math.isfinite(value):
+            raise ExternalSolverError(f"{path}: variable {tokens[0]} has value {tokens[1]}")
+        values[index[tokens[0]]] = value
+        matched += 1
     if matched == 0:
         raise ExternalSolverError(f"{path}: no model variables found in solution file")
     return values

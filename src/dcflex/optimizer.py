@@ -18,9 +18,12 @@ _block_sizes is the one statement of build_model's block order. Each DC
 constraint family is emitted in one place: _schedule_rows the completion,
 QoS and resource rows, _regulation_rows the power cap, chance and queue
 VaR rows. The full model, the per-DC models and the regulation-only model
-differ only in the DCs, clusters and fixed values they pass. validate.py
-re-derives every family independently on purpose, so it stays a check on
-these emitters rather than a copy of them.
+differ only in the DCs, clusters and fixed values they pass. A queue row's
+x coefficients are -cover[t] * E_i, where slot_cover gives the share of
+each slot elapsed by the checkpoint and E_i is cluster i's energy; the
+backlog of the frozen schedule enters its right-hand side as one
+sequential sum. validate.py re-derives every family independently on
+purpose, so it stays a check on these emitters rather than a copy of them.
 """
 
 import json
@@ -351,18 +354,29 @@ class Solution:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Solution":
+        """Inverse of to_dict; an x entry outside ``dims``, or an array
+        whose shape disagrees with them, raises ValueError."""
         dims = data["dims"]
-        x = np.zeros((dims["clusters"], dims["slots"], dims["dcs"]))
-        for i, t, l, v in data["x"]:
-            x[i - 1, t - 1, l - 1] = v
+        shape = (dims["clusters"], dims["slots"], dims["dcs"])
+        x = np.zeros(shape)
+        for entry in data["x"]:
+            *cell, v = entry
+            if len(cell) != 3 or not all(isinstance(k, int) and 1 <= k <= n
+                                         for k, n in zip(cell, shape)):
+                raise ValueError(f"x entry {entry} lies outside dims {dims}")
+            x[cell[0] - 1, cell[1] - 1, cell[2] - 1] = v
+        arrays = {key: np.asarray(data[key], dtype=float) for key in ("R", "p", "u", "theta", "q")}
+        for key, arr in arrays.items():
+            if arr.ndim != 2 or arr.shape[1] != shape[1] or (key == "R" and len(arr) != shape[2]):
+                raise ValueError(f"{key} has shape {arr.shape}, which disagrees with dims {dims}")
         br = data["breakdown"]
         return cls(
             x=x,
-            reg=np.asarray(data["R"], dtype=float),
-            gen=np.asarray(data["p"], dtype=float),
-            commit=np.asarray(data["u"], dtype=float),
-            theta=np.asarray(data["theta"], dtype=float),
-            shed=np.asarray(data["q"], dtype=float),
+            reg=arrays["R"],
+            gen=arrays["p"],
+            commit=arrays["u"],
+            theta=arrays["theta"],
+            shed=arrays["q"],
             objective_total=float(data["objective_total"]),
             generation_cost=float(br["generation_cost"]),
             penalty_cost=float(br["penalty_cost"]),
@@ -421,52 +435,20 @@ def queue_check_points(t_total: int, slot_hours: float, horizons) -> list[QueueC
     return points
 
 
-def queue_baseline_expr(inst: ProblemInstance, slot_hours: float, l: int,
-                        tau_hours: float) -> tuple[float, dict]:
-    """Affine baseline-queue expression at DC l (1-based) and time tau.
+def slot_cover(t_total: int, slot_hours: float, tau_hours: float) -> np.ndarray:
+    """Share of each slot elapsed by time ``tau_hours``: 1 for the slots
+    before it, the elapsed fraction for the slot it falls in, 0 after.
 
-    Returns (constant, coeffs) where coeffs maps (cluster index, slot index)
-    to the MWh coefficient of x[i, t, l]; arrivals and service inside a
-    partially covered slot are prorated uniformly.
+    Arrivals and service inside a partially covered slot are prorated
+    uniformly, so a queue row's x coefficient is -cover[t] * E_i.
     """
-    if tau_hours < 0 or tau_hours > inst.n_slots * slot_hours + 1e-9:
-        raise ValueError(f"tau {tau_hours} outside the horizon")
-    energies = cluster_energies_mwh(inst.jobs)
     full = int(math.floor(tau_hours / slot_hours + 1e-9))
     frac = (tau_hours - full * slot_hours) / slot_hours
-    if frac < 1e-12:
-        frac = 0.0
-    const = float(inst.queue.q_init[l - 1])
-    coeffs: dict[tuple[int, int], float] = {}
-    for t in range(1, full + 1):
-        const += float(inst.queue.arrivals[l - 1, t - 1])
-        for i in range(len(inst.jobs)):
-            if energies[i] != 0.0:
-                coeffs[(i, t)] = coeffs.get((i, t), 0.0) - float(energies[i])
-    if frac > 0.0 and full < inst.n_slots:
-        t = full + 1
-        const += frac * float(inst.queue.arrivals[l - 1, t - 1])
-        for i in range(len(inst.jobs)):
-            if energies[i] != 0.0:
-                coeffs[(i, t)] = coeffs.get((i, t), 0.0) - frac * float(energies[i])
-    return const, coeffs
-
-
-def queue_baseline_value(inst: ProblemInstance, slot_hours: float, l: int,
-                         tau_hours: float, x: np.ndarray) -> float:
-    """Evaluate the baseline-queue expression for a concrete schedule."""
-    const, coeffs = queue_baseline_expr(inst, slot_hours, l, tau_hours)
-    return _queue_value(const, coeffs, l, x)
-
-
-def _queue_value(const: float, coeffs: dict, l: int, x: np.ndarray) -> float:
-    """Value of a queue_baseline_expr result at DC l on the schedule x,
-    summed in the order of ``coeffs``."""
-    x_l = np.asarray(x)[:, :, l - 1].tolist()
-    total = const
-    for (i, t), coef in coeffs.items():
-        total += coef * float(x_l[i][t - 1])
-    return total
+    cover = np.zeros(t_total)
+    cover[:full] = 1.0
+    if frac >= 1e-12 and full < t_total:
+        cover[full] = frac
+    return cover
 
 
 def allowed_cells(inst: ProblemInstance, cfg: ModelConfig, i: int) -> set[tuple[int, int]]:
@@ -615,7 +597,8 @@ def _regulation_rows(model: StandardFormModel, inst: ProblemInstance, cfg: Model
         var_bounds = [var_table.bounds(cp.horizon_hours) for cp in points]
     except KeyError as exc:
         raise ModelBuildError(f"queue family: {exc}") from exc
-    mw = cluster_energies_mwh(inst.jobs) / dh
+    energies = cluster_energies_mwh(inst.jobs)
+    mw = energies / dh
     load = load_matrix(x_fixed, inst.jobs, dh)
     for l in dcs:
         dc = inst.dcs[l - 1]
@@ -626,19 +609,28 @@ def _regulation_rows(model: StandardFormModel, inst: ProblemInstance, cfg: Model
                           float(dc.p_max[t - 1] - load[l - 1, t - 1]))
             model.add_row(f"chance_{l}_{t}", [(j, -c) for j, c in x_load] + [(r, ccoef)],
                           "<=", float(load[l - 1, t - 1] - dc.p_min[t - 1]))
-    member_set = set(members)
+    queue = inst.queue
     for cp, (s_lo, s_hi) in zip(points, var_bounds):
         htag = format(cp.horizon_hours, "g").replace(".", "p")
+        cover = slot_cover(inst.n_slots, dh, cp.tau_hours)
+        slots = np.flatnonzero(cover)
+        coef = -(cover[slots, None] * energies)  # (covered slot, cluster) MWh per unit of x
+        coef_rows = list(zip(slots.tolist(), coef.tolist()))
         for l in dcs:
-            const, coeffs = queue_baseline_expr(inst, dh, l, cp.tau_hours)
-            x_terms = [(xcol[i, t - 1, l - 1], coef) for (i, t), coef in sorted(coeffs.items())
-                       if i in member_set]
-            q_fixed = _queue_value(const, coeffs, l, x_fixed)
+            x_terms = [(xcol[i, t, l - 1], row[i]) for t, row in coef_rows for i in members]
+            # Backlog of the frozen schedule from q_init: arrivals slot by
+            # slot, then the frozen terms slot-major, cluster-minor. cumsum
+            # adds strictly in that order; a pairwise np.sum or a dot product
+            # would move the last bits of the right-hand side.
+            frozen = coef * x_fixed[:, slots, l - 1].T
+            q_fixed = float(np.cumsum(np.concatenate((
+                [queue.q_init[l - 1]], cover[slots] * queue.arrivals[l - 1, slots],
+                frozen.ravel())))[-1])
             r_slot = rcol[l - 1, cp.slot - 1]
             model.add_row(f"qhi_{l}_{cp.slot}_{htag}", x_terms + [(r_slot, s_hi)], "<=",
-                          float(inst.queue.q_max[l - 1]) - q_fixed)
+                          float(queue.q_max[l - 1]) - q_fixed)
             model.add_row(f"qlo_{l}_{cp.slot}_{htag}", x_terms + [(r_slot, s_lo)], ">=",
-                          float(inst.queue.q_min[l - 1]) - q_fixed)
+                          float(queue.q_min[l - 1]) - q_fixed)
 
 
 def build_model(
@@ -1078,5 +1070,10 @@ def solution_to_json(solution: Solution, jobs, path) -> None:
 
 
 def solution_from_json(path) -> Solution:
+    """Read a solution; a fault in it raises ValueError naming the file."""
     with open(path, encoding="utf-8") as fh:
-        return Solution.from_dict(json.load(fh))
+        data = json.load(fh)
+    try:
+        return Solution.from_dict(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

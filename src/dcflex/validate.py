@@ -4,6 +4,12 @@ Re-evaluates every constraint family directly from instance data and the
 solved arrays, without touching the model rows, so solver and model-
 assembly defects cannot hide each other. Feasibility is judged at 1e-6
 with the power balance held to 1e-6 MW per (bus, slot).
+
+Three definitions are shared with the optimizer because they state the
+model's inputs rather than emit its rows: queue_check_points (the VaR
+checkpoint set), chance_coefficient (the z-quantile coefficient of R) and
+allowed_cells (each shifting mode's cells). The queue backlog at each
+checkpoint is re-derived here in closed form (queue_backlog).
 """
 
 from dataclasses import dataclass, field
@@ -18,7 +24,6 @@ from .optimizer import (
     Solution,
     allowed_cells,
     chance_coefficient,
-    queue_baseline_value,
     queue_check_points,
 )
 from .workload import load_matrix, qos_deviation, resource_usage
@@ -57,6 +62,18 @@ class ValidationReport:
                 for v in self.violations
             ],
         }
+
+
+def queue_backlog(inst: ProblemInstance, x: np.ndarray, slot_hours: float,
+                  taus) -> np.ndarray:
+    """(len(taus), N) backlog of each DC before regulation at the times
+    ``taus`` (hours), the slot a time falls in prorated uniformly:
+    q_init + (arrivals - load * slot_hours) @ clip(tau / slot_hours - t, 0, 1)
+    over the 0-based slots t."""
+    net = inst.queue.arrivals - load_matrix(x, inst.jobs, slot_hours) * slot_hours
+    cover = np.clip(np.asarray(taus, dtype=float)[:, None] / slot_hours
+                    - np.arange(net.shape[1]), 0.0, 1.0)
+    return inst.queue.q_init + cover @ net.T
 
 
 def validate_solution(
@@ -129,20 +146,16 @@ def validate_solution(
             report.add("chance", f"dc {dc.id} slot {t}",
                        ccoef * r - (load - dc.p_min[t - 1]))
 
-    # Queue VaR rows at every checkpoint.
-    for cp in queue_check_points(t_total, dh, cfg.var_horizons):
+    # Queue VaR rows at every checkpoint, on the closed-form backlog.
+    points = queue_check_points(t_total, dh, cfg.var_horizons)
+    backlog = queue_backlog(inst, x, dh, [cp.tau_hours for cp in points])
+    for cp, q_base in zip(points, backlog):
         s_lo, s_hi = fitted.var_table.bounds(cp.horizon_hours)
-        for l in range(1, n_dc + 1):
-            q_base = queue_baseline_value(inst, dh, l, cp.tau_hours, x)
-            r = reg[l - 1, cp.slot - 1]
-            report.add(
-                "queue_hi", f"dc {inst.dcs[l - 1].id} tau {cp.tau_hours:g}h win {cp.horizon_hours:g}h",
-                q_base + r * s_hi - inst.queue.q_max[l - 1],
-            )
-            report.add(
-                "queue_lo", f"dc {inst.dcs[l - 1].id} tau {cp.tau_hours:g}h win {cp.horizon_hours:g}h",
-                inst.queue.q_min[l - 1] - (q_base + r * s_lo),
-            )
+        r = reg[:, cp.slot - 1]
+        for l, dc in enumerate(inst.dcs):
+            where = f"dc {dc.id} tau {cp.tau_hours:g}h win {cp.horizon_hours:g}h"
+            report.add("queue_hi", where, q_base[l] + r[l] * s_hi - inst.queue.q_max[l])
+            report.add("queue_lo", where, inst.queue.q_min[l] - (q_base[l] + r[l] * s_lo))
 
     # Grid: balance residual, line limits, generator envelope, ramps.
     residual = power_balance_residual(

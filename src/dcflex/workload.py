@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import csv
+import math
 
 import numpy as np
 
@@ -47,8 +48,8 @@ class JobCluster:
         if self.arrival_slot < 1:
             raise ValueError(f"arrival_slot must be >= 1, got {self.arrival_slot}")
         for name in ("weight", "r_cpu", "r_mem", "r_io", "d_kwh_per_task"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
     @property
     def energy_mwh(self) -> float:
@@ -328,7 +329,10 @@ def read_latency_csv(path) -> LatencyMap:
             raise ValueError(f"{path}: expected header {','.join(required)}")
         for line_no, row in enumerate(reader, start=2):
             try:
-                entries[(row["user_region"].strip(), int(row["dc_id"]))] = float(row["latency"])
+                value = float(row["latency"])
+                if not math.isfinite(value):
+                    raise ValueError(f"latency must be finite, got {value}")
+                entries[(row["user_region"].strip(), int(row["dc_id"]))] = value
             except (ValueError, KeyError) as exc:
                 raise ValueError(f"{path} line {line_no}: {exc}") from None
     if not entries:

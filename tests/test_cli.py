@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from dcflex.cli import EXIT_INPUT, EXIT_OK, EXIT_SOLVER, main
 from dcflex.optimizer import ModelConfig
 from dcflex.signals import RegulationTrace, read_trace_csv, write_trace_csv
+from test_mps import REFERENCE_SOLVER
 
 MODEL_KEYS = tuple(ModelConfig.__dataclass_fields__)
 NUMERIC_KEYS = ("eps_p", "eps_e", "delta_qos", "c_penal", "slot_hours", "c_rc", "c_rp",
@@ -214,6 +215,31 @@ class TestSolve:
         assert proc.returncode == EXIT_INPUT and len(lines) == 1, proc.stderr
         assert lines[0].startswith("error: ") and "cpu" in lines[0], lines
 
+    @pytest.mark.parametrize("name, keys", [
+        ("dc.json", ("dcs", 0, "p_max")), ("grid.json", ("buses", 0, "base_load")),
+        ("latency.csv", ("latency",)), ("workload.csv", ("weight",))],
+        ids=["dc_p_max", "grid_base_load", "latency", "workload_weight"])
+    def test_non_finite_bundle_number_exits_4_with_one_line(self, bundle, tmp_path, name, keys):
+        broken = tmp_path / "broken"
+        shutil.copytree(bundle, broken)
+        path = broken / name
+        if name.endswith(".json"):
+            doc = node = json.loads(path.read_text())
+            for key in keys:
+                node = node[key]
+            node[0] = float("nan")
+            path.write_text(json.dumps(doc))
+        else:
+            rows = list(csv.reader(path.read_text().splitlines()))
+            rows[1][rows[0].index(keys[0])] = "nan"
+            path.write_text("\n".join(",".join(row) for row in rows) + "\n")
+        proc = run_child("solve", "--bundle", broken, "--out", tmp_path / "o", "--quiet")
+        lines = proc.stderr.splitlines()
+        assert proc.returncode == EXIT_INPUT and len(lines) == 1, proc.stderr
+        assert name in lines[0] and keys[-1] in lines[0], lines
+        if name.endswith(".csv"):
+            assert "line 2" in lines[0], lines
+
     def test_solver_failure_exits_5_without_traceback(self, bundle, tmp_path):
         proc = run_child("solve", "--bundle", bundle, "--out", tmp_path / "o",
                          "--backend", "cmd:false", "--quiet")
@@ -222,6 +248,20 @@ class TestSolve:
         # `false` writes nothing to stderr: the line names the model and
         # does not end in a dangling colon.
         assert "coopt" in proc.stderr and not proc.stderr.rstrip().endswith(":")
+
+    def test_non_finite_external_value_exits_5_with_one_line(self, bundle, tmp_path):
+        # The reference solver, then its first value overwritten with nan.
+        script = tmp_path / "nan_solver.py"
+        script.write_text(REFERENCE_SOLVER + (
+            "lines = open(sys.argv[2]).read().splitlines()\n"
+            "lines[0] = lines[0].split()[0] + ' nan'\n"
+            "open(sys.argv[2], 'w').write('\\n'.join(lines) + '\\n')\n"))
+        proc = run_child("solve", "--bundle", bundle, "--out", tmp_path / "o",
+                         "--backend", f"cmd:{sys.executable} {script}", "--quiet")
+        lines = proc.stderr.splitlines()
+        assert proc.returncode == EXIT_SOLVER and len(lines) == 1, proc.stderr
+        assert lines[0].startswith("error: ") and "has value nan" in lines[0], lines
+        assert not (tmp_path / "o" / "solution.json").exists()
 
     def test_model_over_tableau_budget_exits_5_with_one_line(self, bundle, tmp_path):
         # The budget is a constant, so the child lowers it before running main.
@@ -267,6 +307,25 @@ class TestSimulate:
                          "--quiet"]) == EXIT_OK
             digests.append(json.loads((out / "sim_summary.json").read_text())["digest"])
         assert digests[0] == digests[1]
+
+    @pytest.mark.parametrize("break_solution", [
+        lambda doc: doc["x"][0].__setitem__(0, 99),
+        lambda doc: doc["x"][0].__setitem__(0, 1.5),
+        lambda doc: doc["R"].pop(),
+        lambda doc: [row.pop() for row in doc["R"]],
+        lambda doc: doc["dims"].__setitem__("clusters", doc["dims"]["clusters"] + 1),
+    ], ids=["x_outside_dims", "x_cell_not_an_integer", "R_missing_a_dc", "R_missing_a_slot", "dims_off_the_bundle"])
+    def test_solution_that_does_not_fit_exits_4_with_one_line(self, bundle, solved_dir,
+                                                              tmp_path, break_solution):
+        doc = json.loads((solved_dir / "solution.json").read_text())
+        break_solution(doc)
+        path = tmp_path / "solution.json"
+        path.write_text(json.dumps(doc))
+        proc = run_child("simulate", "--bundle", bundle, "--solution", path,
+                         "--out", tmp_path / "sim", "--scenarios", "2", "--seed", "7", "--quiet")
+        lines = proc.stderr.splitlines()
+        assert proc.returncode == EXIT_INPUT and len(lines) == 1, proc.stderr
+        assert lines[0].startswith("error: ") and "solution.json" in lines[0], lines
 
 
 class TestCompare:

@@ -25,11 +25,10 @@ from dcflex.optimizer import (
     derived_link_flows,
     diagnose_infeasibility,
     extract_solution,
-    queue_baseline_expr,
-    queue_baseline_value,
     queue_check_points,
     resolve_config,
     run_strategy,
+    slot_cover,
     solve_model,
     solution_from_json,
     solution_to_json,
@@ -37,8 +36,8 @@ from dcflex.optimizer import (
 from dcflex.signals import GaussianEnvelope, VaRTable, inverse_normal_cdf
 from dcflex.simplex import ITERATION_LIMIT, LPResult
 from dcflex.standard_form import StandardFormModel
-from dcflex.validate import validate_solution
-from dcflex.workload import load_matrix
+from dcflex.validate import queue_backlog, validate_solution
+from dcflex.workload import cluster_energies_mwh, load_matrix
 from test_mps import external_command  # noqa: F401  (fixture)
 
 
@@ -136,16 +135,15 @@ class TestBuildModel:
 class TestQueueBaseline:
     def test_constant_without_arrivals_or_load(self):
         inst, cfg, _, _ = tiny_setup()
-        const, coeffs = queue_baseline_expr(inst, 1.0, 2, 0.0)
+        const = queue_backlog(inst, inst.x_base, 1.0, [0.0])[0, 1]
         assert const == pytest.approx(4.0)
-        assert coeffs == {}
+        assert not slot_cover(inst.n_slots, 1.0, 0.0).any()
 
     def test_telescoping_example(self):
         # Arrivals [3.4, 1.7], service from the baseline schedule.
         inst, cfg, _, _ = tiny_setup()
         x = inst.x_base
-        v1 = queue_baseline_value(inst, 1.0, 1, 1.0, x)
-        v2 = queue_baseline_value(inst, 1.0, 1, 2.0, x)
+        v1, v2 = queue_backlog(inst, x, 1.0, [1.0, 2.0])[:, 0]
         served = load_matrix(x, inst.jobs, 1.0)[0]
         assert v1 == pytest.approx(4.0 + 3.4 - served[0])
         assert v2 == pytest.approx(4.0 + 3.4 + 1.7 - served[0] - served[1])
@@ -153,8 +151,7 @@ class TestQueueBaseline:
     def test_sub_slot_proration(self):
         inst, cfg, _, _ = tiny_setup()
         x = inst.x_base
-        half = queue_baseline_value(inst, 1.0, 1, 0.5, x)
-        full = queue_baseline_value(inst, 1.0, 1, 1.0, x)
+        half, full = queue_backlog(inst, x, 1.0, [0.5, 1.0])[:, 0]
         assert half == pytest.approx((4.0 + full) / 2.0)
 
     def test_checkpoint_layout(self):
@@ -437,14 +434,17 @@ def test_model_text_is_byte_stable():
     digests = {k: hashlib.sha256(model_to_mps(m).encode()).hexdigest() for k, m in models.items()}
     assert digests == MPS_SHA256
 
-    # The emitted queue rows carry exactly the reference expression's x terms.
+    # The emitted queue rows carry exactly -cover[t] * E_i on every x term.
     model = models["plain"]
     names = [v.name for v in model.variables]
     rows = {row.name: row for row in model.rows}
+    energies = cluster_energies_mwh(inst.jobs)
     for cp in queue_check_points(inst.n_slots, cfg.slot_hours, cfg.var_horizons):
         htag = format(cp.horizon_hours, "g").replace(".", "p")
+        cover = slot_cover(inst.n_slots, cfg.slot_hours, cp.tau_hours)
+        coeffs = {(i, t + 1): -(cover[t] * e) for t in np.flatnonzero(cover)
+                  for i, e in enumerate(energies) if e != 0.0}
         for l in range(1, inst.n_dc + 1):
-            _, coeffs = queue_baseline_expr(inst, cfg.slot_hours, l, cp.tau_hours)
             row = rows[f"qhi_{l}_{cp.slot}_{htag}"]
             emitted = {names[j]: c for j, c in row.coeffs if names[j].startswith("x_")}
             assert emitted == {f"x_{i + 1}_{t}_{l}": c for (i, t), c in coeffs.items()}

@@ -20,12 +20,12 @@ from dcflex.optimizer import (
     FittedSignal,
     allowed_cells,
     chance_coefficient,
-    queue_baseline_value,
     queue_check_points,
     resolve_config,
     run_strategy,
 )
 from dcflex.signals import GaussianEnvelope, VaRTable
+from dcflex.validate import queue_backlog
 from dcflex.workload import load_matrix, resource_usage
 
 
@@ -95,10 +95,11 @@ def capacity_revenue(inst, cfg, x, nodal, ccoef, rev_rate, points, table):
             if chance_room < -1e-9:
                 return None
             caps[l - 1, t - 1] = min(caps[l - 1, t - 1], chance_room / ccoef)
-    for cp in points:
+    backlog = queue_backlog(inst, x, dh, [cp.tau_hours for cp in points])
+    for cp, q_cp in zip(points, backlog):
         s_lo, s_hi = table.bounds(cp.horizon_hours)
         for l in range(1, inst.n_dc + 1):
-            q_base = queue_baseline_value(inst, dh, l, cp.tau_hours, x)
+            q_base = q_cp[l - 1]
             hi_room = inst.queue.q_max[l - 1] - q_base
             lo_room = q_base - inst.queue.q_min[l - 1]
             if hi_room < -1e-9 or lo_room < -1e-9:

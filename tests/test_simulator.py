@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dcflex.instance import build_synthetic, fit_signal_artifacts, small_params
-from dcflex.optimizer import queue_baseline_value, resolve_config, run_strategy
+from dcflex.optimizer import resolve_config, run_strategy
 from dcflex.signals import RegulationTrace
 from dcflex.simulator import (
     aggregate,
@@ -16,6 +16,7 @@ from dcflex.simulator import (
     simulate,
     write_series_csv,
 )
+from dcflex.validate import queue_backlog
 
 
 @pytest.fixture(scope="module")
@@ -65,10 +66,11 @@ class TestSimulate:
         needed = int(inst.n_slots * cfg.slot_hours * 3600 / held.dt_seconds)
         res = simulate(inst, cfg, sol, RegulationTrace(np.zeros(needed), held.dt_seconds))
         per_slot = res.samples_per_slot
+        backlog = queue_backlog(inst, sol.x, cfg.slot_hours,
+                                np.arange(1, inst.n_slots + 1) * cfg.slot_hours)
         for l in range(1, inst.n_dc + 1):
             for t in range(1, inst.n_slots + 1):
-                expected = queue_baseline_value(inst, cfg.slot_hours, l,
-                                                t * cfg.slot_hours, sol.x)
+                expected = backlog[t - 1, l - 1]
                 assert res.queue[l - 1, t * per_slot] == pytest.approx(expected, abs=1e-9)
 
     def test_energy_telescoping_identity(self, solved):

@@ -6,12 +6,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import dcflex.optimizer as optimizer
 from conftest import tiny_config, tiny_instance
 from dcflex.instance import (DEMO_SEED, demo_params, fit_signal_artifacts, generate_instance,
                              load_bundle)
-from dcflex.optimizer import FittedSignal, run_strategy
+from dcflex.optimizer import (FittedSignal, build_model, build_per_dc_model,
+                              build_regulation_only_model, queue_check_points, resolve_config,
+                              run_strategy)
 from dcflex.signals import GaussianEnvelope, VaRTable
-from dcflex.validate import qos_deviation_report, validate_solution
+from dcflex.validate import queue_backlog, qos_deviation_report, validate_solution
+from test_optimizer import tiny_setup
 
 
 def solved_tiny():
@@ -137,3 +141,53 @@ def test_qos_baseline_looks_dcs_up_by_id(demo_solved, tmp_path, ids):
     assert validate_solution(moved, cfg, fitted, moved_sol).ok
     assert np.allclose(qos_deviation_report(moved, moved_sol), qos_deviation_report(inst, sol),
                        rtol=0.0, atol=1e-9)
+
+
+def test_a_fault_in_the_builders_queue_rows_is_caught(demo_solved, monkeypatch):
+    # Understating the elapsed share of every slot by 5 % touches only the
+    # qhi/qlo rows; the check re-derives the backlog and must flag the
+    # schedule those rows admit.
+    _, inst, cfg, fitted, _ = demo_solved
+    cover = optimizer.slot_cover
+    monkeypatch.setattr(optimizer, "slot_cover", lambda *args: 0.95 * cover(*args))
+    sol = run_strategy(inst, cfg, fitted)
+    families = {v.family for v in validate_solution(inst, cfg, fitted, sol).violations}
+    assert "queue_hi" in families
+
+
+@pytest.mark.parametrize("case", ["tiny", "demo"])
+def test_builder_queue_rows_match_the_closed_form_backlog(demo_solved, case):
+    if case == "tiny":
+        inst, cfg, moments, table = tiny_setup()
+    else:
+        _, inst, cfg, fitted, _ = demo_solved
+        cfg = resolve_config(cfg, inst.n_slots, fitted.mean_abs)
+        moments, table = fitted.moments(cfg.signal_model), fitted.var_table
+    x = np.random.default_rng(7).uniform(size=(len(inst.jobs), inst.n_slots, inst.n_dc))
+    points = queue_check_points(inst.n_slots, cfg.slot_hours, cfg.var_horizons)
+    point_of = {(cp.slot, format(cp.horizon_hours, "g").replace(".", "p")): k
+                for k, cp in enumerate(points)}
+
+    def check(model, x_seen):
+        """q_bound - rhs plus the row's x terms at x_seen is the backlog."""
+        backlog = queue_backlog(inst, x_seen, cfg.slot_hours, [cp.tau_hours for cp in points])
+        names = [v.name for v in model.variables]
+        rows = [row for row in model.rows if row.name.startswith(("qhi_", "qlo_"))]
+        assert rows
+        for row in rows:
+            kind, l, slot, htag = row.name.split("_")
+            bound = inst.queue.q_max if kind == "qhi" else inst.queue.q_min
+            got = float(bound[int(l) - 1]) - row.rhs
+            for j, c in row.coeffs:
+                if names[j].startswith("x_"):
+                    i, t, dc = (int(k) - 1 for k in names[j].split("_")[1:])
+                    got += c * x_seen[i, t, dc]
+            expected = backlog[point_of[(int(slot), htag)], int(l) - 1]
+            assert abs(got - expected) <= 1e-9 * max(1.0, abs(expected)), row.name
+
+    check(build_model(inst, cfg, moments, table), x)
+    for l in range(1, inst.n_dc + 1):
+        members = [inst.baseline_dc(i)[1] == l for i in range(len(inst.jobs))]
+        check(build_per_dc_model(inst, cfg, moments, table, l)[0],
+              x * np.array(members)[:, None, None])
+    check(build_regulation_only_model(inst, cfg, moments, table, x), x)
