@@ -30,7 +30,6 @@ from .workload import (
     baseline_assignment,
     effective_latency,
     qos_deviation,
-    resource_usage,
 )
 from .grid import Bus, Generator, GridCase, Line, line_flow, power_balance_residual, validate_case
 from .standard_form import LinearRow, StandardFormModel, Variable
@@ -81,7 +80,6 @@ __all__ = [
     "baseline_assignment",
     "effective_latency",
     "qos_deviation",
-    "resource_usage",
     "Bus",
     "Generator",
     "GridCase",

@@ -48,7 +48,7 @@ from .signals import (
 )
 from .simplex import INFEASIBLE, OPTIMAL, solve_lp
 from .spacetime import SpaceTimeIndex, VirtualLink
-from .standard_form import INF, SolverError, StandardFormModel, presolve
+from .standard_form import FEAS_TOL, INF, SolverError, StandardFormModel, presolve
 from .workload import (
     LatencyMap,
     baseline_assignment,
@@ -354,8 +354,9 @@ class Solution:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Solution":
-        """Inverse of to_dict; an x entry outside ``dims``, or an array
-        whose shape disagrees with them, raises ValueError."""
+        """Inverse of to_dict; an x entry outside ``dims``, an array whose
+        shape disagrees with them, or a NaN or infinite number raises
+        ValueError naming the field."""
         dims = data["dims"]
         shape = (dims["clusters"], dims["slots"], dims["dcs"])
         x = np.zeros(shape)
@@ -364,11 +365,15 @@ class Solution:
             if len(cell) != 3 or not all(isinstance(k, int) and 1 <= k <= n
                                          for k, n in zip(cell, shape)):
                 raise ValueError(f"x entry {entry} lies outside dims {dims}")
+            if not _finite_numbers(v):
+                raise ValueError(f"x entry {entry} holds {v!r}, not a finite number")
             x[cell[0] - 1, cell[1] - 1, cell[2] - 1] = v
         arrays = {key: np.asarray(data[key], dtype=float) for key in ("R", "p", "u", "theta", "q")}
         for key, arr in arrays.items():
             if arr.ndim != 2 or arr.shape[1] != shape[1] or (key == "R" and len(arr) != shape[2]):
                 raise ValueError(f"{key} has shape {arr.shape}, which disagrees with dims {dims}")
+            if not _finite_numbers(arr.ravel()):
+                raise ValueError(f"{key} holds a number that is not finite")
         br = data["breakdown"]
         return cls(
             x=x,
@@ -886,7 +891,7 @@ def build_regulation_only_model(inst: ProblemInstance, cfg: ModelConfig,
 
 def _absorb_frozen_round_off(model: StandardFormModel) -> int:
     """Relax the rows of a regulation-only model that its frozen schedule
-    alone breaks by at most validate.FEAS_TOL; returns how many.
+    alone breaks by at most FEAS_TOL; returns how many.
 
     Every column is an R >= 0, so at R = 0 each row's activity is 0 and a
     right-hand side on the wrong side of 0 is the schedule's own excess.
@@ -895,8 +900,6 @@ def _absorb_frozen_round_off(model: StandardFormModel) -> int:
     validate_solution still judges the final point. A larger excess is
     left for the solver to prove infeasible.
     """
-    from .validate import FEAS_TOL  # validate imports this module
-
     relaxed = 0
     for row in model.rows:
         excess = row.rhs if row.sense == ">=" else -row.rhs

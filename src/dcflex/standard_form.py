@@ -17,6 +17,9 @@ INF = float("inf")
 # Relative tolerance of the sense check on a row presolve leaves empty, and
 # of the phase-1 residue the bundled simplex accepts.
 EMPTY_ROW_TOL = 1e-7
+# Absolute excess up to which a solution meets a constraint, both in
+# validate_solution and for the round-off a frozen schedule may carry.
+FEAS_TOL = 1e-6
 
 
 class SolverError(RuntimeError):

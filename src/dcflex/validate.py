@@ -2,8 +2,9 @@
 
 Re-evaluates every constraint family directly from instance data and the
 solved arrays, without touching the model rows, so solver and model-
-assembly defects cannot hide each other. Feasibility is judged at 1e-6
-with the power balance held to 1e-6 MW per (bus, slot).
+assembly defects cannot hide each other. Every family is judged at the
+one tolerance FEAS_TOL (1e-6, in the family's own units); QoS scales it by
+the slot's scheduled mass.
 
 Three definitions are shared with the optimizer because they state the
 model's inputs rather than emit its rows: queue_check_points (the VaR
@@ -26,10 +27,8 @@ from .optimizer import (
     chance_coefficient,
     queue_check_points,
 )
-from .workload import load_matrix, qos_deviation, resource_usage
-
-FEAS_TOL = 1e-6
-BALANCE_TOL = 1e-6
+from .standard_form import FEAS_TOL
+from .workload import load_matrix, qos_deviation
 
 
 @dataclass
@@ -50,9 +49,14 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def add(self, family: str, where: str, amount: float, tol: float = FEAS_TOL):
-        if amount > tol:
-            self.violations.append(Violation(family, where, float(amount)))
+    def add(self, family: str, amounts, where, tol=FEAS_TOL):
+        """Record each entry of ``amounts`` past ``tol``, a scalar or an
+        array of the same shape. ``where(*index)`` labels an entry of an
+        array; a scalar check passes its label as a string."""
+        amounts = np.asarray(amounts, dtype=float)
+        for index in map(tuple, np.argwhere(amounts > tol)):
+            label = where(*index) if callable(where) else where
+            self.violations.append(Violation(family, label, float(amounts[index])))
 
     def to_dict(self) -> dict:
         return {
@@ -82,115 +86,106 @@ def validate_solution(
     fitted: FittedSignal,
     solution: Solution,
 ) -> ValidationReport:
-    """Re-check a solution against every constraint family at FEAS_TOL."""
+    """Re-check a solution against every constraint family at FEAS_TOL.
+
+    Each family is one array of excess amounts over its own index: clusters,
+    (DC, slot), (checkpoint, DC), lines, generators or (generator, slot)."""
     report = ValidationReport()
-    x = solution.x
-    m, t_total, n_dc = x.shape
+    x, reg, p, u, theta = solution.x, solution.reg, solution.gen, solution.commit, solution.theta
     dh = cfg.slot_hours
+    jobs, dcs, gens, lines = inst.jobs, inst.dcs, inst.grid.generators, inst.grid.lines
+
+    def stack(items, name):
+        return np.array([getattr(item, name) for item in items])
+
+    def cluster(i):
+        return f"cluster {jobs[i].id}"
+
+    def dc_slot(l, t):
+        return f"dc {dcs[l].id} slot {t + 1}"
+
+    def gen(g, t=None):  # ramp entry t is the step into 1-based slot t + 2
+        return f"gen {gens[g].id}" if t is None else f"gen {gens[g].id} slot {t + 2}"
 
     # Schedule box, completeness, and pin structure.
-    report.add("x_bounds", "min", float(-(x.min())))
-    report.add("x_bounds", "max", float(x.max() - 1.0))
+    report.add("x_bounds", -x.min(), "min")
+    report.add("x_bounds", x.max() - 1.0, "max")
     if cfg.integral_x:
-        report.add("x_integral", "max |x - round(x)|", float(np.max(np.abs(x - np.round(x)))))
-    totals = x.sum(axis=(1, 2))
-    for i in range(m):
-        report.add("completion", f"cluster {inst.jobs[i].id}", abs(totals[i] - 1.0))
+        report.add("x_integral", np.max(np.abs(x - np.round(x))), "max |x - round(x)|")
+    report.add("completion", np.abs(x.sum(axis=(1, 2)) - 1.0), cluster)
     # Independent placement stays inside the mode's cells too (temporal
-    # moves at the baseline DC), so one pin check covers all strategies.
-    for i in range(m):
+    # moves at the baseline DC), so one pin check covers all strategies. A
+    # single-cell cluster must match its baseline everywhere; any other
+    # must leave the cells outside its mode empty.
+    allowed = np.zeros(x.shape, dtype=bool)
+    pinned = np.zeros(len(jobs), dtype=bool)
+    for i in range(len(jobs)):
         cells = allowed_cells(inst, cfg, i)
-        stray = 0.0
-        for t in range(1, t_total + 1):
-            for l in range(1, n_dc + 1):
-                v = float(x[i, t - 1, l - 1])
-                if len(cells) == 1:
-                    stray = max(stray, abs(v - float(inst.x_base[i, t - 1, l - 1])))
-                elif (t, l) not in cells:
-                    stray = max(stray, v)
-        report.add("mode_pins", f"cluster {inst.jobs[i].id}", stray)
+        slots, cols = np.array(list(cells)).T - 1
+        allowed[i, slots, cols] = True
+        pinned[i] = len(cells) == 1
+    stray = np.where(pinned[:, None, None], np.abs(x - inst.x_base), np.where(allowed, 0.0, x))
+    report.add("mode_pins", stray.max(axis=(1, 2)), cluster)
 
     # Resource capacities.
-    for l, dc in enumerate(inst.dcs, start=1):
-        for t in range(1, t_total + 1):
-            cpu, mem, io = resource_usage(x, inst.jobs, l, t)
-            report.add("cpu_cap", f"dc {dc.id} slot {t}", cpu - dc.cpu_cap[t - 1])
-            report.add("mem_cap", f"dc {dc.id} slot {t}", mem - dc.mem_cap[t - 1])
-            report.add("io_cap", f"dc {dc.id} slot {t}", io - dc.io_cap[t - 1])
+    mass = x * stack(jobs, "weight")[:, None, None]
+    for family, need in (("cpu_cap", "r_cpu"), ("mem_cap", "r_mem"), ("io_cap", "r_io")):
+        usage = (mass * stack(jobs, need)[:, None, None]).sum(axis=0).T
+        report.add(family, usage - stack(dcs, family), dc_slot)
 
     # QoS (linearized form, matching the optimizer's rows).
-    base_lat = inst.baseline_latency
-    for t in range(1, t_total + 1):
-        num = 0.0
-        den = 0.0
-        for i, job in enumerate(inst.jobs):
-            for l in range(1, n_dc + 1):
-                w = float(x[i, t - 1, l - 1])
-                num += inst.latency.latency(job.user_region, inst.dcs[l - 1].id) * w
-                den += w
-        bound = (base_lat[t - 1] + cfg.delta_qos) * den
-        report.add("qos", f"slot {t}", num - bound, FEAS_TOL * max(1.0, den))
+    lat = np.array([[inst.latency.latency(job.user_region, dc.id) for dc in dcs] for job in jobs])
+    num = (lat[:, None, :] * x).sum(axis=(0, 2))
+    den = x.sum(axis=(0, 2))
+    report.add("qos", num - (inst.baseline_latency + cfg.delta_qos) * den,
+               lambda t: f"slot {t + 1}", FEAS_TOL * np.maximum(1.0, den))
 
     # Regulation power envelope: deterministic cap and chance constraint.
-    nodal = load_matrix(x, inst.jobs, dh)
-    moments = fitted.moments(cfg.signal_model)
-    ccoef = chance_coefficient(moments, cfg.eps_p, cfg.extra_signal_variance)
-    reg = solution.reg
-    report.add("reg_nonneg", "min", float(-(reg.min())))
-    for l, dc in enumerate(inst.dcs, start=1):
-        for t in range(1, t_total + 1):
-            load = nodal[l - 1, t - 1]
-            r = reg[l - 1, t - 1]
-            report.add("power_cap", f"dc {dc.id} slot {t}",
-                       load + r - dc.p_max[t - 1])
-            report.add("chance", f"dc {dc.id} slot {t}",
-                       ccoef * r - (load - dc.p_min[t - 1]))
+    nodal = load_matrix(x, jobs, dh)
+    ccoef = chance_coefficient(fitted.moments(cfg.signal_model), cfg.eps_p,
+                               cfg.extra_signal_variance)
+    report.add("reg_nonneg", -reg.min(), "min")
+    report.add("power_cap", nodal + reg - stack(dcs, "p_max"), dc_slot)
+    report.add("chance", ccoef * reg - (nodal - stack(dcs, "p_min")), dc_slot)
 
     # Queue VaR rows at every checkpoint, on the closed-form backlog.
-    points = queue_check_points(t_total, dh, cfg.var_horizons)
+    points = queue_check_points(x.shape[1], dh, cfg.var_horizons)
     backlog = queue_backlog(inst, x, dh, [cp.tau_hours for cp in points])
-    for cp, q_base in zip(points, backlog):
-        s_lo, s_hi = fitted.var_table.bounds(cp.horizon_hours)
-        r = reg[:, cp.slot - 1]
-        for l, dc in enumerate(inst.dcs):
-            where = f"dc {dc.id} tau {cp.tau_hours:g}h win {cp.horizon_hours:g}h"
-            report.add("queue_hi", where, q_base[l] + r[l] * s_hi - inst.queue.q_max[l])
-            report.add("queue_lo", where, inst.queue.q_min[l] - (q_base[l] + r[l] * s_lo))
+    s_lo, s_hi = np.array([fitted.var_table.bounds(cp.horizon_hours) for cp in points]).T[:, :, None]
+    r = reg[:, [cp.slot - 1 for cp in points]].T
+
+    def checkpoint(k, l):
+        return f"dc {dcs[l].id} tau {points[k].tau_hours:g}h win {points[k].horizon_hours:g}h"
+
+    report.add("queue_hi", backlog + r * s_hi - inst.queue.q_max, checkpoint)
+    report.add("queue_lo", inst.queue.q_min - (backlog + r * s_lo), checkpoint)
 
     # Grid: balance residual, line limits, generator envelope, ramps.
     residual = power_balance_residual(
-        inst.grid, solution.gen, solution.theta, solution.shed, nodal,
-        [dc.bus for dc in inst.dcs],
-    )
-    report.add("power_balance", "max |residual|", float(np.max(np.abs(residual))), BALANCE_TOL)
-    for k, line in enumerate(inst.grid.lines, start=1):
-        fpos = inst.grid.bus_position(line.from_bus)
-        tpos = inst.grid.bus_position(line.to_bus)
-        flow = line_flow(solution.theta[fpos], solution.theta[tpos], line)
-        worst = float(np.max(np.abs(flow)) - line.limit_mw)
-        report.add("line_limit", f"line {line.id}", worst)
-    for g, gen in enumerate(inst.grid.generators):
-        u = solution.commit[g]
-        p = solution.gen[g]
-        report.add("commit_binary", f"gen {gen.id}",
-                   float(np.max(np.abs(u - np.round(u)))), 1e-6)
-        report.add("gen_max", f"gen {gen.id}", float(np.max(p - gen.p_max * u)))
-        report.add("gen_min", f"gen {gen.id}", float(np.max(gen.p_min * u - p)))
-        for t in range(1, t_total):
-            up = p[t] - p[t - 1] - gen.ramp_up * u[t - 1] - gen.startup_ramp * (u[t] - u[t - 1])
-            dn = p[t - 1] - p[t] - gen.ramp_down * u[t] - gen.shutdown_ramp * (u[t - 1] - u[t])
-            report.add("ramp_up", f"gen {gen.id} slot {t + 1}", float(up))
-            report.add("ramp_down", f"gen {gen.id} slot {t + 1}", float(dn))
-    report.add("shed_nonneg", "min", float(-(solution.shed.min())))
-    slack_pos = inst.grid.bus_position(inst.grid.slack_bus)
-    report.add("slack_angle", "max |theta|", float(np.max(np.abs(solution.theta[slack_pos]))))
+        inst.grid, p, theta, solution.shed, nodal, [dc.bus for dc in dcs])
+    report.add("power_balance", np.max(np.abs(residual)), "max |residual|")
+    pos = inst.grid.bus_position
+    report.add("line_limit", [np.max(np.abs(line_flow(theta[pos(ln.from_bus)],
+                                                      theta[pos(ln.to_bus)], ln))) - ln.limit_mw
+                              for ln in lines], lambda k: f"line {lines[k].id}")
+    ramp_up, ramp_dn, start, stop, p_min, p_max = (
+        stack(gens, name)[:, None] for name in
+        ("ramp_up", "ramp_down", "startup_ramp", "shutdown_ramp", "p_min", "p_max"))
+    report.add("commit_binary", np.max(np.abs(u - np.round(u)), axis=1), gen)
+    report.add("gen_max", np.max(p - p_max * u, axis=1), gen)
+    report.add("gen_min", np.max(p_min * u - p, axis=1), gen)
+    report.add("ramp_up", p[:, 1:] - p[:, :-1] - ramp_up * u[:, :-1]
+               - start * (u[:, 1:] - u[:, :-1]), gen)
+    report.add("ramp_down", p[:, :-1] - p[:, 1:] - ramp_dn * u[:, 1:]
+               - stop * (u[:, :-1] - u[:, 1:]), gen)
+    report.add("shed_nonneg", -solution.shed.min(), "min")
+    report.add("slack_angle", np.max(np.abs(theta[pos(inst.grid.slack_bus)])), "max |theta|")
 
     # Objective bookkeeping (migration term is zero unless the hook is on).
     recomputed = (solution.generation_cost + solution.penalty_cost
                   + solution.migration_cost - solution.regulation_revenue)
     scale = max(1.0, abs(solution.objective_total))
-    report.add("objective_identity", "total",
-               abs(recomputed - solution.objective_total) / scale, 1e-6)
+    report.add("objective_identity", abs(recomputed - solution.objective_total) / scale, "total")
     return report
 
 

@@ -221,18 +221,6 @@ def qos_deviation(x: np.ndarray, x_base: np.ndarray, jobs, latmap: LatencyMap,
     return out
 
 
-def resource_usage(x: np.ndarray, jobs, l: int, t: int) -> tuple[float, float, float]:
-    """(cpu, mem, io) consumed at DC l, slot t (both 1-based)."""
-    x = np.asarray(x)
-    cpu = mem = io = 0.0
-    for i, job in enumerate(jobs):
-        w = float(x[i, t - 1, l - 1]) * job.weight
-        cpu += w * job.r_cpu
-        mem += w * job.r_mem
-        io += w * job.r_io
-    return cpu, mem, io
-
-
 def baseline_assignment(jobs, latmap: LatencyMap, dcs) -> np.ndarray:
     """Greedy nominal assignment: whole cluster at arrival slot, nearest DC.
 

@@ -308,24 +308,30 @@ class TestSimulate:
             digests.append(json.loads((out / "sim_summary.json").read_text())["digest"])
         assert digests[0] == digests[1]
 
-    @pytest.mark.parametrize("break_solution", [
-        lambda doc: doc["x"][0].__setitem__(0, 99),
-        lambda doc: doc["x"][0].__setitem__(0, 1.5),
-        lambda doc: doc["R"].pop(),
-        lambda doc: [row.pop() for row in doc["R"]],
-        lambda doc: doc["dims"].__setitem__("clusters", doc["dims"]["clusters"] + 1),
-    ], ids=["x_outside_dims", "x_cell_not_an_integer", "R_missing_a_dc", "R_missing_a_slot", "dims_off_the_bundle"])
+    @pytest.mark.parametrize("break_solution, named", [
+        (lambda doc: doc["x"][0].__setitem__(0, 99), "x entry"),
+        (lambda doc: doc["x"][0].__setitem__(0, 1.5), "x entry"),
+        (lambda doc: doc["x"][0].__setitem__(3, float("nan")), "x entry"),
+        (lambda doc: doc["R"].pop(), "R has shape"),
+        (lambda doc: [row.pop() for row in doc["R"]], "R has shape"),
+        (lambda doc: doc["R"][0].__setitem__(0, float("inf")), "R holds"),
+        (lambda doc: doc["dims"].__setitem__("clusters", doc["dims"]["clusters"] + 1),
+         "(clusters, slots, dcs)"),
+    ], ids=["x_outside_dims", "x_cell_not_an_integer", "x_value_nan", "R_missing_a_dc",
+            "R_missing_a_slot", "R_value_infinite", "dims_off_the_bundle"])
     def test_solution_that_does_not_fit_exits_4_with_one_line(self, bundle, solved_dir,
-                                                              tmp_path, break_solution):
+                                                              tmp_path, break_solution, named):
         doc = json.loads((solved_dir / "solution.json").read_text())
         break_solution(doc)
         path = tmp_path / "solution.json"
         path.write_text(json.dumps(doc))
+        out = tmp_path / "sim"
         proc = run_child("simulate", "--bundle", bundle, "--solution", path,
-                         "--out", tmp_path / "sim", "--scenarios", "2", "--seed", "7", "--quiet")
+                         "--out", out, "--scenarios", "2", "--seed", "7", "--quiet")
         lines = proc.stderr.splitlines()
         assert proc.returncode == EXIT_INPUT and len(lines) == 1, proc.stderr
-        assert lines[0].startswith("error: ") and "solution.json" in lines[0], lines
+        assert lines[0].startswith(f"error: {path}: {named}"), lines
+        assert not (out / "sim_summary.json").exists()
 
 
 class TestCompare:

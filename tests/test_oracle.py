@@ -26,7 +26,7 @@ from dcflex.optimizer import (
 )
 from dcflex.signals import GaussianEnvelope, VaRTable
 from dcflex.validate import queue_backlog
-from dcflex.workload import load_matrix, resource_usage
+from dcflex.workload import load_matrix
 
 
 def oracle_best_objective(inst, cfg, moments, table):
@@ -64,13 +64,13 @@ def oracle_best_objective(inst, cfg, moments, table):
 
 
 def schedule_feasible(inst, cfg, x, base_lat):
-    for l in range(1, inst.n_dc + 1):
-        dc = inst.dcs[l - 1]
-        for t in range(1, inst.n_slots + 1):
-            cpu, mem, io = resource_usage(x, inst.jobs, l, t)
-            if cpu > dc.cpu_cap[t - 1] + 1e-9 or mem > dc.mem_cap[t - 1] + 1e-9 \
-                    or io > dc.io_cap[t - 1] + 1e-9:
-                return False
+    for l, dc in enumerate(inst.dcs):
+        for t in range(inst.n_slots):
+            for cap, need in ((dc.cpu_cap, "r_cpu"), (dc.mem_cap, "r_mem"), (dc.io_cap, "r_io")):
+                used = sum(x[i, t, l] * job.weight * getattr(job, need)
+                           for i, job in enumerate(inst.jobs))
+                if used > cap[t] + 1e-9:
+                    return False
     for t in range(1, inst.n_slots + 1):
         num = den = 0.0
         for i, job in enumerate(inst.jobs):

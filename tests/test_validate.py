@@ -14,6 +14,7 @@ from dcflex.optimizer import (FittedSignal, build_model, build_per_dc_model,
                               build_regulation_only_model, queue_check_points, resolve_config,
                               run_strategy)
 from dcflex.signals import GaussianEnvelope, VaRTable
+from dcflex.standard_form import FEAS_TOL
 from dcflex.validate import queue_backlog, qos_deviation_report, validate_solution
 from test_optimizer import tiny_setup
 
@@ -96,6 +97,97 @@ class TestValidator:
         inst, cfg, fitted, sol = solved_tiny()
         doc = validate_solution(inst, cfg, fitted, sol).to_dict()
         assert doc["ok"] is True and doc["violations"] == []
+
+
+def at(field, index, value):
+    """Edit: set one entry of a solution array."""
+    def edit(inst, cfg, fitted, sol):
+        getattr(sol, field)[index] = value
+        return inst, cfg, fitted, sol
+    return edit
+
+
+def cfg_with(**changes):
+    """Edit: replace fields of the run's config."""
+    def edit(inst, cfg, fitted, sol):
+        return inst, replace(cfg, **changes), fitted, sol
+    return edit
+
+
+def dc1_slot2(**values):
+    """Edit: set DC 1's slot-2 entry of each named capacity profile. The
+    solved tiny schedule uses cpu 1000, mem 1000 and io 500 there."""
+    def edit(inst, cfg, fitted, sol):
+        changes = {}
+        for name, value in values.items():
+            profile = getattr(inst.dcs[0], name).copy()
+            profile[1] = value
+            changes[name] = profile
+        dcs = (replace(inst.dcs[0], **changes),) + inst.dcs[1:]
+        return replace(inst, dcs=dcs), cfg, fitted, sol
+    return edit
+
+
+def var_bounds(**bounds):
+    """Edit: replace the VaR table's s_low/s_high over horizons 0.5, 1, 2 h."""
+    def edit(inst, cfg, fitted, sol):
+        return inst, cfg, replace(fitted, var_table=replace(fitted.var_table, **bounds)), sol
+    return edit
+
+
+def edited(*edits):
+    inst, cfg, fitted, sol = solved_tiny()
+    case = inst, cfg, fitted, copy.deepcopy(sol)
+    for edit in edits:
+        case = edit(*case)
+    return validate_solution(*case)
+
+
+# Each edit breaks one family of the solved tiny instance at one place: x
+# is 1 at (fix, slot 1, dc 1), (int, 2, 2) and (def, 2, 1); R is (5.6,
+# 3.79, 0) at DC 1 and (0, 5.685, 0) at DC 2; generator 1 runs 10.4,
+# 15.25, 9 MW in [1, 25] MW with ramps of 20 MW.
+FAMILY_BREAKS = [
+    ("x_bounds", "min", [at("x", (2, 1, 0), -0.5)]),
+    ("x_integral", "max |x - round(x)|",
+     [cfg_with(integral_x=True), at("x", (2, 1, 0), 0.5), at("x", (2, 0, 0), 0.5)]),
+    ("completion", "cluster def", [at("x", (2, 1, 0), 0.5)]),
+    ("mode_pins", "cluster def",
+     [cfg_with(shifting_mode="none"), at("x", (2, 1, 0), 0.0), at("x", (2, 2, 1), 1.0)]),
+    ("cpu_cap", "dc 1 slot 2", [dc1_slot2(cpu_cap=1000.0 - 2 * FEAS_TOL)]),
+    ("mem_cap", "dc 1 slot 2", [dc1_slot2(mem_cap=1000.0 - 2 * FEAS_TOL)]),
+    ("io_cap", "dc 1 slot 2", [dc1_slot2(io_cap=500.0 - 2 * FEAS_TOL)]),
+    ("qos", "slot 2", [cfg_with(delta_qos=0.0), at("x", (2, 1, 0), 0.0), at("x", (2, 1, 1), 1.0)]),
+    ("reg_nonneg", "min", [at("reg", (1, 0), -0.5)]),
+    ("power_cap", "dc 1 slot 1", [at("reg", (0, 0), 6.0)]),
+    ("chance", "dc 2 slot 2", [at("reg", (1, 1), 6.2)]),
+    ("queue_hi", "dc 2 tau 2h win 2h", [var_bounds(s_high=(0.05, 0.05, 0.8))]),
+    ("queue_lo", "dc 2 tau 2h win 2h", [var_bounds(s_low=(-0.05, -0.05, -0.8))]),
+    ("power_balance", "max |residual|", [at("gen", (0, 0), 10.9)]),
+    ("line_limit", "line 1", [at("theta", (1, 1), -2.0)]),
+    ("commit_binary", "gen 1", [at("commit", (0, 0), 0.4)]),
+    ("gen_max", "gen 1", [at("gen", (0, 1), 26.0)]),
+    ("gen_min", "gen 1", [at("gen", (0, 2), 0.5)]),
+    ("ramp_up", "gen 1 slot 2", [at("gen", (0, 0), 2.0), at("gen", (0, 1), 24.0)]),
+    ("ramp_down", "gen 1 slot 3", [at("gen", (0, 1), 24.0), at("gen", (0, 2), 2.0)]),
+    ("shed_nonneg", "min", [at("shed", (0, 0), -0.5)]),
+    ("slack_angle", "max |theta|", [at("theta", (0, 0), 0.1)]),
+    ("objective_identity", "total", [lambda inst, cfg, fitted, sol: (
+        inst, cfg, fitted, replace(sol, objective_total=sol.objective_total + 10.0))]),
+]
+
+
+@pytest.mark.parametrize("family, where, edits", FAMILY_BREAKS,
+                         ids=[family for family, _, _ in FAMILY_BREAKS])
+def test_each_family_reports_its_break(family, where, edits):
+    report = edited(*edits)
+    assert [v.where for v in report.violations if v.family == family] == [where], \
+        [str(v) for v in report.violations]
+
+
+def test_usage_exactly_at_capacity_passes():
+    report = edited(dc1_slot2(cpu_cap=1000.0, mem_cap=1000.0, io_cap=500.0))
+    assert report.ok, [str(v) for v in report.violations]
 
 
 def test_qos_deviation_of_solution_within_tolerance():

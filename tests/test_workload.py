@@ -17,7 +17,6 @@ from dcflex.workload import (
     qos_deviation,
     read_latency_csv,
     read_workload_csv,
-    resource_usage,
     validate_schedule,
     write_latency_csv,
     write_workload_csv,
@@ -160,29 +159,6 @@ class TestBaselineAssignment:
             for j in range(3)
         )
         assert greedy_cost == pytest.approx(best_cost)
-
-
-class TestResourceUsage:
-    def test_zero(self):
-        assert resource_usage(zeros_schedule(1, 1, 1), [cluster()], 1, 1) == (0.0, 0.0, 0.0)
-
-    def test_half_fraction(self):
-        jobs = [cluster(weight=10.0, r_cpu=2.0, r_mem=1.0, r_io=0.0)]
-        x = zeros_schedule(1, 1, 1)
-        x[0, 0, 0] = 0.5
-        cpu, mem, io = resource_usage(x, jobs, 1, 1)
-        assert cpu == pytest.approx(10.0)
-        assert mem == pytest.approx(5.0)
-        assert io == 0.0
-
-    def test_boundary_equality_passes_validation(self):
-        jobs = [cluster(weight=100.0, r_cpu=1.0)]
-        dcs = [DataCenterSpec(1, 1, np.array([100.0]), np.array([1e9]), np.array([1e9]),
-                              np.array([0.0]), np.array([100.0]))]
-        latmap = LatencyMap({("r1", 1): 1.0})
-        x = baseline_assignment(jobs, latmap, dcs)
-        cpu, _, _ = resource_usage(x, jobs, 1, 1)
-        assert cpu == pytest.approx(100.0)
 
 
 class TestQosDeviation:

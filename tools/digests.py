@@ -6,7 +6,7 @@ Run from any directory:
 
 Two checkouts that produce the same outputs print the same text, so a
 before-and-after check of a change is a ``diff`` of two such files. It
-prints three sections:
+prints four sections:
 
 - ``demo``: every artifact of the README demo flow (``gen-instance
   --preset demo --seed 7``, ``fit-signal``, ``solve``, ``simulate
@@ -21,13 +21,21 @@ prints three sections:
   cooperative, independent and decoupled in mode joint and cooperative in
   modes none, spatial and temporal. A cell prints the sha256 of its
   ``solution.json`` text, its objective in hex and whether
-  ``validate_solution`` passed.
+  ``validate_solution`` passed;
+- ``violations``: the demo instance at seed 7 solved under cooperative,
+  independent and decoupled in mode joint, each checked by
+  ``validate_solution`` on 40 seeded perturbations of its solution (a
+  tenth of one array's entries nudged, the array chosen by the seed). A
+  line prints the number of violations and the sha256 of the sorted
+  (perturbation, family, where) list, so it does not depend on the order
+  of a report.
 
 The commands run in this checkout's root, so the ``cmd:`` backend string
 recorded in ``solution.json`` is the same in every checkout. It takes
 about half a minute on two cores.
 """
 
+import copy
 import hashlib
 import json
 import os
@@ -35,6 +43,8 @@ import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
@@ -53,6 +63,8 @@ from dcflex.validate import validate_solution  # noqa: E402
 ADAPTER = "cmd:python3 perfbench/highs_adapter.py"
 CELLS = [(s, "joint") for s in ("cooperative", "independent", "decoupled")]
 CELLS += [("cooperative", m) for m in ("none", "spatial", "temporal")]
+PERTURBATIONS = 40
+PERTURBED = ("x", "reg", "gen", "commit", "theta", "shed")
 
 
 def _sha256(data: bytes) -> str:
@@ -114,6 +126,29 @@ def cells() -> None:
                   f"{sol.objective_total.hex()} {'valid' if ok else 'VIOLATIONS'}")
 
 
+def perturbed(sol, seed: int):
+    """A copy of ``sol`` with a seeded tenth of one array's entries nudged
+    by noise at 5 % of that array's largest magnitude (at least 1)."""
+    rng = np.random.default_rng(seed)
+    out = copy.deepcopy(sol)
+    arr = getattr(out, PERTURBED[seed % len(PERTURBED)])
+    mask = rng.random(arr.shape) < 0.1
+    arr += mask * rng.normal(0.0, 0.05 * max(1.0, float(np.abs(arr).max())), arr.shape)
+    return out
+
+
+def violations() -> None:
+    inst, cfg, trace = build_synthetic(demo_params(), DEMO_SEED)
+    fitted = fit_signal_artifacts(trace, cfg)
+    for strategy, mode in CELLS[:3]:
+        c = replace(cfg, strategy=strategy, shifting_mode=mode)
+        sol = run_strategy(inst, c, fitted)
+        found = sorted((seed, v.family, v.where) for seed in range(PERTURBATIONS)
+                       for v in validate_solution(inst, c, fitted, perturbed(sol, seed)).violations)
+        print(f"violations demo {DEMO_SEED} {strategy} {mode} {len(found)} "
+              f"{_sha256(json.dumps(found).encode())}")
+
+
 def run() -> None:
     os.chdir(ROOT)
     # The cmd: adapter imports dcflex in a child process.
@@ -123,6 +158,7 @@ def run() -> None:
         demo_flow(Path(tmp) / "demo")
         mid_flow(Path(tmp) / "mid")
     cells()
+    violations()
 
 
 if __name__ == "__main__":
