@@ -8,7 +8,6 @@ hashes. Exit codes: 0 success, 2 infeasible model, 3 validation failure,
 
 import argparse
 import csv
-import hashlib
 import json
 import sys
 from dataclasses import dataclass, field, replace
@@ -17,11 +16,14 @@ from pathlib import Path
 import numpy as np
 
 from .instance import (
+    MANIFEST,
     GenParams,
     PRESETS,
     fit_signal_artifacts,
     generate_instance,
     load_bundle,
+    read_manifest,
+    update_manifest,
 )
 from .optimizer import (
     SHIFTING_MODES,
@@ -120,23 +122,6 @@ class ExperimentConfig:
             raise ValueError("no output directory configured")
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _update_manifest(out_dir: Path, paths) -> None:
-    manifest_path = out_dir / "manifest.json"
-    manifest = {}
-    if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    for p in paths:
-        p = Path(p)
-        manifest[str(p.relative_to(out_dir))] = _sha256(p)
-    manifest_path.write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
 def _write_json(path: Path, obj) -> Path:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return path
@@ -195,7 +180,7 @@ def cmd_gen_instance(args) -> int:
     if overrides:
         params = replace(params, **overrides)
     paths = generate_instance(params, args.seed, out)
-    _update_manifest(out, paths)
+    update_manifest(out, paths)
     _say(args, f"wrote instance bundle to {out} (seed {args.seed})")
     return EXIT_OK
 
@@ -240,7 +225,7 @@ def cmd_fit_signal(args) -> int:
         _write_json(out / "var_table.json", table_doc),
         _write_json(out / "fit_report.json", report),
     ]
-    _update_manifest(out, paths)
+    update_manifest(out, paths)
     _say(args, f"fitted signal: mu={env_doc['mu']:.5f} sigma={env_doc['sigma']:.5f} "
                f"(direct sigma {env_doc['direct_sigma']:.5f})")
     return EXIT_OK
@@ -265,7 +250,7 @@ def cmd_solve(args) -> int:
     sol_path = out / "solution.json"
     solution_to_json(solution, inst.jobs, sol_path)
     paths.append(sol_path)
-    _update_manifest(out, paths)
+    update_manifest(out, paths)
     _say(args, f"status {solution.status}; net cost {solution.objective_total:.3f} "
                f"(generation {solution.generation_cost:.3f}, revenue "
                f"{solution.regulation_revenue:.3f}); validation "
@@ -323,7 +308,7 @@ def cmd_simulate(args) -> int:
             repr(agg["realized_revenue_mean"]),
         ])
     paths.append(frontier_path)
-    _update_manifest(out, paths)
+    update_manifest(out, paths)
     _say(args, f"{len(results)} scenarios, power violation rate "
                f"{agg['power_violation_rate_mean']:.5f}, realized revenue "
                f"{agg['realized_revenue_mean']:.3f} of {agg['committed_revenue']:.3f}")
@@ -394,7 +379,7 @@ def cmd_compare(args) -> int:
                              for k, v in row.items()})
     paths.append(table_path)
     paths.append(_write_json(out / "compare.json", {"rows": rows, "errors": errors}))
-    _update_manifest(out, paths)
+    update_manifest(out, paths)
     for row in rows:
         _say(args, f"{row['strategy']:12s} {row['mode']:9s} "
                    f"net {row['net_cost_kusd']:10.4f} k$  "
@@ -406,10 +391,9 @@ def cmd_compare(args) -> int:
 
 def cmd_report(args) -> int:
     out = Path(args.out)
-    manifest_path = out / "manifest.json"
-    if not manifest_path.exists():
-        raise FileNotFoundError(f"{out}: no manifest.json; run a command first")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    if not (out / MANIFEST).exists():
+        raise FileNotFoundError(f"{out}: no {MANIFEST}; run a command first")
+    manifest = read_manifest(out)
     lines = ["# Run report", "", "## Artifacts", ""]
     for name, digest in sorted(manifest.items()):
         lines.append(f"- `{name}` sha256 `{digest[:16]}...`")
@@ -438,7 +422,7 @@ def cmd_report(args) -> int:
                              f"net {row['net_cost_kusd']:.4f} k$")
     report_path = out / "report.md"
     report_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _update_manifest(out, [report_path])
+    update_manifest(out, [report_path])
     _say(args, f"wrote {report_path}")
     return EXIT_OK
 

@@ -1,13 +1,17 @@
 """Instance bundles: on-disk format, loading, and synthetic generation.
 
 A bundle directory holds grid.json, workload.csv, latency.csv, signal.csv,
-dc.json, and config.json. The synthetic generator builds desk-scale
-instances that are feasible by construction (the baseline assignment
-witnesses feasibility of every constraint family) and deterministic per
-seed; presets cover the shipped demo shape and a chance-constraint stress
-shape used for signal-model comparisons.
+dc.json, and config.json. A generated bundle also holds signal.npy, a
+binary copy of signal.csv's columns, and manifest.json, the sha256 of each
+file; this module owns the manifest format of every command's output
+directory. The synthetic generator builds desk-scale instances that are
+feasible by construction (the baseline assignment witnesses feasibility of
+every constraint family) and deterministic per seed; presets cover the
+shipped demo shape and a chance-constraint stress shape used for
+signal-model comparisons.
 """
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -26,6 +30,8 @@ from .signals import (
     generate_trace,
     mean_abs_signal,
     read_trace_csv,
+    trace_columns,
+    trace_from_columns,
     write_trace_csv,
 )
 from .optimizer import FittedSignal
@@ -43,6 +49,8 @@ from .workload import (
 
 BUNDLE_FILES = ("grid.json", "workload.csv", "latency.csv", "signal.csv",
                 "dc.json", "config.json")
+SIGNAL_COPY = "signal.npy"
+MANIFEST = "manifest.json"
 
 CLASS_ENERGY_SHARES = {"fixed": 0.5, "interactive": 0.3, "deferrable": 0.2}
 
@@ -328,12 +336,20 @@ def build_synthetic(params: GenParams, seed: int) -> tuple[ProblemInstance, Mode
 
 def save_bundle(out_dir, inst: ProblemInstance, cfg: ModelConfig,
                 trace: RegulationTrace) -> list[Path]:
+    """Write a bundle; returns the paths written, BUNDLE_FILES then SIGNAL_COPY.
+
+    SIGNAL_COPY holds ``trace_columns(trace)``, bitwise what parsing
+    signal.csv gives. It is derived and safe to delete: ``load_bundle``
+    reads it only once ``update_manifest`` has listed the paths, as
+    ``gen-instance`` does.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_grid_json(inst.grid, out / "grid.json")
     write_workload_csv(inst.jobs, out / "workload.csv")
     write_latency_csv(inst.latency, out / "latency.csv")
     write_trace_csv(trace, out / "signal.csv")
+    np.save(out / SIGNAL_COPY, trace_columns(trace))
     dc_entries = []
     for l, dc in enumerate(inst.dcs):
         dc_entries.append({
@@ -355,13 +371,42 @@ def save_bundle(out_dir, inst: ProblemInstance, cfg: ModelConfig,
     with open(out / "config.json", "w", encoding="utf-8") as fh:
         json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return [out / name for name in BUNDLE_FILES]
+    return [out / name for name in (*BUNDLE_FILES, SIGNAL_COPY)]
 
 
 def generate_instance(params: GenParams, seed: int, out_dir) -> list[Path]:
     """Build and write a complete bundle; deterministic per seed."""
     inst, cfg, trace = build_synthetic(params, seed)
     return save_bundle(out_dir, inst, cfg, trace)
+
+
+def sha256_file(path) -> str:
+    """Hex sha256 of a file's bytes, read in fixed-size chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def read_manifest(directory) -> dict:
+    """A directory's manifest: file name (relative to it) -> sha256."""
+    path = Path(directory) / MANIFEST
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    return manifest
+
+
+def update_manifest(out_dir, paths) -> None:
+    """Record the sha256 of each of ``paths`` in ``out_dir``'s manifest,
+    keeping the entries of other files."""
+    out = Path(out_dir)
+    manifest = read_manifest(out) if (out / MANIFEST).exists() else {}
+    for p in map(Path, paths):
+        manifest[str(p.relative_to(out))] = sha256_file(p)
+    (out / MANIFEST).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+                                encoding="utf-8")
 
 
 def _non_finite(node, where: str = "") -> str | None:
@@ -406,7 +451,34 @@ def _dc_entry(path, k, entry: dict, t_total: int) -> dict:
     return fields
 
 
+def _read_signal(bundle: Path) -> RegulationTrace:
+    """The bundle's trace (see ``load_bundle``); the columns of either
+    file pass the same checks, ``trace_from_columns``."""
+    text, copy = bundle / "signal.csv", bundle / SIGNAL_COPY
+    try:
+        manifest = read_manifest(bundle)
+        fresh = all(manifest.get(p.name) == sha256_file(p) for p in (text, copy))
+        # Mapped, not read: the (n, 2) columns are never copied to the heap,
+        # which lowers the peak RSS of every command that loads a bundle.
+        # The map lives only until trace_from_columns has copied the
+        # samples; a file truncated within that window would fault.
+        columns = np.load(copy, mmap_mode="r", allow_pickle=False) if fresh else None
+    except (OSError, ValueError, EOFError):
+        columns = None
+    if columns is None or columns.dtype != np.float64 or columns.ndim != 2 \
+            or columns.shape[1] != 2:
+        return read_trace_csv(text)
+    return trace_from_columns(columns[:, 0], columns[:, 1], text)
+
+
 def load_bundle(bundle_dir) -> tuple[ProblemInstance, ModelConfig, RegulationTrace]:
+    """Read and validate a bundle directory.
+
+    The trace comes from SIGNAL_COPY only while the manifest holds the
+    sha256 of both it and signal.csv as they are on disk. A hand edit to
+    signal.csv, or a missing or damaged copy or manifest, makes it parse
+    signal.csv instead, so the edit takes effect.
+    """
     bundle = Path(bundle_dir)
     missing = [name for name in BUNDLE_FILES if not (bundle / name).exists()]
     if missing:
@@ -414,7 +486,7 @@ def load_bundle(bundle_dir) -> tuple[ProblemInstance, ModelConfig, RegulationTra
     grid = case_from_dict(_read_json(bundle / "grid.json"))
     jobs = read_workload_csv(bundle / "workload.csv")
     latmap = read_latency_csv(bundle / "latency.csv")
-    trace = read_trace_csv(bundle / "signal.csv")
+    trace = _read_signal(bundle)
     entries = [_dc_entry(bundle / "dc.json", k, entry, grid.n_slots)
                for k, entry in enumerate(_read_json(bundle / "dc.json")["dcs"])]
     dcs = [DataCenterSpec(id=int(e["id"]), bus=int(e["bus"]), cpu_cap=e["cpu_cap"],

@@ -19,6 +19,7 @@ DEFAULT_QUANTILE_GRID = (0.80, 0.85, 0.90, 0.925, 0.95, 0.975, 0.99)
 DEFAULT_VAR_HORIZONS = (0.25, 0.5, 1.0, 2.0, 3.0, 4.0)
 MIN_WINDOWS = 30
 MAX_GRID_LEVEL = 0.99  # highest envelope grid level, so z_q stays finite
+WRITE_CHUNK_ROWS = 1 << 14  # samples per write of write_trace_csv
 
 TRACE_KINDS = ("gaussian", "clipped_gaussian", "heavy_tailed", "sinusoid_noise")
 
@@ -298,14 +299,26 @@ def generate_trace(kind: str, hours: float, dt_seconds: float, seed: int) -> Reg
     return RegulationTrace(np.clip(s, -1.0, 1.0), dt_seconds)
 
 
+def trace_columns(trace: RegulationTrace) -> np.ndarray:
+    """The (n, 2) float64 array of (i * dt, sample i): the numbers
+    ``write_trace_csv`` writes, and bitwise what parsing its text gives."""
+    return np.column_stack((np.arange(len(trace)) * trace.dt_seconds, trace.samples))
+
+
 def write_trace_csv(trace: RegulationTrace, path) -> None:
-    """Write a trace as CSV rows of (epoch-second timestamp from 0, signal value)."""
+    """Write a trace as CSV rows of (epoch-second timestamp from 0, signal value).
+
+    Each number is its ``repr``, so parsing the text gives back the same
+    floats bitwise; lines end in CRLF, as from ``csv.writer``. The body is
+    formatted WRITE_CHUNK_ROWS samples at a time, which bounds the text
+    held in memory.
+    """
+    columns = trace_columns(trace)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", "s"])
-        dt = trace.dt_seconds
-        for i, v in enumerate(trace.samples):
-            writer.writerow([repr(i * dt), repr(float(v))])
+        fh.write("timestamp,s\r\n")
+        for k in range(0, len(columns), WRITE_CHUNK_ROWS):
+            fh.write("".join([f"{t!r},{v!r}\r\n"
+                              for t, v in columns[k:k + WRITE_CHUNK_ROWS].tolist()]))
 
 
 def _parse_timestamp(raw: str, path, line_no: int) -> float:
@@ -352,13 +365,13 @@ def _sample_lines(path) -> list[int]:
 def read_trace_csv(path) -> RegulationTrace:
     """Read a signal CSV with header ``timestamp,s``.
 
-    Timestamps may be epoch seconds or ISO-8601; they must be finite and
-    uniformly spaced, and values must lie in [-1, 1]. Every fault is
-    reported with the path and the file line of the offending row; for a
-    spacing fault, the row after the gap.
-    An all-numeric body parses in one ``np.loadtxt`` call; any body it
-    rejects (ISO-8601 stamps, quoted or empty fields) is read again row by
-    row. Samples are mapped to file lines only once a check fails.
+    Timestamps may be epoch seconds or ISO-8601. The parsed columns go
+    through ``trace_from_columns``, which names the path and file line of
+    any fault. An all-numeric body parses in one ``np.loadtxt`` call; any
+    body it rejects (ISO-8601 stamps, quoted or empty fields) is read again
+    row by row. ``instance.load_bundle`` reads a generated bundle's
+    digest-checked ``signal.npy`` instead; a hand-edited ``signal.csv``
+    fails that check and comes here.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         header = next(csv.reader(fh), None)
@@ -366,13 +379,24 @@ def read_trace_csv(path) -> RegulationTrace:
             raise ValueError(f"{path}: expected header 'timestamp,s', got {header}")
         try:
             with warnings.catch_warnings():
-                # A header-only file warns; the two-row check below reports it.
+                # A header-only file warns; the two-row check reports it.
                 warnings.simplefilter("ignore", UserWarning)
                 body = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, usecols=(0, 1))
             stamps, values = body[:, 0], body[:, 1]
         except ValueError:
             fh.seek(0)
             stamps, values = _read_trace_rows(fh, path)
+    return trace_from_columns(stamps, values, path)
+
+
+def trace_from_columns(stamps, values, path) -> RegulationTrace:
+    """The trace of a signal CSV's parsed (timestamp, value) columns.
+
+    Timestamps must be finite and uniformly spaced, and values must lie in
+    [-1, 1]. Every fault is reported with ``path`` and the file line of the
+    offending row; for a spacing fault, the row after the gap. Samples are
+    mapped to file lines only once a check fails.
+    """
     stamps, values = np.asarray(stamps, dtype=float), np.asarray(values, dtype=float)
 
     def fault(k: int, what: str) -> ValueError:

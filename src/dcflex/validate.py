@@ -51,10 +51,11 @@ class ValidationReport:
 
     def add(self, family: str, amounts, where, tol=FEAS_TOL):
         """Record each entry of ``amounts`` past ``tol``, a scalar or an
-        array of the same shape. ``where(*index)`` labels an entry of an
-        array; a scalar check passes its label as a string."""
+        array of the same shape; a NaN entry is past any tolerance.
+        ``where(*index)`` labels an entry of an array; a scalar check
+        passes its label as a string."""
         amounts = np.asarray(amounts, dtype=float)
-        for index in map(tuple, np.argwhere(amounts > tol)):
+        for index in map(tuple, np.argwhere(~(amounts <= tol))):
             label = where(*index) if callable(where) else where
             self.violations.append(Violation(family, label, float(amounts[index])))
 

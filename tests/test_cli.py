@@ -6,10 +6,12 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dcflex.instance as instance
 from dcflex.cli import EXIT_INPUT, EXIT_OK, EXIT_SOLVER, main
 from dcflex.optimizer import ModelConfig
 from dcflex.signals import RegulationTrace, read_trace_csv, write_trace_csv
@@ -72,7 +74,7 @@ class TestGenInstance:
     def test_writes_manifest_with_all_files(self, bundle):
         manifest = json.loads((bundle / "manifest.json").read_text())
         assert set(manifest) >= {"grid.json", "workload.csv", "latency.csv",
-                                 "signal.csv", "dc.json", "config.json"}
+                                 "signal.csv", "signal.npy", "dc.json", "config.json"}
 
     def test_seed_reproducibility_byte_identical(self, tmp_path):
         for sub in ("a", "b"):
@@ -282,6 +284,90 @@ class TestSolve:
                          "--mode", "joint", "--quiet"]) == EXIT_OK
             blobs.append((out / "solution.json").read_bytes())
         assert blobs[0] == blobs[1]
+
+
+@pytest.fixture
+def text_parses(monkeypatch):
+    """The paths load_bundle hands to the text parse, read_trace_csv."""
+    seen = []
+
+    def spy(path):
+        seen.append(path)
+        return read_trace_csv(path)
+
+    monkeypatch.setattr(instance, "read_trace_csv", spy)
+    return seen
+
+
+def edit_sample(path, k, value: bytes) -> None:
+    """Replace the value of sample k (file line k + 2) of a generated signal.csv."""
+    lines = path.read_bytes().split(b"\r\n")
+    lines[k + 1] = lines[k + 1].split(b",")[0] + b"," + value
+    path.write_bytes(b"\r\n".join(lines))
+
+
+def same_trace(a, b) -> bool:
+    return a.samples.tobytes() == b.samples.tobytes() and a.dt_seconds == b.dt_seconds
+
+
+def vouch(bundle, data: bytes) -> None:
+    """Write signal.npy and record its digest, as if gen-instance had."""
+    (bundle / "signal.npy").write_bytes(data)
+    instance.update_manifest(bundle, [bundle / "signal.npy"])
+
+
+def npy_bytes(array) -> bytes:
+    out = io.BytesIO()
+    np.save(out, array)
+    return out.getvalue()
+
+
+class TestBundleSignalCopy:
+    """signal.npy is read only while the manifest vouches for it and for
+    signal.csv; otherwise the text is parsed, so edits to it take effect."""
+
+    @pytest.fixture
+    def copied(self, bundle, tmp_path):
+        return shutil.copytree(bundle, tmp_path / "b")
+
+    def test_a_vouched_copy_replaces_the_text_parse(self, bundle, text_parses):
+        _, _, trace = instance.load_bundle(bundle)
+        assert text_parses == []
+        assert same_trace(trace, read_trace_csv(bundle / "signal.csv"))
+
+    def test_a_hand_edit_to_the_text_takes_effect(self, copied, text_parses):
+        edit_sample(copied / "signal.csv", 3, b"0.123")
+        _, _, trace = instance.load_bundle(copied)
+        assert text_parses == [copied / "signal.csv"] and trace.samples[3] == 0.123
+        assert same_trace(trace, read_trace_csv(copied / "signal.csv"))
+
+    def test_a_nan_in_the_text_exits_4_naming_file_and_line(self, copied, tmp_path):
+        edit_sample(copied / "signal.csv", 3, b"nan")
+        code, lines = run_cli(["solve", "--bundle", str(copied), "--out", str(tmp_path / "o")])
+        assert code == EXIT_INPUT
+        assert lines == [f"error: {copied / 'signal.csv'} line 5: signal value nan "
+                         f"is outside [-1, 1]"]
+
+    @pytest.mark.parametrize("damage", [
+        lambda b: (b / "signal.npy").write_bytes((b / "signal.npy").read_bytes()[:1000]),
+        lambda b: (b / "signal.npy").write_bytes(b"not an array"),
+        lambda b: (b / "signal.npy").unlink(),
+        lambda b: (b / "manifest.json").unlink(),
+        lambda b: (b / "manifest.json").write_text("[]"),
+        lambda b: vouch(b, b"not an array"),
+        lambda b: vouch(b, npy_bytes(np.zeros(4))),
+        lambda b: vouch(b, npy_bytes(np.zeros((4, 2), dtype=np.float32))),
+        lambda b: vouch(b, b""),
+        lambda b: vouch(b, (b / "signal.npy").read_bytes()[:1000]),
+    ], ids=["truncated", "garbage", "deleted", "no_manifest", "manifest_not_an_object",
+            "vouched_garbage", "vouched_1d", "vouched_float32", "vouched_empty",
+            "vouched_truncated"])
+    def test_a_damaged_copy_or_manifest_falls_back_to_the_text(self, copied, text_parses,
+                                                                damage):
+        damage(copied)
+        _, _, trace = instance.load_bundle(copied)
+        assert text_parses == [copied / "signal.csv"]
+        assert same_trace(trace, read_trace_csv(copied / "signal.csv"))
 
 
 class TestSimulate:

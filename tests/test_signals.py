@@ -1,10 +1,14 @@
+import csv
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dcflex.signals as signals
 from dcflex.signals import (
     GaussianEnvelope,
     RegulationTrace,
@@ -17,6 +21,8 @@ from dcflex.signals import (
     inverse_normal_cdf,
     mean_abs_signal,
     read_trace_csv,
+    trace_columns,
+    trace_from_columns,
     write_trace_csv,
 )
 
@@ -328,6 +334,41 @@ class TestTraceCsv:
         assert shapes == [(len(trace), 2)]
         assert back.samples.tobytes() == trace.samples.tobytes()
         assert back.dt_seconds == 2.0 and type(back.dt_seconds) is float
+
+
+def row_loop_trace_csv(trace, path):
+    """The csv.writer loop that wrote signal.csv before the bulk writer:
+    the byte reference for write_trace_csv."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["timestamp", "s"])
+        dt = trace.dt_seconds
+        for i, v in enumerate(trace.samples):
+            writer.writerow([repr(i * dt), repr(float(v))])
+
+
+EDGE_SAMPLES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324])
+
+
+@settings(max_examples=60, deadline=None)
+@given(samples=st.lists(st.one_of(EDGE_SAMPLES, st.floats(-1.0, 1.0)), min_size=2, max_size=40),
+       dt=st.sampled_from([0.1, 2.0, 2.5, 4.0]), chunk_rows=st.sampled_from([1, 3, 1 << 14]))
+def test_bulk_writer_matches_the_row_loop_and_the_columns(samples, dt, chunk_rows):
+    trace = RegulationTrace(np.array(samples), dt)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(signals, "WRITE_CHUNK_ROWS", chunk_rows)
+        bulk, loop = Path(tmp) / "bulk.csv", Path(tmp) / "loop.csv"
+        write_trace_csv(trace, bulk)
+        row_loop_trace_csv(trace, loop)
+        assert bulk.read_bytes() == loop.read_bytes()
+        np.save(Path(tmp) / "signal.npy", trace_columns(trace))
+        columns = np.load(Path(tmp) / "signal.npy")
+        text = np.loadtxt(bulk, delimiter=",", skiprows=1, ndmin=2)
+        assert columns.dtype == np.float64 and columns.tobytes() == text.tobytes()
+        parsed = read_trace_csv(bulk)
+        copied = trace_from_columns(columns[:, 0], columns[:, 1], bulk)
+        assert copied.samples.tobytes() == parsed.samples.tobytes()
+        assert copied.dt_seconds == parsed.dt_seconds
 
 
 def test_envelope_rejects_negative_sigma():

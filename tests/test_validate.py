@@ -235,6 +235,20 @@ def test_qos_baseline_looks_dcs_up_by_id(demo_solved, tmp_path, ids):
                        rtol=0.0, atol=1e-9)
 
 
+@pytest.mark.parametrize("field, index, families", [
+    ("reg", (0, 0), {"reg_nonneg", "power_cap", "chance", "queue_hi", "queue_lo"}),
+    ("x", (2, 1, 0), {"x_bounds", "completion", "mode_pins", "cpu_cap", "qos", "power_balance"}),
+])
+def test_a_nan_in_the_solution_breaks_every_family_it_reaches(demo_solved, field, index,
+                                                             families):
+    # NaN fails every comparison, so an "amount > tol" test alone passes it.
+    _, inst, cfg, fitted, sol = demo_solved
+    bad = copy.deepcopy(sol)
+    getattr(bad, field)[index] = np.nan
+    report = validate_solution(inst, cfg, fitted, bad)
+    assert not report.ok and families <= {v.family for v in report.violations}
+
+
 def test_a_fault_in_the_builders_queue_rows_is_caught(demo_solved, monkeypatch):
     # Understating the elapsed share of every slot by 5 % touches only the
     # qhi/qlo rows; the check re-derives the backlog and must flag the
