@@ -38,7 +38,7 @@ from .optimizer import (
     solution_from_json,
     solution_to_json,
 )
-from .signals import RegulationTrace, empirical_quantile, read_trace_csv
+from .signals import RegulationTrace, read_trace_csv
 from .simulator import (
     compliance_report,
     monte_carlo,
@@ -191,8 +191,8 @@ def _fit_report(fitted: FittedSignal, trace, cfg: ModelConfig) -> tuple[dict, di
     fit_seg, _ = trace.split(cfg.fit_split)
     envelope, direct, table = fitted.envelope, fitted.direct, fitted.var_table
     margins = []
-    for q in cfg.quantile_grid:
-        emp = empirical_quantile(fit_seg.samples, q)
+    grid = tuple(cfg.quantile_grid)
+    for q, emp in zip(grid, np.quantile(fit_seg.samples, grid).tolist()):
         upper = envelope.upper_quantile(q)
         margins.append({"quantile": q, "empirical": emp, "envelope": upper,
                         "dominance_margin": upper - emp})

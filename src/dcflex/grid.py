@@ -221,23 +221,39 @@ def case_to_dict(case: GridCase) -> dict:
     }
 
 
-def case_from_dict(data: dict) -> GridCase:
+def _integer(value, where: str) -> int:
+    """An id or bus number read from a file: an int, or a float with no
+    fractional part. A bool, a fraction or a non-number raises ValueError
+    naming ``where``, rather than being truncated by ``int``."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{where} must be an integer, got {value!r}")
+    return int(value)
+
+
+def case_from_dict(data: dict, source="grid") -> GridCase:
+    """The case of a parsed grid document; ``source`` (its file) prefixes
+    the message of an id or bus number that is not an integer."""
+    def integer(entry: dict, key: str, where: str) -> int:
+        return _integer(entry[key], f"{source}: {where}.{key}")
+
     mva = float(data.get("mva_base", DEFAULT_MVA_BASE))
-    buses = tuple(Bus(int(b["id"]), np.asarray(b["base_load"], dtype=float)) for b in data["buses"])
+    buses = tuple(Bus(integer(b, "id", f"buses[{k}]"), np.asarray(b["base_load"], dtype=float))
+                  for k, b in enumerate(data["buses"]))
     lines = tuple(
         Line(
-            int(k["id"]),
-            int(k["from_bus"]),
-            int(k["to_bus"]),
-            float(k["susceptance"]) * mva,  # per-unit in the file, MW/rad in memory
-            float(k["limit_mw"]),
+            integer(line, "id", f"lines[{k}]"),
+            integer(line, "from_bus", f"lines[{k}]"),
+            integer(line, "to_bus", f"lines[{k}]"),
+            float(line["susceptance"]) * mva,  # per-unit in the file, MW/rad in memory
+            float(line["limit_mw"]),
         )
-        for k in data["lines"]
+        for k, line in enumerate(data["lines"])
     )
     gens = tuple(
         Generator(
-            int(g["id"]),
-            int(g["bus"]),
+            integer(g, "id", f"generators[{k}]"),
+            integer(g, "bus", f"generators[{k}]"),
             float(g["cost_per_mwh"]),
             float(g["p_min"]),
             float(g["p_max"]),
@@ -246,9 +262,10 @@ def case_from_dict(data: dict) -> GridCase:
             float(g["startup_ramp"]),
             float(g["shutdown_ramp"]),
         )
-        for g in data["generators"]
+        for k, g in enumerate(data["generators"])
     )
-    return GridCase(buses, lines, gens, int(data["slack_bus"]), mva)
+    slack = _integer(data["slack_bus"], f"{source}: slack_bus")
+    return GridCase(buses, lines, gens, slack, mva)
 
 
 def write_grid_json(case: GridCase, path) -> None:
@@ -259,4 +276,4 @@ def write_grid_json(case: GridCase, path) -> None:
 
 def read_grid_json(path) -> GridCase:
     with open(path, encoding="utf-8") as fh:
-        return case_from_dict(json.load(fh))
+        return case_from_dict(json.load(fh), path)

@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import (Bus, Generator, GridCase, Line, case_from_dict, read_grid_json,
-                   write_grid_json)
+from .grid import (Bus, Generator, GridCase, Line, _integer, case_from_dict,
+                   read_grid_json, write_grid_json)
 from .optimizer import ModelConfig, ProblemInstance, QueueParameters
 from .signals import (
     RegulationTrace,
@@ -61,7 +61,8 @@ DC_ENERGY_SHARE = 0.35
 DELTA_QOS = 6.0
 MIGRATION_FRIC_MWH = 5.0
 
-_DC_SCALARS = ("id", "bus", "q_init", "q_min", "q_max")
+_DC_IDS = ("id", "bus")
+_DC_SCALARS = ("q_init", "q_min", "q_max")
 _DC_PER_SLOT = ("cpu_cap", "mem_cap", "io_cap", "p_min", "p_max", "arrivals")
 
 
@@ -435,12 +436,16 @@ def _read_json(path):
 
 
 def _dc_entry(path, k, entry: dict, t_total: int) -> dict:
-    """The fields of dc.json entry k as float arrays: one value per slot
-    for _DC_PER_SLOT, a single number for _DC_SCALARS."""
+    """The fields of dc.json entry k: an int for each of _DC_IDS, and as
+    float arrays one value per slot for _DC_PER_SLOT and a single number
+    for _DC_SCALARS."""
     fields = {}
-    for name in _DC_SCALARS + _DC_PER_SLOT:
+    for name in _DC_IDS + _DC_SCALARS + _DC_PER_SLOT:
         if name not in entry:
             raise ValueError(f"{path}: dcs[{k}] has no {name!r}")
+        if name in _DC_IDS:
+            fields[name] = _integer(entry[name], f"{path}: dcs[{k}] {name!r}")
+            continue
         value = np.asarray(entry[name], dtype=float)
         shape = (t_total,) if name in _DC_PER_SLOT else ()
         if value.shape != shape:
@@ -483,13 +488,13 @@ def load_bundle(bundle_dir) -> tuple[ProblemInstance, ModelConfig, RegulationTra
     missing = [name for name in BUNDLE_FILES if not (bundle / name).exists()]
     if missing:
         raise FileNotFoundError(f"{bundle}: bundle is missing {missing}")
-    grid = case_from_dict(_read_json(bundle / "grid.json"))
+    grid = case_from_dict(_read_json(bundle / "grid.json"), bundle / "grid.json")
     jobs = read_workload_csv(bundle / "workload.csv")
     latmap = read_latency_csv(bundle / "latency.csv")
     trace = _read_signal(bundle)
     entries = [_dc_entry(bundle / "dc.json", k, entry, grid.n_slots)
                for k, entry in enumerate(_read_json(bundle / "dc.json")["dcs"])]
-    dcs = [DataCenterSpec(id=int(e["id"]), bus=int(e["bus"]), cpu_cap=e["cpu_cap"],
+    dcs = [DataCenterSpec(id=e["id"], bus=e["bus"], cpu_cap=e["cpu_cap"],
                           mem_cap=e["mem_cap"], io_cap=e["io_cap"], p_min=e["p_min"],
                           p_max=e["p_max"]) for e in entries]
     queue = QueueParameters(*(np.array([e[name] for e in entries])

@@ -183,6 +183,16 @@ def cumulative_windows(trace: RegulationTrace, window_hours: float) -> np.ndarra
 
     Each value is sum(s_k) * dt/3600 over one window.
     """
+    return _window_sums(trace, _running_sum(trace), window_hours)
+
+
+def _running_sum(trace: RegulationTrace) -> np.ndarray:
+    """0 followed by the cumulative sum of the samples."""
+    return np.concatenate(([0.0], np.cumsum(trace.samples)))
+
+
+def _window_sums(trace: RegulationTrace, cs: np.ndarray, window_hours: float) -> np.ndarray:
+    """``cumulative_windows`` of ``trace`` from its running sum ``cs``."""
     window_s = window_hours * 3600.0
     if window_s < trace.dt_seconds - 1e-9:
         raise ValueError(
@@ -198,7 +208,6 @@ def cumulative_windows(trace: RegulationTrace, window_hours: float) -> np.ndarra
             f"trace too short for {window_hours} h windows: have {n} samples, "
             f"need at least {need} for {MIN_WINDOWS} windows"
         )
-    cs = np.concatenate(([0.0], np.cumsum(trace.samples)))
     starts = np.arange(count) * n_win
     sums = cs[starts + n_win] - cs[starts]
     return sums * (trace.dt_seconds / 3600.0)
@@ -212,9 +221,10 @@ def build_var_table(
     """Empirical eps_e / 1-eps_e quantiles of cumulative windows per horizon."""
     if not 0.0 < eps_e <= 0.5:
         raise ValueError(f"eps_e must be in (0, 0.5], got {eps_e}")
+    cs = _running_sum(trace)
     hs, lows, highs, counts = [], [], [], []
     for h in horizons:
-        vals = cumulative_windows(trace, h)
+        vals = _window_sums(trace, cs, h)
         hs.append(float(h))
         lows.append(empirical_quantile(vals, eps_e))
         highs.append(empirical_quantile(vals, 1.0 - eps_e))
@@ -245,9 +255,8 @@ def fit_gaussian_envelope(trace: RegulationTrace,
             raise ValueError(f"grid level {q} outside (0.5, {MAX_GRID_LEVEL}]")
     mu = float(np.mean(trace.samples))
     sigma = 0.0
-    for q in grid:
-        z = inverse_normal_cdf(q)
-        sigma = max(sigma, (empirical_quantile(trace.samples, q) - mu) / z)
+    for q, emp in zip(grid, np.quantile(trace.samples, grid).tolist()):
+        sigma = max(sigma, (emp - mu) / inverse_normal_cdf(q))
     if sigma <= 0.0:
         warnings.warn(
             "degenerate trace: no upper-tail spread, envelope sigma set to 0",
@@ -292,8 +301,10 @@ def generate_trace(kind: str, hours: float, dt_seconds: float, seed: int) -> Reg
         noise = np.empty(n)
         eps = rng.normal(0.0, 0.05, size=n)
         acc = 0.0
-        for i in range(n):
-            acc = 0.9 * acc + eps[i]
+        # A memoryview yields Python floats, which are faster to add than
+        # numpy scalars; unlike tolist it builds no n-element list.
+        for i, e in enumerate(memoryview(eps)):
+            acc = 0.9 * acc + e
             noise[i] = acc
         s = base + noise
     return RegulationTrace(np.clip(s, -1.0, 1.0), dt_seconds)

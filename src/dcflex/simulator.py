@@ -8,11 +8,9 @@ same checkpoint set the optimizer constrained, and revenue is settled per
 slot against a compliance threshold.
 """
 
-import csv
 import hashlib
 import json
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -36,6 +34,9 @@ class ScenarioResult:
 
     ``simulate`` fills the trajectories; ``monte_carlo`` keeps only the
     summary fields and leaves them empty, (N, T, 0) and (N, 0).
+    ``checkpoint_ok`` holds one bool per DC and VaR checkpoint, the columns
+    in the order of ``optimizer.queue_check_points``: whether the backlog
+    at that checkpoint's sample lies within [q_min, q_max].
     """
 
     scenario_id: int
@@ -44,7 +45,7 @@ class ScenarioResult:
     queue: np.ndarray            # (N, T*K + 1) MWh-equivalent
     power_violation_frac: np.ndarray   # (N, T) per-slot sample fraction
     queue_violation_frac: np.ndarray   # (N, T) per-slot sample fraction
-    checkpoint_ok: list          # (dc, slot, tau_h, horizon_h, value, ok)
+    checkpoint_ok: np.ndarray    # (N, P) bool, one column per checkpoint
     slot_compliant: np.ndarray   # (N, T) bool at the configured threshold
     committed_revenue: float
     realized_revenue: float
@@ -64,9 +65,9 @@ class ScenarioResult:
 
     @property
     def checkpoint_coverage(self) -> float:
-        if not self.checkpoint_ok:
+        if not self.checkpoint_ok.size:
             return 1.0
-        return float(np.mean([1.0 if ok else 0.0 for *_, ok in self.checkpoint_ok]))
+        return float(self.checkpoint_ok.mean())
 
     def summary(self) -> dict:
         return {
@@ -75,7 +76,7 @@ class ScenarioResult:
             "power_violation_rate": self.power_violation_rate,
             "queue_violation_rate": self.queue_violation_rate,
             "checkpoint_coverage": self.checkpoint_coverage,
-            "checkpoints_total": len(self.checkpoint_ok),
+            "checkpoints_total": int(self.checkpoint_ok.size),
             "slots_compliant": int(self.slot_compliant.sum()),
             "slots_total": int(self.slot_compliant.size),
             "committed_revenue": self.committed_revenue,
@@ -87,6 +88,94 @@ class ScenarioResult:
 def _outside(values: np.ndarray, lo, hi) -> np.ndarray:
     """Where values lie more than SIM_TOL outside [lo, hi]."""
     return (values < lo - SIM_TOL) | (values > hi + SIM_TOL)
+
+
+class _Replay:
+    """What every window replayed against one solution shares: nodal load,
+    bounds, checkpoint sample indices and the per-cell payments, computed
+    once; ``run`` replays one window in whole-horizon array passes."""
+
+    def __init__(self, inst: ProblemInstance, cfg: ModelConfig, solution: Solution,
+                 dt_seconds: float):
+        t_total = inst.n_slots
+        rev_rate = cfg.revenue_rate(t_total)
+        self.cfg = cfg
+        self.per_slot = int(round(cfg.slot_hours * 3600.0 / dt_seconds))
+        self.needed = self.per_slot * t_total
+        self.dh_sample = dt_seconds / 3600.0
+        self.nodal = load_matrix(solution.x, inst.jobs, cfg.slot_hours)
+        self.reg = solution.reg
+        self.p_min = np.stack([dc.p_min for dc in inst.dcs])[:, :, None]
+        self.p_max = np.stack([dc.p_max for dc in inst.dcs])[:, :, None]
+        self.queue_params = inst.queue
+        # Checkpoint samples past the horizon end (a sampling interval that
+        # does not divide the slot) read the last sample.
+        self.check_samples = np.array(
+            [min(int(round(cp.tau_hours * 3600.0 / dt_seconds)), self.needed)
+             for cp in queue_check_points(t_total, cfg.slot_hours, cfg.var_horizons)],
+            dtype=np.intp)
+        self.committed = float(sum(rev_rate[t] * self.reg[:, t].sum() * cfg.slot_hours
+                                   for t in range(t_total)))
+        self.pay = (rev_rate[None, :] * self.reg * cfg.slot_hours).tolist()
+
+    def run(self, segment: RegulationTrace, scenario_id: int,
+            trace_offset: int) -> ScenarioResult:
+        cfg, q, per_slot = self.cfg, self.queue_params, self.per_slot
+        n_dc, t_total = self.nodal.shape
+        if len(segment) < self.needed:
+            raise ValueError(
+                f"trace segment has {len(segment)} samples, horizon needs {self.needed}"
+            )
+        s = segment.samples[:self.needed].reshape(t_total, per_slot)
+        delta = self.reg[:, :, None] * s[None, :, :]
+        power = self.nodal[:, :, None] - delta
+        power_violation_frac = _outside(power, self.p_min, self.p_max).mean(axis=2)
+
+        # Queue: arrivals prorate uniformly; service is scheduled energy per
+        # sample shifted by the regulation energy (positive signal slows
+        # computing, so the backlog grows with +s). Each slot's backlog is
+        # its opening plus the running sum of its increments; each opening
+        # is the previous one plus that slot's closing increment. In place,
+        # so the replay holds two (N, T, K) arrays, power and delta.
+        delta *= self.dh_sample
+        delta += q.arrivals[:, :, None] / per_slot - self.nodal[:, :, None] * self.dh_sample
+        np.cumsum(delta, axis=2, out=delta)
+        opening = np.cumsum(np.concatenate((q.q_init[:, None], delta[:, :-1, -1]), axis=1),
+                            axis=1)
+        queue = np.empty((n_dc, self.needed + 1))
+        queue[:, 0] = q.q_init
+        body = queue[:, 1:].reshape(n_dc, t_total, per_slot)
+        np.add(opening[:, :, None], delta, out=body)
+        q_viol_frac = _outside(body, q.q_min[:, None, None], q.q_max[:, None, None]).mean(axis=2)
+
+        at_checks = queue[:, self.check_samples]
+        checkpoint_ok = ((q.q_min[:, None] - SIM_TOL <= at_checks)
+                         & (at_checks <= q.q_max[:, None] + SIM_TOL))
+
+        slot_compliant = power_violation_frac <= cfg.compliance_threshold + SIM_TOL
+        realized = 0.0
+        if cfg.forfeiture == "proportional":
+            for pays, fracs in zip(self.pay, power_violation_frac.tolist()):
+                for pay, frac in zip(pays, fracs):
+                    realized += pay * (1.0 - frac)
+        else:
+            for pays, oks in zip(self.pay, slot_compliant.tolist()):
+                for pay, ok in zip(pays, oks):
+                    if ok:
+                        realized += pay
+        return ScenarioResult(
+            scenario_id=scenario_id,
+            trace_offset=trace_offset,
+            power=power,
+            queue=queue,
+            power_violation_frac=power_violation_frac,
+            queue_violation_frac=q_viol_frac,
+            checkpoint_ok=checkpoint_ok,
+            slot_compliant=slot_compliant,
+            committed_revenue=self.committed,
+            realized_revenue=float(realized),
+            samples_per_slot=per_slot,
+        )
 
 
 def simulate(
@@ -104,77 +193,8 @@ def simulate(
     raises ValueError first. The segment must cover the whole horizon at
     its sampling interval.
     """
-    t_total, n_dc = inst.n_slots, inst.n_dc
-    rev_rate = cfg.revenue_rate(t_total)
-    per_slot = int(round(cfg.slot_hours * 3600.0 / segment.dt_seconds))
-    needed = per_slot * t_total
-    if len(segment) < needed:
-        raise ValueError(
-            f"trace segment has {len(segment)} samples, horizon needs {needed}"
-        )
-    s = segment.samples[:needed].reshape(t_total, per_slot)
-    dh_sample = segment.dt_seconds / 3600.0
-    nodal = load_matrix(solution.x, inst.jobs, cfg.slot_hours)
-    reg = solution.reg
-
-    p_min = np.stack([dc.p_min for dc in inst.dcs])
-    p_max = np.stack([dc.p_max for dc in inst.dcs])
-    power = nodal[:, :, None] - s[None, :, :] * reg[:, :, None]
-    power_violation_frac = _outside(power, p_min[:, :, None], p_max[:, :, None]).mean(axis=2)
-
-    # Queue: arrivals prorate uniformly; service is scheduled energy per
-    # sample shifted by the regulation energy (positive signal slows
-    # computing, so the backlog grows with +s).
-    queue = np.empty((n_dc, t_total * per_slot + 1))
-    queue[:, 0] = inst.queue.q_init
-    q_viol_frac = np.zeros((n_dc, t_total))
-    for t in range(t_total):
-        arrive = inst.queue.arrivals[:, t][:, None] / per_slot
-        serve = nodal[:, t][:, None] * dh_sample
-        regen = reg[:, t][:, None] * s[t][None, :] * dh_sample
-        delta = arrive - serve + regen
-        start = queue[:, t * per_slot]
-        block = start[:, None] + np.cumsum(delta, axis=1)
-        queue[:, t * per_slot + 1: (t + 1) * per_slot + 1] = block
-        outside = _outside(block, inst.queue.q_min[:, None], inst.queue.q_max[:, None])
-        q_viol_frac[:, t] = outside.mean(axis=1)
-
-    checkpoint_ok = []
-    for cp in queue_check_points(t_total, cfg.slot_hours, cfg.var_horizons):
-        k = int(round(cp.tau_hours * 3600.0 / segment.dt_seconds))
-        k = min(k, t_total * per_slot)
-        for l in range(n_dc):
-            value = float(queue[l, k])
-            ok = (inst.queue.q_min[l] - SIM_TOL <= value
-                  <= inst.queue.q_max[l] + SIM_TOL)
-            checkpoint_ok.append(
-                (inst.dcs[l].id, cp.slot, cp.tau_hours, cp.horizon_hours, value, bool(ok))
-            )
-
-    slot_compliant = power_violation_frac <= cfg.compliance_threshold + SIM_TOL
-    committed = float(sum(rev_rate[t] * reg[:, t].sum() * cfg.slot_hours
-                          for t in range(t_total)))
-    realized = 0.0
-    for l in range(n_dc):
-        for t in range(t_total):
-            pay = rev_rate[t] * reg[l, t] * cfg.slot_hours
-            if cfg.forfeiture == "proportional":
-                realized += pay * (1.0 - float(power_violation_frac[l, t]))
-            elif slot_compliant[l, t]:
-                realized += pay
-    return ScenarioResult(
-        scenario_id=scenario_id,
-        trace_offset=trace_offset,
-        power=power,
-        queue=queue,
-        power_violation_frac=power_violation_frac,
-        queue_violation_frac=q_viol_frac,
-        checkpoint_ok=checkpoint_ok,
-        slot_compliant=slot_compliant,
-        committed_revenue=committed,
-        realized_revenue=float(realized),
-        samples_per_slot=per_slot,
-    )
+    return _Replay(inst, cfg, solution, segment.dt_seconds).run(segment, scenario_id,
+                                                                 trace_offset)
 
 
 def monte_carlo(
@@ -197,8 +217,8 @@ def monte_carlo(
     if n_scenarios < 1:
         raise ValueError("need at least one scenario")
     cfg = resolve_config(cfg, inst.n_slots, fitted.mean_abs)
-    per_slot = int(round(cfg.slot_hours * 3600.0 / held_out.dt_seconds))
-    needed = per_slot * inst.n_slots
+    replay = _Replay(inst, cfg, solution, held_out.dt_seconds)
+    needed = replay.needed
     if len(held_out) < needed:
         raise ValueError(
             f"held-out trace has {len(held_out)} samples, scenarios need {needed}"
@@ -209,7 +229,7 @@ def monte_carlo(
     results = []
     for sid, start in enumerate(starts):
         segment = RegulationTrace(held_out.samples[start:start + needed], held_out.dt_seconds)
-        result = simulate(inst, cfg, solution, segment, scenario_id=sid, trace_offset=start)
+        result = replay.run(segment, scenario_id=sid, trace_offset=start)
         # New empty arrays: a [:0] slice is a view that keeps the buffer alive.
         result.power = np.empty(result.power.shape[:2] + (0,))
         result.queue = np.empty((result.queue.shape[0], 0))
@@ -233,8 +253,8 @@ def aggregate(results: list[ScenarioResult]) -> dict:
             "queue_violation_rate": float(np.mean([r.queue_violation_frac[l].mean() for r in results])),
             "slot_compliance_rate": float(np.mean([r.slot_compliant[l].mean() for r in results])),
         })
-    total_checkpoints = sum(len(r.checkpoint_ok) for r in results)
-    ok_checkpoints = sum(1 for r in results for *_, ok in r.checkpoint_ok if ok)
+    total_checkpoints = sum(r.checkpoint_ok.size for r in results)
+    ok_checkpoints = sum(int(r.checkpoint_ok.sum()) for r in results)
     return {
         "scenarios": len(results),
         "samples_total": int(sum(r.n_samples for r in results)),
@@ -288,18 +308,20 @@ def write_series_csv(result: ScenarioResult, inst: ProblemInstance,
                           inst.queue.q_max[:, None, None]).astype(int)
     signal = segment.samples[:t_total * per_slot].reshape(t_total, per_slot)
     ks = range(1, per_slot + 1)
-    # One (dc, slot) block of rows at a time; csv writes a float as its
-    # repr, so every value keeps its bits.
+    # One (dc, slot) block of lines per write, in the bytes csv.writer gives
+    # these values: ints as str, floats as their repr (so every value keeps
+    # its bits), CRLF line ends.
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dc", "slot", "k", "s", "power_mw", "queue_mwh",
-                         "power_violation", "queue_violation"])
+        fh.write("dc,slot,k,s,power_mw,queue_mwh,power_violation,queue_violation\r\n")
         for l, dc in enumerate(inst.dcs):
             for t in range(t_total):
-                writer.writerows(zip(
-                    repeat(dc.id), repeat(t + 1), ks, signal[t].tolist(),
-                    result.power[l, t].tolist(), queue[l, t].tolist(),
-                    power_viol[l, t].tolist(), queue_viol[l, t].tolist()))
+                head = f"{dc.id},{t + 1},"
+                fh.write("".join([
+                    f"{head}{k},{sv!r},{pv!r},{qv!r},{pf},{qf}\r\n"
+                    for k, sv, pv, qv, pf, qf in zip(
+                        ks, signal[t].tolist(), result.power[l, t].tolist(),
+                        queue[l, t].tolist(), power_viol[l, t].tolist(),
+                        queue_viol[l, t].tolist())]))
 
 
 def results_digest(aggregate_stats: dict) -> str:

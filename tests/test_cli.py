@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import shutil
@@ -43,6 +44,16 @@ def run_python(*argv):
 def run_child(*argv):
     """The CLI in a child process, so a traceback would reach its stderr."""
     return run_python("-m", "dcflex.cli", *argv)
+
+
+# sha256 of simulate's seeded artifacts (--scenarios 4 --seed 7) for the
+# solution of `solved_dir`. They pin the replay's bytes: a rewrite of the
+# replay or of the series writer must leave them byte-identical.
+REPLAY_SHA256 = {
+    "sim_summary.json": "8870f69e6fd12fe3f73d4690cacb8c83e9f0b156d61b3df40879667903a1bb8f",
+    "compliance.json": "e044a0b336753a63922a386f1d9c31a8b962bc8c5bd7e8ab957124a07f9b84d5",
+    "series_scenario0.csv": "d3411c502b2520923c0ba9624a2131d21e8bcc206817e20de7e097f5ae0587ae",
+}
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +228,38 @@ class TestSolve:
         assert proc.returncode == EXIT_INPUT and len(lines) == 1, proc.stderr
         assert lines[0].startswith("error: ") and "cpu" in lines[0], lines
 
+    @pytest.mark.parametrize("key, value", [
+        ("bus", 1.7), ("id", 2.5), ("id", True), ("bus", "2")])
+    def test_non_integral_dc_id_or_bus_exits_4_with_one_line(self, bundle, tmp_path,
+                                                              key, value):
+        broken = tmp_path / "broken"
+        shutil.copytree(bundle, broken)
+        doc = json.loads((broken / "dc.json").read_text())
+        doc["dcs"][1][key] = value
+        (broken / "dc.json").write_text(json.dumps(doc))
+        code, lines = run_cli(["solve", "--bundle", str(broken),
+                               "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == EXIT_INPUT and lines == [
+            f"error: {broken / 'dc.json'}: dcs[1] {key!r} must be an integer, got {value!r}"]
+
+    @pytest.mark.parametrize("where, value", [
+        ("generators[0].bus", 4.5), ("slack_bus", 1.9), ("buses[1].id", 2.5),
+        ("lines[0].from_bus", True), ("lines[0].id", 0.5)])
+    def test_non_integral_grid_id_or_bus_exits_4_with_one_line(self, bundle, tmp_path,
+                                                               where, value):
+        broken = tmp_path / "broken"
+        shutil.copytree(bundle, broken)
+        doc = node = json.loads((broken / "grid.json").read_text())
+        *path, field = where.replace("[", ".").replace("]", "").split(".")
+        for key in path:
+            node = node[int(key) if key.isdigit() else key]
+        node[field] = value
+        (broken / "grid.json").write_text(json.dumps(doc))
+        code, lines = run_cli(["solve", "--bundle", str(broken),
+                               "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == EXIT_INPUT and lines == [
+            f"error: {broken / 'grid.json'}: {where} must be an integer, got {value!r}"]
+
     @pytest.mark.parametrize("name, keys", [
         ("dc.json", ("dcs", 0, "p_max")), ("grid.json", ("buses", 0, "base_load")),
         ("latency.csv", ("latency",)), ("workload.csv", ("weight",))],
@@ -382,6 +425,16 @@ class TestSimulate:
         assert 0.0 <= summary["power_violation_rate_mean"] <= 1.0
         assert (out / "series_scenario0.csv").exists()
         assert (out / "frontier.csv").exists()
+
+    def test_replay_bytes_are_pinned(self, bundle, solved_dir, tmp_path):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--bundle", str(bundle),
+                     "--solution", str(solved_dir / "solution.json"),
+                     "--out", str(out), "--scenarios", "4", "--seed", "7",
+                     "--quiet"]) == EXIT_OK
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in REPLAY_SHA256}
+        assert digests == REPLAY_SHA256
 
     def test_seeded_rerun_same_digest(self, bundle, solved_dir, tmp_path):
         digests = []

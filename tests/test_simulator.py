@@ -1,14 +1,17 @@
 import copy
+import csv
 import json
 from dataclasses import replace
+from itertools import repeat
 
 import numpy as np
 import pytest
 
 from dcflex.instance import build_synthetic, fit_signal_artifacts, small_params
-from dcflex.optimizer import resolve_config, run_strategy
+from dcflex.optimizer import queue_check_points, resolve_config, run_strategy
 from dcflex.signals import RegulationTrace
 from dcflex.simulator import (
+    SIM_TOL,
     aggregate,
     compliance_report,
     monte_carlo,
@@ -17,6 +20,7 @@ from dcflex.simulator import (
     write_series_csv,
 )
 from dcflex.validate import queue_backlog
+from dcflex.workload import load_matrix
 
 
 @pytest.fixture(scope="module")
@@ -146,8 +150,8 @@ class TestMonteCarlo:
             full = simulate(inst, cfg, sol, horizon_segment(inst, cfg, held, r.trace_offset),
                             scenario_id=r.scenario_id, trace_offset=r.trace_offset)
             assert r.summary() == full.summary()
-            assert r.checkpoint_ok == full.checkpoint_ok
-            for name in ("power_violation_frac", "queue_violation_frac", "slot_compliant"):
+            for name in ("checkpoint_ok", "power_violation_frac", "queue_violation_frac",
+                         "slot_compliant"):
                 assert np.array_equal(getattr(r, name), getattr(full, name))
         segment = horizon_segment(inst, cfg, held, results[0].trace_offset)
         with pytest.raises(ValueError, match="needs a result from simulate"):
@@ -196,3 +200,101 @@ def test_series_csv_row_count(tmp_path, solved):
     write_series_csv(res, inst, segment, path)
     rows = path.read_text().strip().splitlines()
     assert len(rows) == 1 + inst.n_dc * inst.n_slots * res.samples_per_slot
+
+
+def per_slot_replay(inst, cfg, sol, segment):
+    """The replay as a loop over slots, checkpoints and cells: (queue, queue
+    violation fractions, checkpoint bools, realized revenue)."""
+    t_total, n_dc = inst.n_slots, inst.n_dc
+    per_slot = int(round(cfg.slot_hours * 3600.0 / segment.dt_seconds))
+    s = segment.samples[:t_total * per_slot].reshape(t_total, per_slot)
+    dh = segment.dt_seconds / 3600.0
+    nodal = load_matrix(sol.x, inst.jobs, cfg.slot_hours)
+    q = inst.queue
+    queue = np.empty((n_dc, t_total * per_slot + 1))
+    queue[:, 0] = q.q_init
+    queue_frac = np.zeros((n_dc, t_total))
+    for t in range(t_total):
+        delta = (q.arrivals[:, t][:, None] / per_slot - nodal[:, t][:, None] * dh
+                 + sol.reg[:, t][:, None] * s[t][None, :] * dh)
+        block = queue[:, t * per_slot][:, None] + np.cumsum(delta, axis=1)
+        queue[:, t * per_slot + 1:(t + 1) * per_slot + 1] = block
+        outside = (block < q.q_min[:, None] - SIM_TOL) | (block > q.q_max[:, None] + SIM_TOL)
+        queue_frac[:, t] = outside.mean(axis=1)
+    points = queue_check_points(t_total, cfg.slot_hours, cfg.var_horizons)
+    ok = np.zeros((n_dc, len(points)), dtype=bool)
+    for j, cp in enumerate(points):
+        k = min(int(round(cp.tau_hours * 3600.0 / segment.dt_seconds)), t_total * per_slot)
+        for l in range(n_dc):
+            ok[l, j] = q.q_min[l] - SIM_TOL <= queue[l, k] <= q.q_max[l] + SIM_TOL
+    p_min = np.stack([dc.p_min for dc in inst.dcs])[:, :, None]
+    p_max = np.stack([dc.p_max for dc in inst.dcs])[:, :, None]
+    power = nodal[:, :, None] - s[None, :, :] * sol.reg[:, :, None]
+    power_frac = ((power < p_min - SIM_TOL) | (power > p_max + SIM_TOL)).mean(axis=2)
+    rate = cfg.revenue_rate(t_total)
+    realized = 0.0
+    for l in range(n_dc):
+        for t in range(t_total):
+            pay = rate[t] * sol.reg[l, t] * cfg.slot_hours
+            if cfg.forfeiture == "proportional":
+                realized += pay * (1.0 - float(power_frac[l, t]))
+            elif power_frac[l, t] <= cfg.compliance_threshold + SIM_TOL:
+                realized += pay
+    return queue, queue_frac, ok, float(realized)
+
+
+@pytest.mark.parametrize("scale", [1.0, 4.0])
+@pytest.mark.parametrize("forfeiture", ["full", "proportional"])
+def test_array_replay_matches_the_per_slot_loop(solved, forfeiture, scale):
+    inst, cfg, fitted, sol, held = solved
+    cfg = replace(cfg, forfeiture=forfeiture)
+    stretched = copy.deepcopy(sol)
+    stretched.reg = sol.reg * scale
+    # 7 s does not divide the hour: 514 samples per slot, and the checkpoints
+    # at the horizon end fall past the last sample and clamp to it.
+    dt = 7.0
+    needed = inst.n_slots * int(round(cfg.slot_hours * 3600.0 / dt))
+    assert round(inst.n_slots * cfg.slot_hours * 3600.0 / dt) > needed
+    segment = RegulationTrace(held.samples[:needed].copy(), dt)
+    res = simulate(inst, cfg, stretched, segment)
+    queue, queue_frac, ok, realized = per_slot_replay(inst, cfg, stretched, segment)
+    assert np.array_equal(res.queue, queue)
+    assert np.array_equal(res.queue_violation_frac, queue_frac)
+    assert res.checkpoint_ok.dtype == bool and np.array_equal(res.checkpoint_ok, ok)
+    assert res.realized_revenue == realized
+    if scale > 1.0:
+        assert not ok.all() and queue_frac.any()
+
+
+def csv_writer_series(res, inst, segment, path):
+    """The series through csv.writer, one row per sample."""
+    n_dc, t_total, per_slot = res.power.shape
+    p_min = np.stack([dc.p_min for dc in inst.dcs])[:, :, None]
+    p_max = np.stack([dc.p_max for dc in inst.dcs])[:, :, None]
+    queue = res.queue[:, 1:].reshape(n_dc, t_total, per_slot)
+    q_min, q_max = inst.queue.q_min[:, None, None], inst.queue.q_max[:, None, None]
+    power_viol = ((res.power < p_min - SIM_TOL) | (res.power > p_max + SIM_TOL)).astype(int)
+    queue_viol = ((queue < q_min - SIM_TOL) | (queue > q_max + SIM_TOL)).astype(int)
+    signal = segment.samples[:t_total * per_slot].reshape(t_total, per_slot)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["dc", "slot", "k", "s", "power_mw", "queue_mwh",
+                         "power_violation", "queue_violation"])
+        for l, dc in enumerate(inst.dcs):
+            for t in range(t_total):
+                writer.writerows(zip(
+                    repeat(dc.id), repeat(t + 1), range(1, per_slot + 1), signal[t].tolist(),
+                    res.power[l, t].tolist(), queue[l, t].tolist(),
+                    power_viol[l, t].tolist(), queue_viol[l, t].tolist()))
+
+
+def test_series_csv_bytes_match_csv_writer(tmp_path, solved):
+    inst, cfg, fitted, sol, held = solved
+    stretched = copy.deepcopy(sol)
+    stretched.reg = sol.reg * 4.0
+    segment = horizon_segment(inst, cfg, held)
+    res = simulate(inst, cfg, stretched, segment)
+    assert res.power_violation_frac.any() and res.queue_violation_frac.any()
+    write_series_csv(res, inst, segment, tmp_path / "series.csv")
+    csv_writer_series(res, inst, segment, tmp_path / "reference.csv")
+    assert (tmp_path / "series.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
