@@ -320,6 +320,10 @@ def cmd_compare(args) -> int:
     base_cfg = _model_config(args, bundle_cfg, None)
     strategies = args.strategies.split(",") if args.strategies else ["cooperative"]
     modes = args.modes.split(",") if args.modes else [base_cfg.shifting_mode]
+    for flag, names in (("--strategies", strategies), ("--modes", modes)):
+        repeated = [name for k, name in enumerate(names) if name in names[:k]]
+        if repeated:
+            raise ValueError(f"{flag} lists {repeated[0]!r} more than once")
     cells = [(s, m) for s in strategies for m in modes]
     # Every cell is checked before the first solve writes anything.
     for strategy, mode in cells:
@@ -516,7 +520,7 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (FileNotFoundError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

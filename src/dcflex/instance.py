@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .grid import (Bus, Generator, GridCase, Line, _integer, case_from_dict,
-                   read_grid_json, write_grid_json)
+                   write_grid_json)
 from .optimizer import ModelConfig, ProblemInstance, QueueParameters
 from .signals import (
     RegulationTrace,
@@ -118,15 +118,6 @@ def cc_stress_params() -> GenParams:
 PRESETS = {"demo": demo_params, "small": small_params, "cc_stress": cc_stress_params}
 
 DEMO_SEED = 7
-
-
-def demo_data_dir() -> Path:
-    return Path(__file__).parent / "data" / "demo"
-
-
-def demo_case():
-    """The bundled desk-scale grid case (6 buses, 2 generators)."""
-    return read_grid_json(demo_data_dir() / "grid.json")
 
 
 def materialize_demo(out_dir) -> list[Path]:

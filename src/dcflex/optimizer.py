@@ -47,7 +47,6 @@ from .signals import (
     inverse_normal_cdf,
 )
 from .simplex import INFEASIBLE, OPTIMAL, solve_lp
-from .spacetime import SpaceTimeIndex, VirtualLink
 from .standard_form import FEAS_TOL, INF, SolverError, StandardFormModel, presolve
 from .workload import (
     LatencyMap,
@@ -224,10 +223,6 @@ class ProblemInstance:
     @property
     def n_slots(self) -> int:
         return self.dcs[0].n_slots
-
-    @property
-    def index(self) -> SpaceTimeIndex:
-        return SpaceTimeIndex(self.n_dc, self.n_slots)
 
     @cached_property
     def x_base(self) -> np.ndarray:
@@ -848,7 +843,7 @@ def solve_model(model: StandardFormModel, backend: str = BACKEND_BUNDLED):
             res = solve_lp(model)
             stats = {"backend": "bundled", "iterations": res.iterations, "status": res.status}
         status, values, counts = res.status, res.x, res.presolve
-    elif backend.startswith("cmd:"):
+    elif backend.startswith("cmd:") and backend[4:].strip():
         pre = presolve(model)
         counts = pre.counts
         if pre.model is None:
@@ -1029,41 +1024,6 @@ def run_strategy(inst: ProblemInstance, cfg: ModelConfig, fitted: FittedSignal,
                                 {"dispatch": stats, "per_dc": per_dc_stats})
 
     raise ValueError(f"unknown strategy {cfg.strategy!r}")
-
-
-def derived_link_flows(inst: ProblemInstance, x: np.ndarray) -> dict[VirtualLink, float]:
-    """Post-hoc signed task flows on virtual links implied by a schedule.
-
-    Movement of each cluster from its baseline cell is decomposed along a
-    canonical temporal-then-spatial path: defer along the baseline DC to
-    the target slot, then migrate within that slot. Values are task counts;
-    the sign follows each link's canonical orientation.
-    """
-    idx = inst.index
-    flows: dict[VirtualLink, float] = {link: 0.0 for link in idx.links()}
-    keyed = {(link.kind, link.tail, link.head): link for link in flows}
-
-    def add(kind, tail, head, amount):
-        flows[keyed[(kind, tail, head)]] += amount
-
-    for i, job in enumerate(inst.jobs):
-        t0, l0 = inst.baseline_dc(i)
-        for t in range(1, inst.n_slots + 1):
-            for l in range(1, inst.n_dc + 1):
-                if (t, l) == (t0, l0):
-                    continue
-                mass = float(x[i, t - 1, l - 1]) * job.weight
-                if mass == 0.0:
-                    continue
-                if t != t0:
-                    lo_t, hi_t, signed = (t0, t, mass) if t > t0 else (t, t0, -mass)
-                    for s in range(lo_t, hi_t):
-                        add("temporal", idx.node_index(l0, s), idx.node_index(l0, s + 1), signed)
-                if l != l0:
-                    tail = idx.node_index(min(l0, l), t)
-                    head = idx.node_index(max(l0, l), t)
-                    add("spatial", tail, head, mass if l0 < l else -mass)
-    return flows
 
 
 def solution_to_json(solution: Solution, jobs, path) -> None:

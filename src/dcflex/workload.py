@@ -117,36 +117,12 @@ class SlotLatency(NamedTuple):
     has_jobs: bool
 
 
-def zeros_schedule(n_jobs: int, n_slots: int, n_dc: int) -> np.ndarray:
-    return np.zeros((n_jobs, n_slots, n_dc))
-
-
-def validate_schedule(x: np.ndarray, jobs, tol: float = COMPLETENESS_TOL) -> None:
-    """Check bounds and per-cluster completeness of a schedule array."""
-    x = np.asarray(x)
-    if x.ndim != 3 or x.shape[0] != len(jobs):
-        raise ValueError(f"schedule shape {x.shape} does not match {len(jobs)} clusters")
-    if np.any(x < -tol) or np.any(x > 1.0 + tol):
-        raise ValueError("schedule fractions outside [0, 1]")
-    totals = x.sum(axis=(1, 2))
-    bad = np.where(np.abs(totals - 1.0) > tol)[0]
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(
-            f"cluster {jobs[i].id}: fractions sum to {totals[i]:.12f}, expected 1"
-        )
-
-
 def cluster_energies_mwh(jobs) -> np.ndarray:
     return np.array([j.energy_mwh for j in jobs])
 
 
-def aggregate_load(x: np.ndarray, jobs, slot_hours: float) -> np.ndarray:
-    """Nodal power demand in MW, flattened by 1-based virtual node id.
-
-    Entry p-1 of the result is the demand of node p = (l-1)*T + t, i.e. the
-    result reshapes to an (n_dc, n_slots) matrix.
-    """
+def load_matrix(x: np.ndarray, jobs, slot_hours: float) -> np.ndarray:
+    """Nodal power demand as an (n_dc, n_slots) MW matrix."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 3 or x.shape[0] != len(jobs):
         raise ValueError(f"schedule shape {x.shape} does not match {len(jobs)} clusters")
@@ -154,13 +130,8 @@ def aggregate_load(x: np.ndarray, jobs, slot_hours: float) -> np.ndarray:
         raise ValueError("slot_hours must be > 0")
     energy = cluster_energies_mwh(jobs)  # MWh per fully-placed cluster
     nodal = np.tensordot(energy, x, axes=(0, 0)) / slot_hours  # (T, N) MW
-    return nodal.T.reshape(-1)
-
-
-def load_matrix(x: np.ndarray, jobs, slot_hours: float) -> np.ndarray:
-    """Nodal demand as an (n_dc, n_slots) MW matrix."""
-    n_dc = np.asarray(x).shape[2]
-    return aggregate_load(x, jobs, slot_hours).reshape(n_dc, -1)
+    # C order: numpy's summation order along an axis depends on the layout.
+    return np.ascontiguousarray(nodal.T)
 
 
 def effective_latency(x: np.ndarray, t: int, jobs, latmap: LatencyMap, dc_ids) -> SlotLatency:
@@ -241,7 +212,7 @@ def baseline_assignment(jobs, latmap: LatencyMap, dcs) -> np.ndarray:
             np.stack([dc.io_cap for dc in dcs]),
         ]
     )
-    x = zeros_schedule(len(jobs), t_total, n_dc)
+    x = np.zeros((len(jobs), t_total, n_dc))
     for i, job in enumerate(jobs):
         if job.arrival_slot > t_total:
             raise ValueError(f"cluster {job.id}: arrival slot {job.arrival_slot} > horizon {t_total}")

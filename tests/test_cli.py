@@ -319,6 +319,14 @@ class TestSolve:
         assert len(lines) == 1 and lines[0].startswith("error: model coopt: ")
         assert "MB budget" in lines[0] and "--backend cmd:" in lines[0]
 
+    @pytest.mark.parametrize("backend", ["cmd:", "cmd:   "], ids=["empty", "spaces"])
+    def test_cmd_backend_without_a_command_exits_4_with_one_line(self, bundle, tmp_path,
+                                                                 backend):
+        code, lines = run_cli(["solve", "--bundle", str(bundle), "--out", str(tmp_path / "o"),
+                               "--backend", backend, "--quiet"])
+        assert code == EXIT_INPUT and len(lines) == 1, lines
+        assert lines[0].startswith(f"error: unknown backend {backend!r}"), lines
+
     def test_reproducible_solution_bytes(self, bundle, tmp_path):
         blobs = []
         for sub in ("r1", "r2"):
@@ -509,6 +517,8 @@ class TestCompare:
     @pytest.mark.parametrize("strategies, modes, bad", [
         ("cooperative,bogus", "joint", "bogus"),
         ("cooperative", "joint,sideways", "sideways"),
+        ("cooperative,decoupled,cooperative", "joint", "cooperative"),
+        ("cooperative", "joint,none,joint", "joint"),
     ])
     def test_bad_cell_exits_4_before_any_solve(self, bundle, tmp_path, strategies, modes,
                                                bad):
@@ -518,6 +528,13 @@ class TestCompare:
         assert code == EXIT_INPUT and len(lines) == 1, lines
         assert lines[0].startswith("error: ") and repr(bad) in lines[0], lines
         assert not out.exists()
+
+
+    def test_cmd_backend_without_a_command_exits_4_with_one_line(self, bundle, tmp_path):
+        code, lines = run_cli(["compare", "--bundle", str(bundle), "--out", str(tmp_path / "c"),
+                               "--backend", "cmd:", "--quiet"])
+        assert code == EXIT_INPUT and len(lines) == 1, lines
+        assert lines[0].startswith("error: unknown backend 'cmd:'"), lines
 
 
 class TestExperimentConfig:
@@ -662,6 +679,30 @@ class TestSettings:
                      "--config", str(cfg_path), "--quiet"]) == EXIT_OK
         report = json.loads((out / "fit_report.json").read_text())
         assert report["samples_fit"] == 129600
+
+
+# PATH is made a directory where a file is read, and a file where --out
+# makes a directory.
+@pytest.mark.parametrize("argv, kind", [
+    (["fit-signal", "--trace", "PATH", "--out", "OUT"], "dir"),
+    (["solve", "--bundle", "BUNDLE", "--config", "PATH", "--out", "OUT"], "dir"),
+    (["simulate", "--bundle", "BUNDLE", "--solution", "PATH", "--seed", "7", "--out", "OUT"],
+     "dir"),
+    (["gen-instance", "--preset", "demo", "--seed", "7", "--out", "PATH"], "file"),
+    (["solve", "--bundle", "BUNDLE", "--out", "PATH"], "file"),
+    (["compare", "--bundle", "BUNDLE", "--out", "PATH"], "file"),
+], ids=["fit_signal_trace", "solve_config", "simulate_solution", "gen_instance_out",
+        "solve_out", "compare_out"])
+def test_path_of_the_wrong_kind_exits_4_with_one_line(bundle, tmp_path, argv, kind):
+    path = tmp_path / "path"
+    if kind == "dir":
+        path.mkdir()
+    else:
+        path.write_text("")
+    subs = {"PATH": str(path), "OUT": str(tmp_path / "out"), "BUNDLE": str(bundle)}
+    code, lines = run_cli([subs.get(a, a) for a in argv] + ["--quiet"])
+    assert code == EXIT_INPUT and len(lines) == 1, lines
+    assert lines[0].startswith("error: ") and str(path) in lines[0], lines
 
 
 def test_report_summarizes_run(solved_dir, capsys):

@@ -1,19 +1,19 @@
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dcflex
 from conftest import tiny_config, tiny_instance
-from dcflex.grid import validate_case
+from dcflex.grid import read_grid_json, validate_case
 from dcflex.instance import (
     DEMO_SEED,
     GenParams,
     build_synthetic,
     cc_stress_params,
     default_var_horizons,
-    demo_case,
-    demo_data_dir,
     demo_params,
     fit_signal_artifacts,
     generate_instance,
@@ -23,7 +23,9 @@ from dcflex.instance import (
 )
 from dcflex.optimizer import ProblemInstance
 from dcflex.signals import RegulationTrace
-from dcflex.workload import load_matrix, validate_schedule
+from dcflex.workload import COMPLETENESS_TOL, load_matrix
+
+DEMO_DATA = Path(dcflex.__file__).parent / "data" / "demo"
 
 
 class TestSyntheticInstances:
@@ -39,7 +41,10 @@ class TestSyntheticInstances:
             inst, cfg, trace = build_synthetic(small_params(), seed=seed)
             inst.validate()
             assert validate_case(inst.grid) == []
-            validate_schedule(inst.x_base, inst.jobs)
+            x = inst.x_base
+            assert x.shape == (len(inst.jobs), inst.n_slots, inst.n_dc)
+            assert np.all((x >= -COMPLETENESS_TOL) & (x <= 1.0 + COMPLETENESS_TOL))
+            assert np.all(np.abs(x.sum(axis=(1, 2)) - 1.0) <= COMPLETENESS_TOL)
 
     def test_class_mix_spans_all_three(self):
         inst, _, _ = build_synthetic(demo_params(), seed=1)
@@ -142,14 +147,14 @@ class TestBundleIo:
 
 class TestDemoPackageData:
     def test_bundled_case_is_valid(self):
-        case = demo_case()
+        case = read_grid_json(DEMO_DATA / "grid.json")
         assert validate_case(case) == []
         assert len(case.buses) == 6 and len(case.generators) == 2
 
     def test_static_files_match_generator_output(self, tmp_path):
         generate_instance(demo_params(), DEMO_SEED, tmp_path / "demo")
         for name in ("grid.json", "dc.json", "workload.csv", "latency.csv", "config.json"):
-            static = (demo_data_dir() / name).read_bytes()
+            static = (DEMO_DATA / name).read_bytes()
             fresh = (tmp_path / "demo" / name).read_bytes()
             assert static == fresh, f"{name} drifted from the generator output"
 

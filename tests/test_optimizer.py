@@ -22,7 +22,6 @@ from dcflex.optimizer import (
     build_per_dc_model,
     build_regulation_only_model,
     chance_coefficient,
-    derived_link_flows,
     diagnose_infeasibility,
     extract_solution,
     queue_check_points,
@@ -217,43 +216,6 @@ class TestStrategiesTiny:
         dec = run_strategy(inst, replace(cfg, strategy="decoupled"), fitted)
         assert np.allclose(coop.x, dec.x, atol=1e-9)
         assert coop.objective_total == pytest.approx(dec.objective_total, abs=1e-6)
-
-
-class TestDerivedLinkFlows:
-    def test_no_movement_no_flow(self):
-        inst, cfg, _, _ = tiny_setup()
-        flows = derived_link_flows(inst, inst.x_base)
-        assert all(v == 0.0 for v in flows.values())
-
-    def test_single_spatial_move(self):
-        inst, cfg, _, _ = tiny_setup()
-        x = inst.x_base.copy()
-        i = 2  # deferrable at (1, dc1) in the baseline
-        assert x[i, 0, 0] == 1.0
-        x[i, 0, 0] = 0.0
-        x[i, 0, 1] = 1.0
-        flows = derived_link_flows(inst, x)
-        nonzero = {link: v for link, v in flows.items() if v != 0.0}
-        assert len(nonzero) == 1
-        (link, value), = nonzero.items()
-        assert link.kind == "spatial"
-        assert value == pytest.approx(inst.jobs[i].weight)
-
-    def test_mass_conservation_per_cluster(self):
-        inst, cfg, _, _ = tiny_setup()
-        x = inst.x_base.copy()
-        i = 2
-        x[i, 0, 0] = 0.2
-        x[i, 1, 0] = 0.3
-        x[i, 2, 1] = 0.5
-        flows = derived_link_flows(inst, x)
-        outgoing = sum(abs(v) for link, v in flows.items()
-                       if link.kind == "spatial" and v != 0.0)
-        assert outgoing == pytest.approx(0.5 * inst.jobs[i].weight)
-        # temporal first hop carries everything that leaves slot 1
-        first_hop = [v for link, v in flows.items()
-                     if link.kind == "temporal" and v != 0.0]
-        assert sum(first_hop) == pytest.approx((0.3 + 0.5 + 0.5) * inst.jobs[i].weight)
 
 
 class TestSolutionJson:

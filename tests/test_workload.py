@@ -6,21 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcflex.workload import (
+    COMPLETENESS_TOL,
     DataCenterSpec,
     InfeasibleBaseline,
     JobCluster,
     LatencyMap,
-    aggregate_load,
     baseline_assignment,
     baseline_latency_profile,
     effective_latency,
+    load_matrix,
     qos_deviation,
     read_latency_csv,
     read_workload_csv,
-    validate_schedule,
     write_latency_csv,
     write_workload_csv,
-    zeros_schedule,
 )
 
 
@@ -44,32 +43,36 @@ def simple_latency(n_regions=2, n_dc=2):
 
 
 class TestAggregateLoad:
+    """Cluster energy aggregated into the (DC, slot) MW matrix of load_matrix."""
+
     def test_single_cluster_conversion(self):
         # 1000 tasks at 1.7 kWh/task fully placed in one 1 h slot -> 1.7 MW.
         jobs = [cluster()]
-        x = zeros_schedule(1, 3, 2)
+        x = np.zeros((1, 3, 2))
         x[0, 0, 0] = 1.0
-        load = aggregate_load(x, jobs, slot_hours=1.0)
-        assert load[0] == pytest.approx(1.7)
-        assert np.all(load[1:] == 0.0)
+        load = load_matrix(x, jobs, slot_hours=1.0)
+        assert load.shape == (2, 3)
+        assert load[0, 0] == pytest.approx(1.7)
+        assert np.count_nonzero(load) == 1
 
     def test_zero_schedule(self):
-        assert np.all(aggregate_load(zeros_schedule(2, 3, 2), [cluster(), cluster("j2")], 1.0) == 0.0)
+        assert np.all(load_matrix(np.zeros((2, 3, 2)), [cluster(), cluster("j2")], 1.0) == 0.0)
 
     def test_symmetric_split(self):
         jobs = [cluster("a"), cluster("b")]
-        x = zeros_schedule(2, 1, 2)
+        x = np.zeros((2, 1, 2))
         x[0, 0, 0] = x[0, 0, 1] = 0.5
         x[1, 0, 0] = x[1, 0, 1] = 0.5
-        load = aggregate_load(x, jobs, 1.0)
-        assert load[0] == pytest.approx(load[1])
+        load = load_matrix(x, jobs, 1.0)
+        assert load[0, 0] == pytest.approx(load[1, 0])
 
     def test_node_id_layout(self):
         jobs = [cluster()]
-        x = zeros_schedule(1, 3, 2)
+        x = np.zeros((1, 3, 2))
         x[0, 2, 1] = 1.0  # slot 3, dc 2 -> node (2-1)*3 + 3 = 6
-        load = aggregate_load(x, jobs, 1.0)
-        assert load[5] == pytest.approx(1.7)
+        load = load_matrix(x, jobs, 1.0)
+        assert load[1, 2] == pytest.approx(1.7)
+        assert load.reshape(-1)[5] == pytest.approx(1.7)
 
     @given(st.floats(0, 1), st.integers(0, 2**31 - 1))
     @settings(max_examples=40, deadline=None)
@@ -78,8 +81,8 @@ class TestAggregateLoad:
         jobs = [cluster("a"), cluster("b", weight=500.0, d=0.9)]
         x1 = rng.random((2, 3, 2))
         x2 = rng.random((2, 3, 2))
-        mixed = aggregate_load(alpha * x1 + (1 - alpha) * x2, jobs, 1.0)
-        parts = alpha * aggregate_load(x1, jobs, 1.0) + (1 - alpha) * aggregate_load(x2, jobs, 1.0)
+        mixed = load_matrix(alpha * x1 + (1 - alpha) * x2, jobs, 1.0)
+        parts = alpha * load_matrix(x1, jobs, 1.0) + (1 - alpha) * load_matrix(x2, jobs, 1.0)
         assert np.allclose(mixed, parts, atol=1e-9)
 
 
@@ -87,7 +90,7 @@ class TestEffectiveLatency:
     def test_single_location(self):
         latmap = LatencyMap({("r1", 1): 5.0, ("r1", 2): 9.0})
         jobs = [cluster(), cluster("j2")]
-        x = zeros_schedule(2, 1, 2)
+        x = np.zeros((2, 1, 2))
         x[:, 0, 0] = 1.0
         lat = effective_latency(x, 1, jobs, latmap, [1, 2])
         assert lat.value == pytest.approx(5.0) and lat.has_jobs
@@ -95,21 +98,21 @@ class TestEffectiveLatency:
     def test_equal_weights_mean(self):
         latmap = LatencyMap({("r1", 1): 10.0, ("r2", 1): 20.0})
         jobs = [cluster(region="r1"), cluster("j2", region="r2")]
-        x = zeros_schedule(2, 1, 1)
+        x = np.zeros((2, 1, 1))
         x[:, 0, 0] = 1.0
         assert effective_latency(x, 1, jobs, latmap, [1]).value == pytest.approx(15.0)
 
     def test_weighted_mean(self):
         latmap = LatencyMap({("r1", 1): 4.0, ("r2", 1): 8.0})
         jobs = [cluster(region="r1"), cluster("j2", region="r2")]
-        x = zeros_schedule(2, 1, 1)
+        x = np.zeros((2, 1, 1))
         x[0, 0, 0] = 0.25
         x[1, 0, 0] = 0.75
         assert effective_latency(x, 1, jobs, latmap, [1]).value == pytest.approx(7.0)
 
     def test_empty_slot_flagged(self):
         latmap = LatencyMap({("r1", 1): 4.0})
-        lat = effective_latency(zeros_schedule(1, 2, 1), 2, [cluster()], latmap, [1])
+        lat = effective_latency(np.zeros((1, 2, 1)), 2, [cluster()], latmap, [1])
         assert lat.value == 0.0 and not lat.has_jobs
 
 
@@ -118,8 +121,9 @@ class TestBaselineAssignment:
         jobs = [cluster(cls="fixed")]
         latmap = LatencyMap({("r1", 1): 3.0})
         x = baseline_assignment(jobs, latmap, [dc_spec()])
-        assert x[0, 0, 0] == 1.0
-        validate_schedule(x, jobs)
+        assert x.shape == (1, 3, 1) and x[0, 0, 0] == 1.0
+        assert np.all((x >= -COMPLETENESS_TOL) & (x <= 1.0 + COMPLETENESS_TOL))
+        assert np.all(np.abs(x.sum(axis=(1, 2)) - 1.0) <= COMPLETENESS_TOL)
 
     def test_spill_to_second_nearest_on_cpu(self):
         latmap = simple_latency()
@@ -172,9 +176,9 @@ class TestQosDeviation:
     def test_move_to_far_dc(self):
         latmap = LatencyMap({("r1", 1): 5.0, ("r1", 2): 9.0})
         jobs = [cluster("a", "r1"), cluster("b", "r1")]
-        x_base = zeros_schedule(2, 1, 2)
+        x_base = np.zeros((2, 1, 2))
         x_base[:, 0, 0] = 1.0
-        x = zeros_schedule(2, 1, 2)
+        x = np.zeros((2, 1, 2))
         x[:, 0, 1] = 1.0
         dev = qos_deviation(x, x_base, jobs, latmap, [1, 2])
         assert dev[0] == pytest.approx(4.0)
@@ -182,7 +186,7 @@ class TestQosDeviation:
     def test_empty_baseline_slot_uses_horizon_mean(self):
         latmap = LatencyMap({("r1", 1): 5.0})
         jobs = [cluster("a", "r1")]
-        x_base = zeros_schedule(1, 2, 1)
+        x_base = np.zeros((1, 2, 1))
         x_base[0, 0, 0] = 1.0
         profile = baseline_latency_profile(x_base, jobs, latmap, [1])
         assert profile[1] == pytest.approx(5.0)
@@ -190,7 +194,7 @@ class TestQosDeviation:
     def test_round_off_mass_is_not_work(self):
         latmap = LatencyMap({("r1", 1): 5.0, ("r1", 2): 9.0})
         jobs = [cluster("a", "r1")]
-        x_base = zeros_schedule(1, 2, 2)
+        x_base = np.zeros((1, 2, 2))
         x_base[0, 0, 0] = 1.0
         x = x_base.copy()
         x[0, 1, 1] = 5e-15  # a far DC in the slot the baseline leaves empty
@@ -225,14 +229,6 @@ class TestCsvIo:
         )
         with pytest.raises(ValueError, match="line 3"):
             read_workload_csv(path)
-
-
-def test_validate_schedule_catches_incomplete():
-    jobs = [cluster()]
-    x = zeros_schedule(1, 2, 1)
-    x[0, 0, 0] = 0.7
-    with pytest.raises(ValueError, match="sum"):
-        validate_schedule(x, jobs)
 
 
 def test_cluster_field_validation():
