@@ -8,9 +8,11 @@ hashes. Exit codes: 0 success, 2 infeasible model, 3 validation failure,
 
 import argparse
 import csv
+import io
 import json
 import sys
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,7 @@ from .instance import (
     generate_instance,
     load_bundle,
     read_manifest,
-    update_manifest,
+    write_artifacts,
 )
 from .optimizer import (
     SHIFTING_MODES,
@@ -33,10 +35,10 @@ from .optimizer import (
     InfeasibleModel,
     ModelConfig,
     SolverError,
+    backend_command,
     resolve_config,
     run_strategy,
     solution_from_json,
-    solution_to_json,
 )
 from .signals import RegulationTrace, read_trace_csv
 from .simulator import (
@@ -66,22 +68,21 @@ _TOP_LEVEL_TYPES = {
     "scenarios": ("an integer >= 1", lambda v: _is_int(v) and v >= 1),
     "backend": ("a string", lambda v: isinstance(v, str)),
     "bundle": ("a string", lambda v: v is None or isinstance(v, str)),
-    "out": ("a string", lambda v: v is None or isinstance(v, str)),
 }
 
 
 @dataclass
 class ExperimentConfig:
-    """Full run configuration: paths, model overrides, backend, simulation.
+    """Run configuration: bundle, model overrides, backend, simulation.
 
-    A --config JSON file mirrors this layout: top-level keys ``backend``,
-    ``scenarios``, ``seed``, ``threshold``, ``split``, and a ``model``
-    object of ModelConfig fields. Command-line flags override file values.
-    Seeds are always explicit; there is no wall-clock default.
+    A --config JSON file mirrors this layout: top-level keys ``bundle``,
+    ``backend``, ``scenarios``, ``seed``, ``threshold``, ``split``, and a
+    ``model`` object of ModelConfig fields. Command-line flags override
+    file values. Seeds are always explicit; there is no wall-clock default.
+    The output directory is always the --out flag.
     """
 
     bundle: str | None = None
-    out: str | None = None
     backend: str = "bundled"
     scenarios: int = 20
     seed: int | None = None
@@ -105,26 +106,12 @@ class ExperimentConfig:
                 raise ValueError(f"{path}: {key} must be {kind}, got {data[key]!r}")
         return cls(**data)
 
-    def merge_flags(self, args) -> "ExperimentConfig":
-        merged = replace(self)
-        for name in ("bundle", "out", "backend", "scenarios", "seed"):
-            value = getattr(args, name, None)
-            if value is not None:
-                setattr(merged, name, value)
-        return merged
 
-    def validate_paths(self) -> None:
-        if not self.bundle:
-            raise ValueError("no bundle directory configured")
-        if not Path(self.bundle).is_dir():
-            raise FileNotFoundError(f"bundle directory {self.bundle} does not exist")
-        if not self.out:
-            raise ValueError("no output directory configured")
-
-
-def _write_json(path: Path, obj) -> Path:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
+def _csv_text(rows) -> str:
+    """Rows as csv.writer writes them: minimal quoting, CRLF line ends."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
 
 
 def _say(args, message: str) -> None:
@@ -133,9 +120,17 @@ def _say(args, message: str) -> None:
 
 
 def _experiment(args) -> "ExperimentConfig":
+    """The --config file's settings, if one is given, under the flags of the
+    same names; the bundle directory must exist."""
     exp = ExperimentConfig.load(args.config) if getattr(args, "config", None) else ExperimentConfig()
-    exp = exp.merge_flags(args)
-    exp.validate_paths()
+    for name in ("bundle", "backend", "scenarios", "seed"):
+        value = getattr(args, name, None)
+        if value is not None:
+            setattr(exp, name, value)
+    if not exp.bundle:
+        raise ValueError("no bundle directory configured")
+    if not Path(exp.bundle).is_dir():
+        raise FileNotFoundError(f"bundle directory {exp.bundle} does not exist")
     return exp
 
 
@@ -164,11 +159,7 @@ def _model_config(args, base: ModelConfig, exp: "ExperimentConfig | None") -> Mo
 
 
 def cmd_gen_instance(args) -> int:
-    out = Path(args.out)
-    if args.preset:
-        params = PRESETS[args.preset]()
-    else:
-        params = GenParams()
+    params = PRESETS[args.preset]() if args.preset else GenParams()
     overrides = {}
     for flag, key in (("n_dc", "n_dc"), ("slots", "n_slots"), ("clusters", "n_clusters"),
                       ("buses", "n_buses"), ("gens", "n_gens"),
@@ -179,15 +170,14 @@ def cmd_gen_instance(args) -> int:
             overrides[key] = value
     if overrides:
         params = replace(params, **overrides)
-    paths = generate_instance(params, args.seed, out)
-    update_manifest(out, paths)
-    _say(args, f"wrote instance bundle to {out} (seed {args.seed})")
+    generate_instance(params, args.seed, args.out)
+    _say(args, f"wrote instance bundle to {args.out} (seed {args.seed})")
     return EXIT_OK
 
 
-def _fit_report(fitted: FittedSignal, trace, cfg: ModelConfig) -> tuple[dict, dict, dict]:
-    """Envelope, VaR-table and fit-report documents of a signal already
-    fitted on ``trace`` with ``cfg``."""
+def _fit_report(fitted: FittedSignal, trace, cfg: ModelConfig) -> dict:
+    """Envelope, VaR-table and fit-report documents, keyed by file name, of
+    a signal already fitted on ``trace`` with ``cfg``."""
     fit_seg, _ = trace.split(cfg.fit_split)
     envelope, direct, table = fitted.envelope, fitted.direct, fitted.var_table
     margins = []
@@ -198,34 +188,23 @@ def _fit_report(fitted: FittedSignal, trace, cfg: ModelConfig) -> tuple[dict, di
                         "dominance_margin": upper - emp})
     env_doc = {"mu": envelope.mu, "sigma": envelope.sigma, "source": envelope.source,
                "direct_mu": direct.mu, "direct_sigma": direct.sigma}
-    table_doc = {
-        "eps_e": table.eps_e,
-        "horizons": list(table.horizons),
-        "s_low": list(table.s_low),
-        "s_high": list(table.s_high),
-        "n_windows": list(table.n_windows),
-    }
+    table_doc = {"eps_e": table.eps_e, **{k: list(getattr(table, k)) for k in
+                                         ("horizons", "s_low", "s_high", "n_windows")}}
     report = {
         "samples_fit": len(fit_seg),
         "samples_held_out": len(trace) - len(fit_seg),
         "mean_abs_signal": fitted.mean_abs,
         "dominance": margins,
     }
-    return env_doc, table_doc, report
+    return {"envelope.json": env_doc, "var_table.json": table_doc, "fit_report.json": report}
 
 
 def cmd_fit_signal(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     trace = read_trace_csv(args.trace)
     cfg = _model_config(args, ModelConfig(), None)
-    env_doc, table_doc, report = _fit_report(fit_signal_artifacts(trace, cfg), trace, cfg)
-    paths = [
-        _write_json(out / "envelope.json", env_doc),
-        _write_json(out / "var_table.json", table_doc),
-        _write_json(out / "fit_report.json", report),
-    ]
-    update_manifest(out, paths)
+    docs = _fit_report(fit_signal_artifacts(trace, cfg), trace, cfg)
+    write_artifacts(args.out, docs)
+    env_doc = docs["envelope.json"]
     _say(args, f"fitted signal: mu={env_doc['mu']:.5f} sigma={env_doc['sigma']:.5f} "
                f"(direct sigma {env_doc['direct_sigma']:.5f})")
     return EXIT_OK
@@ -233,24 +212,15 @@ def cmd_fit_signal(args) -> int:
 
 def cmd_solve(args) -> int:
     exp = _experiment(args)
-    out = Path(exp.out)
-    out.mkdir(parents=True, exist_ok=True)
+    backend_command(exp.backend)
     inst, bundle_cfg, trace = load_bundle(exp.bundle)
     cfg = _model_config(args, bundle_cfg, exp)
     fitted = fit_signal_artifacts(trace, cfg)
     solution = run_strategy(inst, cfg, fitted, backend=exp.backend)
     report = validate_solution(inst, cfg, fitted, solution)
-    env_doc, table_doc, fit_doc = _fit_report(fitted, trace, cfg)
-    paths = [
-        _write_json(out / "envelope.json", env_doc),
-        _write_json(out / "var_table.json", table_doc),
-        _write_json(out / "fit_report.json", fit_doc),
-        _write_json(out / "validation.json", report.to_dict()),
-    ]
-    sol_path = out / "solution.json"
-    solution_to_json(solution, inst.jobs, sol_path)
-    paths.append(sol_path)
-    update_manifest(out, paths)
+    write_artifacts(args.out, {**_fit_report(fitted, trace, cfg),
+                               "validation.json": report.to_dict(),
+                               "solution.json": solution.to_dict(inst.jobs)})
     _say(args, f"status {solution.status}; net cost {solution.objective_total:.3f} "
                f"(generation {solution.generation_cost:.3f}, revenue "
                f"{solution.regulation_revenue:.3f}); validation "
@@ -273,42 +243,28 @@ def cmd_simulate(args) -> int:
     if solution.x.shape != shape:
         raise ValueError(f"{args.solution}: (clusters, slots, dcs) {solution.x.shape} do not "
                          f"match the bundle's {shape}")
-    out = Path(exp.out)
-    out.mkdir(parents=True, exist_ok=True)
     fitted = fit_signal_artifacts(trace, cfg)
     cfg = resolve_config(cfg, inst.n_slots, fitted.mean_abs)
     _, held_out = trace.split(cfg.fit_split)
     results, agg = monte_carlo(inst, cfg, fitted, solution, held_out,
                                n_scenarios=exp.scenarios, seed=exp.seed)
     agg["digest"] = results_digest(agg)
-    paths = [
-        _write_json(out / "sim_summary.json", agg),
-        _write_json(out / "compliance.json",
-                    compliance_report(results, cfg.compliance_threshold)),
-    ]
     # monte_carlo keeps summaries only; replay scenario 0 for its series.
     start = results[0].trace_offset
     needed = results[0].samples_per_slot * inst.n_slots
     segment = RegulationTrace(held_out.samples[start:start + needed], held_out.dt_seconds)
-    series_path = out / "series_scenario0.csv"
-    write_series_csv(simulate(inst, cfg, solution, segment, trace_offset=start),
-                     inst, segment, series_path)
-    paths.append(series_path)
-    frontier_path = out / "frontier.csv"
-    with open(frontier_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["eps_p", "eps_e", "signal_model", "committed_r_mw",
-                         "power_violation_rate", "committed_revenue",
-                         "realized_revenue_mean"])
-        writer.writerow([
-            repr(cfg.eps_p), repr(cfg.eps_e), cfg.signal_model,
-            repr(float(solution.reg.sum())),
-            repr(agg["power_violation_rate_mean"]),
-            repr(agg["committed_revenue"]),
-            repr(agg["realized_revenue_mean"]),
-        ])
-    paths.append(frontier_path)
-    update_manifest(out, paths)
+    series = simulate(inst, cfg, solution, segment, trace_offset=start)
+    frontier = [["eps_p", "eps_e", "signal_model", "committed_r_mw", "power_violation_rate",
+                 "committed_revenue", "realized_revenue_mean"],
+                [repr(cfg.eps_p), repr(cfg.eps_e), cfg.signal_model,
+                 repr(float(solution.reg.sum())), repr(agg["power_violation_rate_mean"]),
+                 repr(agg["committed_revenue"]), repr(agg["realized_revenue_mean"])]]
+    write_artifacts(args.out, {
+        "sim_summary.json": agg,
+        "compliance.json": compliance_report(results, cfg.compliance_threshold),
+        "series_scenario0.csv": partial(write_series_csv, series, inst, segment),
+        "frontier.csv": _csv_text(frontier),
+    })
     _say(args, f"{len(results)} scenarios, power violation rate "
                f"{agg['power_violation_rate_mean']:.5f}, realized revenue "
                f"{agg['realized_revenue_mean']:.3f} of {agg['committed_revenue']:.3f}")
@@ -316,6 +272,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    backend_command(args.backend)
     inst, bundle_cfg, trace = load_bundle(args.bundle)
     base_cfg = _model_config(args, bundle_cfg, None)
     strategies = args.strategies.split(",") if args.strategies else ["cooperative"]
@@ -328,10 +285,7 @@ def cmd_compare(args) -> int:
     # Every cell is checked before the first solve writes anything.
     for strategy, mode in cells:
         replace(base_cfg, strategy=strategy, shifting_mode=mode).validate()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    rows, errors = [], []
-    paths = []
+    rows, errors, files = [], [], {}
     base_total = np.sum([b.base_load for b in inst.grid.buses], axis=0)
     # The fit depends on the split, quantile grid, horizons and eps_e only,
     # none of which a cell changes.
@@ -362,28 +316,18 @@ def cmd_compare(args) -> int:
             "net_cost_kusd": solution.objective_total / 1000.0,
             "peak_system_load_mw": float(system.max()),
         })
-        curve_path = out / f"loadcurve_{strategy}_{mode}.csv"
-        with open(curve_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["slot", "base_load_mw", "dc_load_mw", "system_load_mw"])
-            for t in range(inst.n_slots):
-                writer.writerow([t + 1, repr(float(base_total[t])),
-                                 repr(float(dc_load.sum(axis=0)[t])),
-                                 repr(float(system[t]))])
-        paths.append(curve_path)
-    table_path = out / "compare.csv"
+        files[f"loadcurve_{strategy}_{mode}.csv"] = _csv_text(
+            [["slot", "base_load_mw", "dc_load_mw", "system_load_mw"]]
+            + [[t + 1, repr(float(base_total[t])), repr(float(dc_load.sum(axis=0)[t])),
+                repr(float(system[t]))] for t in range(inst.n_slots)])
     fieldnames = ["strategy", "mode", "average_load_mw", "total_cost_kusd",
                   "average_regulation_capacity_mw", "regulation_profit_kusd",
                   "net_cost_kusd", "peak_system_load_mw"]
-    with open(table_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: (repr(v) if isinstance(v, float) else v)
-                             for k, v in row.items()})
-    paths.append(table_path)
-    paths.append(_write_json(out / "compare.json", {"rows": rows, "errors": errors}))
-    update_manifest(out, paths)
+    files["compare.csv"] = _csv_text(
+        [fieldnames] + [[repr(v) if isinstance(v, float) else v for v in map(row.get, fieldnames)]
+                        for row in rows])
+    files["compare.json"] = {"rows": rows, "errors": errors}
+    write_artifacts(args.out, files)
     for row in rows:
         _say(args, f"{row['strategy']:12s} {row['mode']:9s} "
                    f"net {row['net_cost_kusd']:10.4f} k$  "
@@ -407,27 +351,30 @@ def cmd_report(args) -> int:
         path = out / probe
         if not path.exists():
             continue
-        data = json.loads(path.read_text(encoding="utf-8"))
         lines += ["", f"## {title}", ""]
-        if probe == "solution.json":
-            br = data["breakdown"]
-            lines.append(f"- status: {data['status']}")
-            lines.append(f"- net cost: {br['net_cost']:.3f} $")
-            lines.append(f"- generation: {br['generation_cost']:.3f} $, "
-                         f"revenue: {br['regulation_revenue']:.3f} $")
-        elif probe == "sim_summary.json":
-            lines.append(f"- scenarios: {data['scenarios']}, samples: {data['samples_total']}")
-            lines.append(f"- power violation rate: {data['power_violation_rate_mean']:.5f}")
-            lines.append(f"- realized revenue: {data['realized_revenue_mean']:.3f} "
-                         f"of {data['committed_revenue']:.3f} $")
-        else:
-            for row in data.get("rows", []):
-                lines.append(f"- {row['strategy']}/{row['mode']}: "
-                             f"net {row['net_cost_kusd']:.4f} k$")
-    report_path = out / "report.md"
-    report_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    update_manifest(out, [report_path])
-    _say(args, f"wrote {report_path}")
+        try:
+            data = json.loads(path.read_text(encoding="utf-8"))
+            if probe == "solution.json":
+                br = data["breakdown"]
+                lines.append(f"- status: {data['status']}")
+                lines.append(f"- net cost: {br['net_cost']:.3f} $")
+                lines.append(f"- generation: {br['generation_cost']:.3f} $, "
+                             f"revenue: {br['regulation_revenue']:.3f} $")
+            elif probe == "sim_summary.json":
+                lines.append(f"- scenarios: {data['scenarios']}, "
+                             f"samples: {data['samples_total']}")
+                lines.append(f"- power violation rate: {data['power_violation_rate_mean']:.5f}")
+                lines.append(f"- realized revenue: {data['realized_revenue_mean']:.3f} "
+                             f"of {data['committed_revenue']:.3f} $")
+            else:
+                for row in data.get("rows", []):
+                    lines.append(f"- {row['strategy']}/{row['mode']}: "
+                                 f"net {row['net_cost_kusd']:.4f} k$")
+        except (KeyError, TypeError, ValueError) as exc:
+            cause = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+            raise ValueError(f"{path}: {cause}") from None
+    write_artifacts(out, {"report.md": "\n".join(lines) + "\n"})
+    _say(args, f"wrote {out / 'report.md'}")
     return EXIT_OK
 
 
@@ -511,6 +458,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # Commands create --out only after their work, so refuse a file first.
+        if Path(args.out).exists() and not Path(args.out).is_dir():
+            raise FileExistsError(f"--out {args.out} exists and is not a directory")
         return args.func(args)
     except InfeasibleModel as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

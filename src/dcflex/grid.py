@@ -268,12 +268,6 @@ def case_from_dict(data: dict, source="grid") -> GridCase:
     return GridCase(buses, lines, gens, slack, mva)
 
 
-def write_grid_json(case: GridCase, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(case_to_dict(case), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def read_grid_json(path) -> GridCase:
     with open(path, encoding="utf-8") as fh:
         return case_from_dict(json.load(fh), path)

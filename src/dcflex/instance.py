@@ -3,24 +3,24 @@
 A bundle directory holds grid.json, workload.csv, latency.csv, signal.csv,
 dc.json, and config.json. A generated bundle also holds signal.npy, a
 binary copy of signal.csv's columns, and manifest.json, the sha256 of each
-file; this module owns the manifest format of every command's output
-directory. The synthetic generator builds desk-scale instances that are
-feasible by construction (the baseline assignment witnesses feasibility of
-every constraint family) and deterministic per seed; presets cover the
-shipped demo shape and a chance-constraint stress shape used for
-signal-model comparisons.
+file. This module owns ``write_artifacts``, the one writer of every
+command's output directory and its manifest. The synthetic generator
+builds desk-scale instances that are feasible by construction (the
+baseline assignment witnesses feasibility of every constraint family) and
+deterministic per seed; presets cover the shipped demo shape and a
+chance-constraint stress shape used for signal-model comparisons.
 """
 
 import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .grid import (Bus, Generator, GridCase, Line, _integer, case_from_dict,
-                   write_grid_json)
+from .grid import Bus, Generator, GridCase, Line, _integer, case_from_dict, case_to_dict
 from .optimizer import ModelConfig, ProblemInstance, QueueParameters
 from .signals import (
     RegulationTrace,
@@ -328,42 +328,28 @@ def build_synthetic(params: GenParams, seed: int) -> tuple[ProblemInstance, Mode
 
 def save_bundle(out_dir, inst: ProblemInstance, cfg: ModelConfig,
                 trace: RegulationTrace) -> list[Path]:
-    """Write a bundle; returns the paths written, BUNDLE_FILES then SIGNAL_COPY.
+    """Write a bundle and record it in the directory's manifest; returns
+    the paths written, BUNDLE_FILES then SIGNAL_COPY.
 
     SIGNAL_COPY holds ``trace_columns(trace)``, bitwise what parsing
     signal.csv gives. It is derived and safe to delete: ``load_bundle``
-    reads it only once ``update_manifest`` has listed the paths, as
-    ``gen-instance`` does.
+    reads it only while the manifest holds the sha256 of both files.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_grid_json(inst.grid, out / "grid.json")
-    write_workload_csv(inst.jobs, out / "workload.csv")
-    write_latency_csv(inst.latency, out / "latency.csv")
-    write_trace_csv(trace, out / "signal.csv")
-    np.save(out / SIGNAL_COPY, trace_columns(trace))
-    dc_entries = []
-    for l, dc in enumerate(inst.dcs):
-        dc_entries.append({
-            "id": dc.id,
-            "bus": dc.bus,
-            "cpu_cap": [float(v) for v in dc.cpu_cap],
-            "mem_cap": [float(v) for v in dc.mem_cap],
-            "io_cap": [float(v) for v in dc.io_cap],
-            "p_min": [float(v) for v in dc.p_min],
-            "p_max": [float(v) for v in dc.p_max],
-            "q_min": float(inst.queue.q_min[l]),
-            "q_max": float(inst.queue.q_max[l]),
-            "q_init": float(inst.queue.q_init[l]),
-            "arrivals": [float(v) for v in inst.queue.arrivals[l]],
-        })
-    with open(out / "dc.json", "w", encoding="utf-8") as fh:
-        json.dump({"dcs": dc_entries}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(out / "config.json", "w", encoding="utf-8") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return [out / name for name in (*BUNDLE_FILES, SIGNAL_COPY)]
+    q = inst.queue
+    dc_entries = [{"id": dc.id, "bus": dc.bus,
+                   **{k: float(getattr(q, k)[l]) for k in _DC_SCALARS},
+                   **{k: [float(v) for v in (q.arrivals[l] if k == "arrivals" else getattr(dc, k))]
+                      for k in _DC_PER_SLOT}}
+                  for l, dc in enumerate(inst.dcs)]
+    return write_artifacts(out_dir, {
+        "grid.json": case_to_dict(inst.grid),
+        "workload.csv": partial(write_workload_csv, inst.jobs),
+        "latency.csv": partial(write_latency_csv, inst.latency),
+        "signal.csv": partial(write_trace_csv, trace),
+        "dc.json": {"dcs": dc_entries},
+        "config.json": cfg.to_dict(),
+        SIGNAL_COPY: lambda path: np.save(path, trace_columns(trace)),
+    })
 
 
 def generate_instance(params: GenParams, seed: int, out_dir) -> list[Path]:
@@ -390,15 +376,31 @@ def read_manifest(directory) -> dict:
     return manifest
 
 
-def update_manifest(out_dir, paths) -> None:
-    """Record the sha256 of each of ``paths`` in ``out_dir``'s manifest,
-    keeping the entries of other files."""
+def _json_text(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def write_artifacts(out_dir, files: dict) -> list[Path]:
+    """Create ``out_dir``, write ``files`` (file name -> content) into it
+    and record their sha256 in its manifest, keeping the entries of other
+    files; returns the paths written.
+
+    A content is a text, a callable that writes the file at the path it
+    is given (for files written as a stream), or else a JSON document,
+    written with indent 2, sorted keys and a final newline.
+    """
     out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, content in files.items():
+        if callable(content):
+            content(out / name)
+        else:
+            text = content if isinstance(content, str) else _json_text(content)
+            (out / name).write_text(text, encoding="utf-8", newline="")
     manifest = read_manifest(out) if (out / MANIFEST).exists() else {}
-    for p in map(Path, paths):
-        manifest[str(p.relative_to(out))] = sha256_file(p)
-    (out / MANIFEST).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                                encoding="utf-8")
+    manifest.update((name, sha256_file(out / name)) for name in files)
+    (out / MANIFEST).write_text(_json_text(manifest), encoding="utf-8")
+    return [out / name for name in files]
 
 
 def _non_finite(node, where: str = "") -> str | None:

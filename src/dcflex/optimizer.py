@@ -30,6 +30,7 @@ import json
 import math
 import numbers
 import re
+import shlex
 import tempfile
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -816,6 +817,22 @@ def diagnose_infeasibility(model: StandardFormModel,
     return {k: round(v, 9) for k, v in sorted(report.items())}
 
 
+def backend_command(backend: str) -> str | None:
+    """The command of a ``cmd:<command>`` backend, or None for ``bundled``.
+
+    Any other string raises ValueError, as does a command that shlex
+    cannot split or whose first word is empty (``cmd:""``).
+    """
+    if backend == BACKEND_BUNDLED:
+        return None
+    try:
+        if backend.startswith("cmd:") and shlex.split(backend[4:])[0]:
+            return backend[4:]
+    except (ValueError, IndexError):  # an unclosed quote; no words at all
+        pass
+    raise ValueError(f"unknown backend {backend!r}; use 'bundled' or 'cmd:<command>'")
+
+
 def solve_model(model: StandardFormModel, backend: str = BACKEND_BUNDLED):
     """Solve a model on the selected backend; the one place a solver runs.
 
@@ -833,7 +850,8 @@ def solve_model(model: StandardFormModel, backend: str = BACKEND_BUNDLED):
     diagnose_infeasibility on the same backend, when no feasible point
     exists, and SolverError on any other status.
     """
-    if backend == BACKEND_BUNDLED:
+    command = backend_command(backend)
+    if command is None:
         if any(v.integer and v.ub - v.lb > 1e-12 for v in model.variables):
             res = solve_mip(model)
             stats = {"backend": "bundled", "nodes": res.nodes, "status": res.status}
@@ -843,7 +861,7 @@ def solve_model(model: StandardFormModel, backend: str = BACKEND_BUNDLED):
             res = solve_lp(model)
             stats = {"backend": "bundled", "iterations": res.iterations, "status": res.status}
         status, values, counts = res.status, res.x, res.presolve
-    elif backend.startswith("cmd:") and backend[4:].strip():
+    else:
         pre = presolve(model)
         counts = pre.counts
         if pre.model is None:
@@ -852,12 +870,10 @@ def solve_model(model: StandardFormModel, backend: str = BACKEND_BUNDLED):
             status, values = OPTIMAL, pre.expand(np.zeros(0))
         else:
             with tempfile.TemporaryDirectory(prefix="dcflex_ext_") as wd:
-                status, values = run_external_solver(pre.model, backend[4:], wd)
+                status, values = run_external_solver(pre.model, command, wd)
             if values is not None:
                 values = pre.expand(values)
-        stats = {"backend": backend[4:], "status": status}
-    else:
-        raise ValueError(f"unknown backend {backend!r}; use 'bundled' or 'cmd:<command>'")
+        stats = {"backend": command, "status": status}
     if status == INFEASIBLE:
         raise InfeasibleModel(f"model {model.name} is infeasible",
                               diagnose_infeasibility(model, backend))
@@ -1024,12 +1040,6 @@ def run_strategy(inst: ProblemInstance, cfg: ModelConfig, fitted: FittedSignal,
                                 {"dispatch": stats, "per_dc": per_dc_stats})
 
     raise ValueError(f"unknown strategy {cfg.strategy!r}")
-
-
-def solution_to_json(solution: Solution, jobs, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(solution.to_dict(jobs), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def solution_from_json(path) -> Solution:

@@ -363,8 +363,7 @@ def same_trace(a, b) -> bool:
 
 def vouch(bundle, data: bytes) -> None:
     """Write signal.npy and record its digest, as if gen-instance had."""
-    (bundle / "signal.npy").write_bytes(data)
-    instance.update_manifest(bundle, [bundle / "signal.npy"])
+    instance.write_artifacts(bundle, {"signal.npy": lambda path: path.write_bytes(data)})
 
 
 def npy_bytes(array) -> bytes:
@@ -580,7 +579,7 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize("key, value", [
         ("seed", "x"), ("seed", True), ("scenarios", "many"), ("scenarios", 0),
-        ("backend", 5), ("bundle", ["b"]), ("out", 1.0)])
+        ("backend", 5), ("bundle", ["b"])])
     def test_config_top_level_type_exits_4_with_one_line(self, bundle, solved_dir, tmp_path,
                                                          key, value):
         cfg_path = tmp_path / "exp.json"
@@ -592,6 +591,17 @@ class TestExperimentConfig:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {cfg_path}: {key} must be ")
         assert lines[0].endswith(f", got {value!r}")
+
+    def test_out_key_is_unknown(self, bundle, tmp_path):
+        # The output directory is always the --out flag.
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({"out": str(tmp_path / "from_config")}))
+        code, lines = run_cli(["solve", "--bundle", str(bundle), "--out",
+                               str(tmp_path / "from_flag"), "--config", str(cfg_path),
+                               "--quiet"])
+        assert code == EXIT_INPUT
+        assert lines == [f"error: {cfg_path}: unknown experiment config keys ['out']"]
+        assert not (tmp_path / "from_config").exists() and not (tmp_path / "from_flag").exists()
 
 
 @pytest.fixture(scope="module")
@@ -709,6 +719,51 @@ def test_report_summarizes_run(solved_dir, capsys):
     assert main(["report", "--out", str(solved_dir), "--quiet"]) == EXIT_OK
     text = (solved_dir / "report.md").read_text()
     assert "Artifacts" in text and "Solution" in text
+
+
+def test_report_names_the_file_and_key_of_a_malformed_artifact(solved_dir, tmp_path):
+    out = shutil.copytree(solved_dir, tmp_path / "run")
+    (out / "report.md").unlink(missing_ok=True)
+    solution = json.loads((out / "solution.json").read_text())
+    del solution["breakdown"]
+    (out / "solution.json").write_text(json.dumps(solution))
+    code, lines = run_cli(["report", "--out", str(out), "--quiet"])
+    assert code == EXIT_INPUT
+    assert lines == [f"error: {out / 'solution.json'}: missing key 'breakdown'"]
+    assert not (out / "report.md").exists()
+
+
+# Each command checks its inputs and computes before it creates --out.
+@pytest.mark.parametrize("argv, cause", [
+    (["fit-signal", "--trace", "ONE_ROW"], "trace needs at least two rows"),
+    (["solve", "--bundle", "BUNDLE", "--backend", "bogus"], "unknown backend 'bogus'"),
+    (["compare", "--bundle", "BUNDLE", "--backend", "bogus"], "unknown backend 'bogus'"),
+    (["simulate", "--bundle", "BUNDLE", "--solution", "SOLUTION", "--seed", "1",
+      "--split", "0.99"], "held-out trace has 1944 samples, scenarios need 3600"),
+], ids=["fit_signal_one_row", "solve_bogus_backend", "compare_bogus_backend",
+        "simulate_short_held_out"])
+def test_a_failing_command_leaves_no_out_directory(bundle, solved_dir, tmp_path, argv, cause):
+    one_row = tmp_path / "one.csv"
+    one_row.write_text("timestamp,s\n0,0.1\n")
+    subs = {"ONE_ROW": str(one_row), "BUNDLE": str(bundle),
+            "SOLUTION": str(solved_dir / "solution.json")}
+    out = tmp_path / "out"
+    code, lines = run_cli([subs.get(a, a) for a in argv] + ["--out", str(out), "--quiet"])
+    assert code == EXIT_INPUT and len(lines) == 1 and cause in lines[0], lines
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "compare"])
+@pytest.mark.parametrize("backend", ['cmd:""', "cmd:''", "cmd:'abc"],
+                         ids=["empty_double_quotes", "empty_single_quotes", "unclosed_quote"])
+def test_cmd_backend_shlex_cannot_use_exits_4_leaving_no_out(bundle, tmp_path, command,
+                                                              backend):
+    out = tmp_path / "out"
+    code, lines = run_cli([command, "--bundle", str(bundle), "--out", str(out),
+                           "--backend", backend, "--quiet"])
+    assert code == EXIT_INPUT and len(lines) == 1, lines
+    assert lines[0].startswith(f"error: unknown backend {backend!r}"), lines
+    assert not out.exists()
 
 
 def test_pipeline_round_trip_readers(bundle):

@@ -12,8 +12,8 @@ from dcflex.grid import (
     power_balance_residual,
     read_grid_json,
     validate_case,
-    write_grid_json,
 )
+from dcflex.instance import write_artifacts
 
 
 def three_bus_case(t=2):
@@ -132,9 +132,8 @@ class TestValidateCase:
 class TestGridJson:
     def test_round_trip(self, tmp_path):
         case = three_bus_case()
-        path = tmp_path / "grid.json"
-        write_grid_json(case, path)
-        back = read_grid_json(path)
+        write_artifacts(tmp_path, {"grid.json": case_to_dict(case)})
+        back = read_grid_json(tmp_path / "grid.json")
         assert case_to_dict(back) == case_to_dict(case)
         assert back.lines[0].susceptance == pytest.approx(case.lines[0].susceptance)
 

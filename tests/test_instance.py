@@ -9,7 +9,9 @@ import dcflex
 from conftest import tiny_config, tiny_instance
 from dcflex.grid import read_grid_json, validate_case
 from dcflex.instance import (
+    BUNDLE_FILES,
     DEMO_SEED,
+    SIGNAL_COPY,
     GenParams,
     build_synthetic,
     cc_stress_params,
@@ -18,8 +20,11 @@ from dcflex.instance import (
     fit_signal_artifacts,
     generate_instance,
     load_bundle,
+    read_manifest,
     save_bundle,
+    sha256_file,
     small_params,
+    write_artifacts,
 )
 from dcflex.optimizer import ProblemInstance
 from dcflex.signals import RegulationTrace
@@ -84,6 +89,26 @@ class TestSyntheticInstances:
     def test_invalid_shape_rejected(self):
         with pytest.raises(ValueError, match="buses"):
             build_synthetic(GenParams(n_dc=4, n_buses=3), seed=1)
+
+
+class TestWriteArtifacts:
+    def test_each_kind_of_content_and_the_manifest(self, tmp_path):
+        out = tmp_path / "a" / "b"
+        write_artifacts(out, {"doc.json": {"b": 1, "a": [1.5]}})
+        paths = write_artifacts(out, {"t.csv": "x,y\r\n1,2\r\n",
+                                      "s.bin": lambda path: path.write_bytes(b"\0\1")})
+        assert paths == [out / "t.csv", out / "s.bin"]
+        assert (out / "doc.json").read_text() == '{\n  "a": [\n    1.5\n  ],\n  "b": 1\n}\n'
+        assert (out / "t.csv").read_bytes() == b"x,y\r\n1,2\r\n"
+        assert (out / "s.bin").read_bytes() == b"\0\1"
+        assert read_manifest(out) == {name: sha256_file(out / name)
+                                      for name in ("doc.json", "t.csv", "s.bin")}
+
+    def test_save_bundle_records_its_manifest(self, tmp_path):
+        paths = save_bundle(tmp_path / "b", tiny_instance(), tiny_config(),
+                            RegulationTrace(np.array([0.1, -0.2]), 4.0))
+        assert [p.name for p in paths] == [*BUNDLE_FILES, SIGNAL_COPY]
+        assert read_manifest(tmp_path / "b") == {p.name: sha256_file(p) for p in paths}
 
 
 class TestBundleIo:

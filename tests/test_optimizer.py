@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 import dcflex.optimizer as optimizer
 from conftest import tiny_config, tiny_instance
-from dcflex.instance import build_synthetic, fit_signal_artifacts, small_params
+from dcflex.instance import build_synthetic, fit_signal_artifacts, small_params, write_artifacts
 from dcflex.mps import model_to_mps
 from dcflex.optimizer import (
     STRATEGIES,
@@ -30,7 +31,6 @@ from dcflex.optimizer import (
     slot_cover,
     solve_model,
     solution_from_json,
-    solution_to_json,
 )
 from dcflex.signals import GaussianEnvelope, VaRTable, inverse_normal_cdf
 from dcflex.simplex import ITERATION_LIMIT, LPResult
@@ -224,9 +224,8 @@ class TestSolutionJson:
         model = build_model(inst, cfg, moments, table)
         values, _ = solve_model(model)
         sol = extract_solution(inst, cfg, values, "optimal")
-        path = tmp_path / "solution.json"
-        solution_to_json(sol, inst.jobs, path)
-        back = solution_from_json(path)
+        write_artifacts(tmp_path, {"solution.json": sol.to_dict(inst.jobs)})
+        back = solution_from_json(tmp_path / "solution.json")
         assert np.allclose(back.x, sol.x)
         assert np.allclose(back.reg, sol.reg)
         assert back.objective_total == pytest.approx(sol.objective_total)
@@ -289,6 +288,20 @@ def test_backend_calling_every_model_infeasible_gets_an_empty_report():
     with pytest.raises(InfeasibleModel) as err:
         solve_model(flooded_queue_model(), "cmd:sh -c 'exit 2'")
     assert err.value.family_report == {}
+
+
+@pytest.mark.parametrize("backend, command", [
+    ("bundled", None), ("cmd:highs --quiet", "highs --quiet"), ("cmd:'a b' c", "'a b' c")])
+def test_backend_command_of_a_valid_backend(backend, command):
+    assert optimizer.backend_command(backend) == command
+
+
+@pytest.mark.parametrize("backend", ["", "bogus", "cmd:", "cmd:   ", 'cmd:""', "cmd:''",
+                                     "cmd:'abc"])
+def test_backend_command_rejects_before_any_solve(monkeypatch, backend):
+    _refuse_bundled_solvers(monkeypatch)
+    with pytest.raises(ValueError, match=f"unknown backend {re.escape(repr(backend))}"):
+        solve_model(flooded_queue_model(), backend)
 
 
 def test_unproven_status_raises_solver_error(monkeypatch):

@@ -14,7 +14,7 @@ import dcflex
 PACKAGE = Path(dcflex.__file__).parent
 
 ALLOWED = {
-    ("grid", "read_grid_json"): "reader of write_grid_json's file; the grid and demo-data tests",
+    ("grid", "read_grid_json"): "reads a bundle's grid.json alone; the grid and demo-data tests",
     ("instance", "materialize_demo"): "acceptance suite builds the demo bundle with it",
     ("mps", "read_mps"): "HiGHS adapter (perfbench/highs_adapter.py) reads the model with it",
     ("signals", "cumulative_windows"): "test oracle: TestVarTable's window sums",
