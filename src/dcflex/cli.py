@@ -9,7 +9,6 @@ hashes. Exit codes: 0 success, 2 infeasible model, 3 validation failure,
 import argparse
 import csv
 import io
-import json
 import sys
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -24,6 +23,7 @@ from .instance import (
     fit_signal_artifacts,
     generate_instance,
     load_bundle,
+    read_json,
     read_manifest,
     write_artifacts,
 )
@@ -34,11 +34,11 @@ from .optimizer import (
     FittedSignal,
     InfeasibleModel,
     ModelConfig,
+    Solution,
     SolverError,
     backend_command,
     resolve_config,
     run_strategy,
-    solution_from_json,
 )
 from .signals import RegulationTrace, read_trace_csv
 from .simulator import (
@@ -64,10 +64,11 @@ def _is_int(value) -> bool:
 
 # The --config file's top-level settings: what each must be, and its check.
 _TOP_LEVEL_TYPES = {
-    "seed": ("an integer", lambda v: v is None or _is_int(v)),
+    "seed": ("an integer >= 0", lambda v: v is None or _is_int(v) and v >= 0),
     "scenarios": ("an integer >= 1", lambda v: _is_int(v) and v >= 1),
     "backend": ("a string", lambda v: isinstance(v, str)),
     "bundle": ("a string", lambda v: v is None or isinstance(v, str)),
+    "model": ("an object", lambda v: isinstance(v, dict)),
 }
 
 
@@ -91,19 +92,15 @@ class ExperimentConfig:
     model: dict = field(default_factory=dict)
 
     @classmethod
-    def load(cls, path) -> "ExperimentConfig":
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict) or not isinstance(data.get("model", {}), dict):
-            raise ValueError(f"{path}: expected a JSON object whose 'model' is an object")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+    def from_dict(cls, data: dict) -> "ExperimentConfig":
+        """The settings of a parsed --config file."""
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
-            raise ValueError(f"{path}: unknown experiment config keys {sorted(unknown)}")
-        # threshold, split and model are checked by ModelConfig.validate.
+            raise ValueError(f"unknown experiment config keys {sorted(unknown)}")
+        # threshold, split and the model's fields are checked by ModelConfig.
         for key, (kind, ok) in _TOP_LEVEL_TYPES.items():
             if key in data and not ok(data[key]):
-                raise ValueError(f"{path}: {key} must be {kind}, got {data[key]!r}")
+                raise ValueError(f"{key} must be {kind}, got {data[key]!r}")
         return cls(**data)
 
 
@@ -122,13 +119,15 @@ def _say(args, message: str) -> None:
 def _experiment(args) -> "ExperimentConfig":
     """The --config file's settings, if one is given, under the flags of the
     same names; the bundle directory must exist."""
-    exp = ExperimentConfig.load(args.config) if getattr(args, "config", None) else ExperimentConfig()
+    config = getattr(args, "config", None)
+    exp = read_json(config, ExperimentConfig.from_dict) if config else ExperimentConfig()
     for name in ("bundle", "backend", "scenarios", "seed"):
         value = getattr(args, name, None)
         if value is not None:
             setattr(exp, name, value)
     if not exp.bundle:
-        raise ValueError("no bundle directory configured")
+        raise ValueError(f"{config}: missing key 'bundle' and no --bundle flag" if config
+                         else "no bundle directory configured")
     if not Path(exp.bundle).is_dir():
         raise FileNotFoundError(f"bundle directory {exp.bundle} does not exist")
     return exp
@@ -152,10 +151,15 @@ def _model_config(args, base: ModelConfig, exp: "ExperimentConfig | None") -> Mo
                           ("split", "fit_split"), ("horizons", "var_horizons")):
             value = getattr(source, key, None)
             if value is not None:
-                data[name] = tuple(map(float, value.split(","))) if key == "horizons" else value
-    cfg = ModelConfig.from_dict(data)
-    cfg.validate()
-    return cfg
+                data[name] = _horizons(value) if key == "horizons" else value
+    return ModelConfig.from_dict(data)
+
+
+def _horizons(text: str) -> tuple:
+    try:
+        return tuple(map(float, text.split(",")))
+    except ValueError:
+        raise ValueError(f"horizons must be comma-separated hours, got {text!r}") from None
 
 
 def cmd_gen_instance(args) -> int:
@@ -238,7 +242,7 @@ def cmd_simulate(args) -> int:
         raise ValueError("simulate needs an explicit --seed (flag or config)")
     inst, bundle_cfg, trace = load_bundle(exp.bundle)
     cfg = _model_config(args, bundle_cfg, exp)
-    solution = solution_from_json(args.solution)
+    solution = read_json(args.solution, Solution.from_dict)
     shape = (len(inst.jobs), inst.n_slots, inst.n_dc)
     if solution.x.shape != shape:
         raise ValueError(f"{args.solution}: (clusters, slots, dcs) {solution.x.shape} do not "
@@ -337,6 +341,23 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+def _report_section(probe: str, data: dict) -> list[str]:
+    """The report lines of artifact ``probe``, parsed."""
+    if probe == "solution.json":
+        br = data["breakdown"]
+        return [f"- status: {data['status']}",
+                f"- net cost: {br['net_cost']:.3f} $",
+                f"- generation: {br['generation_cost']:.3f} $, "
+                f"revenue: {br['regulation_revenue']:.3f} $"]
+    if probe == "sim_summary.json":
+        return [f"- scenarios: {data['scenarios']}, samples: {data['samples_total']}",
+                f"- power violation rate: {data['power_violation_rate_mean']:.5f}",
+                f"- realized revenue: {data['realized_revenue_mean']:.3f} "
+                f"of {data['committed_revenue']:.3f} $"]
+    return [f"- {row['strategy']}/{row['mode']}: net {row['net_cost_kusd']:.4f} k$"
+            for row in data["rows"]]
+
+
 def cmd_report(args) -> int:
     out = Path(args.out)
     if not (out / MANIFEST).exists():
@@ -345,34 +366,11 @@ def cmd_report(args) -> int:
     lines = ["# Run report", "", "## Artifacts", ""]
     for name, digest in sorted(manifest.items()):
         lines.append(f"- `{name}` sha256 `{digest[:16]}...`")
-    for probe, title in (("solution.json", "Solution"),
-                         ("sim_summary.json", "Simulation"),
+    for probe, title in (("solution.json", "Solution"), ("sim_summary.json", "Simulation"),
                          ("compare.json", "Comparison")):
         path = out / probe
-        if not path.exists():
-            continue
-        lines += ["", f"## {title}", ""]
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-            if probe == "solution.json":
-                br = data["breakdown"]
-                lines.append(f"- status: {data['status']}")
-                lines.append(f"- net cost: {br['net_cost']:.3f} $")
-                lines.append(f"- generation: {br['generation_cost']:.3f} $, "
-                             f"revenue: {br['regulation_revenue']:.3f} $")
-            elif probe == "sim_summary.json":
-                lines.append(f"- scenarios: {data['scenarios']}, "
-                             f"samples: {data['samples_total']}")
-                lines.append(f"- power violation rate: {data['power_violation_rate_mean']:.5f}")
-                lines.append(f"- realized revenue: {data['realized_revenue_mean']:.3f} "
-                             f"of {data['committed_revenue']:.3f} $")
-            else:
-                for row in data.get("rows", []):
-                    lines.append(f"- {row['strategy']}/{row['mode']}: "
-                                 f"net {row['net_cost_kusd']:.4f} k$")
-        except (KeyError, TypeError, ValueError) as exc:
-            cause = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-            raise ValueError(f"{path}: {cause}") from None
+        if path.exists():
+            lines += ["", f"## {title}", "", *read_json(path, partial(_report_section, probe))]
     write_artifacts(out, {"report.md": "\n".join(lines) + "\n"})
     _say(args, f"wrote {out / 'report.md'}")
     return EXIT_OK
@@ -461,6 +459,8 @@ def main(argv=None) -> int:
         # Commands create --out only after their work, so refuse a file first.
         if Path(args.out).exists() and not Path(args.out).is_dir():
             raise FileExistsError(f"--out {args.out} exists and is not a directory")
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {args.seed}")
         return args.func(args)
     except InfeasibleModel as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
@@ -470,7 +470,7 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -7,7 +7,6 @@ unit-commitment parameters. Flow on a line is susceptance times the angle
 difference, positive from the line's first endpoint toward the second.
 """
 
-import json
 from collections import deque
 from dataclasses import dataclass
 
@@ -23,8 +22,8 @@ class Bus:
 
     def __post_init__(self):
         arr = np.asarray(self.base_load, dtype=float)
-        if np.any(arr < 0):
-            raise ValueError(f"bus {self.id}: base load must be >= 0")
+        if arr.ndim != 1 or np.any(arr < 0):
+            raise ValueError(f"bus {self.id}: base load must be a list of per-slot values >= 0")
         arr.flags.writeable = False
         object.__setattr__(self, "base_load", arr)
 
@@ -231,11 +230,10 @@ def _integer(value, where: str) -> int:
     return int(value)
 
 
-def case_from_dict(data: dict, source="grid") -> GridCase:
-    """The case of a parsed grid document; ``source`` (its file) prefixes
-    the message of an id or bus number that is not an integer."""
+def case_from_dict(data: dict) -> GridCase:
+    """The case of a parsed grid document."""
     def integer(entry: dict, key: str, where: str) -> int:
-        return _integer(entry[key], f"{source}: {where}.{key}")
+        return _integer(entry[key], f"{where}.{key}")
 
     mva = float(data.get("mva_base", DEFAULT_MVA_BASE))
     buses = tuple(Bus(integer(b, "id", f"buses[{k}]"), np.asarray(b["base_load"], dtype=float))
@@ -264,10 +262,5 @@ def case_from_dict(data: dict, source="grid") -> GridCase:
         )
         for k, g in enumerate(data["generators"])
     )
-    slack = _integer(data["slack_bus"], f"{source}: slack_bus")
+    slack = _integer(data["slack_bus"], "slack_bus")
     return GridCase(buses, lines, gens, slack, mva)
-
-
-def read_grid_json(path) -> GridCase:
-    with open(path, encoding="utf-8") as fh:
-        return case_from_dict(json.load(fh), path)

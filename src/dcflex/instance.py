@@ -369,11 +369,12 @@ def sha256_file(path) -> str:
 
 def read_manifest(directory) -> dict:
     """A directory's manifest: file name (relative to it) -> sha256."""
-    path = Path(directory) / MANIFEST
-    manifest = json.loads(path.read_text(encoding="utf-8"))
-    if not isinstance(manifest, dict):
-        raise ValueError(f"{path}: expected a JSON object")
-    return manifest
+    def entries(doc: dict) -> dict:
+        wrong = [name for name, digest in doc.items() if not isinstance(digest, str)]
+        if wrong:
+            raise ValueError(f"{wrong[0]} must map to a sha256 string, got {doc[wrong[0]]!r}")
+        return doc
+    return read_json(Path(directory) / MANIFEST, entries)
 
 
 def _json_text(doc) -> str:
@@ -390,6 +391,8 @@ def write_artifacts(out_dir, files: dict) -> list[Path]:
     written with indent 2, sorted keys and a final newline.
     """
     out = Path(out_dir)
+    # Read first: a manifest that cannot be read fails before any write.
+    manifest = read_manifest(out) if (out / MANIFEST).exists() else {}
     out.mkdir(parents=True, exist_ok=True)
     for name, content in files.items():
         if callable(content):
@@ -397,7 +400,6 @@ def write_artifacts(out_dir, files: dict) -> list[Path]:
         else:
             text = content if isinstance(content, str) else _json_text(content)
             (out / name).write_text(text, encoding="utf-8", newline="")
-    manifest = read_manifest(out) if (out / MANIFEST).exists() else {}
     manifest.update((name, sha256_file(out / name)) for name in files)
     (out / MANIFEST).write_text(_json_text(manifest), encoding="utf-8")
     return [out / name for name in files]
@@ -417,33 +419,42 @@ def _non_finite(node, where: str = "") -> str | None:
     return next(filter(None, (_non_finite(v, w) for w, v in children)), None)
 
 
-def _read_json(path):
-    """A JSON document; a NaN or infinite number in it raises ValueError
-    naming the file and the field."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    where = _non_finite(doc)
-    if where is not None:
-        raise ValueError(f"{path}: {where} is not finite")
-    return doc
+def read_json(path, parse=None):
+    """The JSON object in file ``path``, or what ``parse`` makes of it; the
+    one JSON decoder. Invalid JSON, a top level that is not an object, a
+    NaN or infinity (named by its field), and a KeyError, IndexError,
+    TypeError or ValueError from ``parse`` raise one ValueError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
+        where = _non_finite(doc)
+        if where is not None:
+            raise ValueError(f"{where} must be finite")
+        return parse(doc) if parse else doc
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from None
+    except (IndexError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
-def _dc_entry(path, k, entry: dict, t_total: int) -> dict:
+def _dc_entry(k, entry: dict, t_total: int) -> dict:
     """The fields of dc.json entry k: an int for each of _DC_IDS, and as
     float arrays one value per slot for _DC_PER_SLOT and a single number
     for _DC_SCALARS."""
     fields = {}
     for name in _DC_IDS + _DC_SCALARS + _DC_PER_SLOT:
         if name not in entry:
-            raise ValueError(f"{path}: dcs[{k}] has no {name!r}")
+            raise ValueError(f"dcs[{k}] has no {name!r}")
         if name in _DC_IDS:
-            fields[name] = _integer(entry[name], f"{path}: dcs[{k}] {name!r}")
+            fields[name] = _integer(entry[name], f"dcs[{k}] {name!r}")
             continue
         value = np.asarray(entry[name], dtype=float)
         shape = (t_total,) if name in _DC_PER_SLOT else ()
         if value.shape != shape:
             expected = f"{t_total} values, one per slot" if shape else "a single number"
-            raise ValueError(f"{path}: dcs[{k}] {name!r} has shape {value.shape}; "
+            raise ValueError(f"dcs[{k}] {name!r} has shape {value.shape}; "
                              f"expected {expected}")
         fields[name] = value
     return fields
@@ -481,20 +492,18 @@ def load_bundle(bundle_dir) -> tuple[ProblemInstance, ModelConfig, RegulationTra
     missing = [name for name in BUNDLE_FILES if not (bundle / name).exists()]
     if missing:
         raise FileNotFoundError(f"{bundle}: bundle is missing {missing}")
-    grid = case_from_dict(_read_json(bundle / "grid.json"), bundle / "grid.json")
+    grid = read_json(bundle / "grid.json", case_from_dict)
     jobs = read_workload_csv(bundle / "workload.csv")
     latmap = read_latency_csv(bundle / "latency.csv")
     trace = _read_signal(bundle)
-    entries = [_dc_entry(bundle / "dc.json", k, entry, grid.n_slots)
-               for k, entry in enumerate(_read_json(bundle / "dc.json")["dcs"])]
+    entries = read_json(bundle / "dc.json", lambda doc: [
+        _dc_entry(k, entry, grid.n_slots) for k, entry in enumerate(doc["dcs"])])
     dcs = [DataCenterSpec(id=e["id"], bus=e["bus"], cpu_cap=e["cpu_cap"],
                           mem_cap=e["mem_cap"], io_cap=e["io_cap"], p_min=e["p_min"],
                           p_max=e["p_max"]) for e in entries]
     queue = QueueParameters(*(np.array([e[name] for e in entries])
                               for name in ("q_init", "arrivals", "q_min", "q_max")))
-    with open(bundle / "config.json", encoding="utf-8") as fh:
-        cfg = ModelConfig.from_dict(json.load(fh))
-    cfg.validate()
+    cfg = read_json(bundle / "config.json", ModelConfig.from_dict)
     _check_signal_interval(cfg.slot_hours, trace.dt_seconds)
     inst = ProblemInstance(tuple(jobs), latmap, tuple(dcs), grid, queue)
     inst.validate()

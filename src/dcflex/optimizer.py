@@ -26,7 +26,6 @@ sequential sum. validate.py re-derives every family independently on
 purpose, so it stays a check on these emitters rather than a copy of them.
 """
 
-import json
 import math
 import numbers
 import re
@@ -192,7 +191,8 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
-        """Inverse of to_dict; a key that names no field raises ValueError."""
+        """Inverse of to_dict, validated; a key that names no field, or a
+        field of the wrong type or out of range, raises ValueError."""
         unknown = sorted(set(data) - set(cls.__dataclass_fields__))
         if unknown:
             raise ValueError(f"unknown model config keys {unknown}")
@@ -200,7 +200,9 @@ class ModelConfig:
         for key in ("var_horizons", "quantile_grid"):
             if isinstance(kwargs.get(key), list):
                 kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
+        cfg = cls(**kwargs)
+        cfg.validate()
+        return cfg
 
 
 @dataclass(frozen=True)
@@ -1040,13 +1042,3 @@ def run_strategy(inst: ProblemInstance, cfg: ModelConfig, fitted: FittedSignal,
                                 {"dispatch": stats, "per_dc": per_dc_stats})
 
     raise ValueError(f"unknown strategy {cfg.strategy!r}")
-
-
-def solution_from_json(path) -> Solution:
-    """Read a solution; a fault in it raises ValueError naming the file."""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    try:
-        return Solution.from_dict(data)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None

@@ -248,6 +248,8 @@ def read_workload_csv(path) -> list[JobCluster]:
             raise ValueError(f"{path}: expected header {','.join(required)}")
         for line_no, row in enumerate(reader, start=2):
             try:
+                if None in row or None in row.values():
+                    raise ValueError(f"expected {len(required)} fields")
                 jobs.append(
                     JobCluster(
                         id=row["id"].strip(),
@@ -288,6 +290,8 @@ def read_latency_csv(path) -> LatencyMap:
             raise ValueError(f"{path}: expected header {','.join(required)}")
         for line_no, row in enumerate(reader, start=2):
             try:
+                if None in row or None in row.values():
+                    raise ValueError(f"expected {len(required)} fields")
                 value = float(row["latency"])
                 if not math.isfinite(value):
                     raise ValueError(f"latency must be finite, got {value}")

@@ -457,10 +457,10 @@ class TestSimulate:
     @pytest.mark.parametrize("break_solution, named", [
         (lambda doc: doc["x"][0].__setitem__(0, 99), "x entry"),
         (lambda doc: doc["x"][0].__setitem__(0, 1.5), "x entry"),
-        (lambda doc: doc["x"][0].__setitem__(3, float("nan")), "x entry"),
+        (lambda doc: doc["x"][0].__setitem__(3, float("nan")), "x[0][3] must be finite"),
         (lambda doc: doc["R"].pop(), "R has shape"),
         (lambda doc: [row.pop() for row in doc["R"]], "R has shape"),
-        (lambda doc: doc["R"][0].__setitem__(0, float("inf")), "R holds"),
+        (lambda doc: doc["R"][0].__setitem__(0, float("inf")), "R[0][0] must be finite"),
         (lambda doc: doc["dims"].__setitem__("clusters", doc["dims"]["clusters"] + 1),
          "(clusters, slots, dcs)"),
     ], ids=["x_outside_dims", "x_cell_not_an_integer", "x_value_nan", "R_missing_a_dc",
@@ -657,7 +657,9 @@ class TestSettings:
                      ["simulate", *common, "--solution", solved_dir / "solution.json"]):
             proc = run_child(*argv)
             assert proc.returncode == EXIT_INPUT, proc.stderr
-            assert proc.stderr.splitlines() == ["error: unknown model config keys ['eps_q']"]
+            where = f"{target / 'config.json'}: " if source == "bundle" else ""
+            assert proc.stderr.splitlines() == [
+                f"error: {where}unknown model config keys ['eps_q']"]
 
     @pytest.mark.parametrize("model, flags, field", [
         ({"forfeiture": "partial"}, [], "forfeiture"),
@@ -773,3 +775,112 @@ def test_pipeline_round_trip_readers(bundle):
     inst, cfg, trace = load_bundle(bundle)
     assert inst.n_slots == len(inst.grid.buses[0].base_load)
     assert len(trace) > 1000
+
+
+# Each JSON input a command reads, with the contents that should be rejected
+# besides invalid JSON, a top level that is not an object and a NaN: a
+# missing key and a wrong nested type. A bundle's config.json (every model
+# setting has a default) and a manifest require no key.
+JSON_INPUTS = {
+    "grid.json": ("{}", '{"buses": [5]}'),
+    "dc.json": ("{}", '{"dcs": [5]}'),
+    "config.json": (None, '{"var_horizons": [1.0, "x"]}'),
+    "solution": ("{}", '{"dims": [1, 2, 3]}'),
+    "config_file": ("{}", '{"model": [1]}'),
+    "report_solution.json": ("{}", '{"status": "optimal", "breakdown": [1]}'),
+    "report_sim_summary.json": ("{}", '{"scenarios": 1, "samples_total": 2, '
+                                      '"power_violation_rate_mean": [0.1]}'),
+    "report_compare.json": ("{}", '{"rows": [5]}'),
+    "manifest.json": (None, '{"a.json": [1]}'),
+}
+BAD_JSON = [(source, kind, text) for source, (missing, nested) in JSON_INPUTS.items()
+            for kind, text in (("invalid", "{oops"), ("not_an_object", "[1, 2]"),
+                               ("missing_key", missing), ("nested_type", nested),
+                               ("nan", '{"a": [0, NaN]}'))
+            if text is not None]
+
+
+@pytest.mark.parametrize("source, kind, text", BAD_JSON,
+                         ids=[f"{source}-{kind}" for source, kind, _ in BAD_JSON])
+def test_bad_json_input_exits_4_with_one_line_naming_it(bundle, quick_bundle, solved_dir,
+                                                         tmp_path, source, kind, text):
+    work, out = tmp_path / "work", tmp_path / "out"
+    if source in ("grid.json", "dc.json", "config.json"):
+        shutil.copytree(quick_bundle, work)
+        path = work / source
+        argv = ["solve", "--bundle", work, "--out", out]
+    elif source == "solution":
+        path = tmp_path / "solution.json"
+        argv = ["simulate", "--bundle", bundle, "--solution", path, "--seed", "1",
+                "--out", out]
+    elif source == "config_file":
+        path = tmp_path / "exp.json"
+        argv = ["solve", "--config", path, "--out", out]
+    elif source.startswith("report_"):
+        out = shutil.copytree(solved_dir, work)
+        (out / "report.md").unlink(missing_ok=True)
+        path = out / source.removeprefix("report_")
+        argv = ["report", "--out", out]
+    else:
+        out = work
+        work.mkdir()
+        path = work / source
+        (work / "kept.txt").write_text("kept\n")
+        argv = ["gen-instance", "--preset", "small", "--seed", "3", "--signal-days", "1",
+                "--out", out]
+    path.write_text(text)
+    before = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else None
+    code, lines = run_cli([str(a) for a in argv] + ["--quiet"])
+    assert code == EXIT_INPUT and len(lines) == 1, lines
+    assert lines[0].startswith(f"error: {path}: "), lines
+    if kind == "missing_key":
+        assert "missing key '" in lines[0], lines
+    if kind == "nan":
+        assert lines[0].endswith("a[1] must be finite"), lines
+    after = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else None
+    assert after == before
+
+
+@pytest.mark.parametrize("name, row, fields", [
+    ("workload.csv", "c01,r1", 9), ("workload.csv", "c01", 9), ("latency.csv", "r1", 3),
+    ("latency.csv", "r1,1,5.0,7", 3)])
+def test_csv_row_of_the_wrong_length_exits_4_naming_file_and_line(quick_bundle, tmp_path, name, row,
+                                                    fields):
+    work = shutil.copytree(quick_bundle, tmp_path / "b")
+    with open(work / name, "a", newline="") as fh:
+        fh.write(row + "\r\n")
+    line_no = len((work / name).read_text().splitlines())
+    code, lines = run_cli(["solve", "--bundle", str(work), "--out", str(tmp_path / "o"),
+                           "--quiet"])
+    assert code == EXIT_INPUT
+    assert lines == [f"error: {work / name} line {line_no}: expected {fields} fields"]
+
+
+def test_unreadable_out_manifest_fails_before_any_write(bundle, solved_dir, tmp_path):
+    out = shutil.copytree(solved_dir, tmp_path / "run")
+    (out / "manifest.json").write_text("[1, 2]")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    code, lines = run_cli(["solve", "--bundle", str(bundle), "--out", str(out), "--quiet"])
+    assert code == EXIT_INPUT
+    assert lines == [f"error: {out / 'manifest.json'}: expected a JSON object, got list"]
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("argv, setting", [
+    (["gen-instance", "--preset", "small", "--seed", "-1"], "seed"),
+    (["simulate", "--bundle", "BUNDLE", "--solution", "SOLUTION", "--seed", "-3"], "seed"),
+    (["simulate", "--bundle", "BUNDLE", "--solution", "SOLUTION", "--config", "CONFIG"],
+     "seed"),
+    (["fit-signal", "--trace", "TRACE", "--horizons", ",,"], "horizons"),
+], ids=["gen_instance_seed", "simulate_seed", "config_seed", "fit_signal_horizons"])
+def test_bad_flag_value_exits_4_naming_the_setting(bundle, solved_dir, tmp_path, argv,
+                                                   setting):
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps({"seed": -1}))
+    subs = {"BUNDLE": str(bundle), "SOLUTION": str(solved_dir / "solution.json"),
+            "CONFIG": str(config), "TRACE": str(bundle / "signal.csv")}
+    out = tmp_path / "out"
+    code, lines = run_cli([subs.get(a, a) for a in argv] + ["--out", str(out), "--quiet"])
+    assert code == EXIT_INPUT and len(lines) == 1, lines
+    assert lines[0].startswith("error: ") and f"{setting} must be" in lines[0], lines
+    assert not out.exists()

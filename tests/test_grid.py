@@ -10,10 +10,9 @@ from dcflex.grid import (
     case_to_dict,
     line_flow,
     power_balance_residual,
-    read_grid_json,
     validate_case,
 )
-from dcflex.instance import write_artifacts
+from dcflex.instance import read_json, write_artifacts
 
 
 def three_bus_case(t=2):
@@ -133,7 +132,7 @@ class TestGridJson:
     def test_round_trip(self, tmp_path):
         case = three_bus_case()
         write_artifacts(tmp_path, {"grid.json": case_to_dict(case)})
-        back = read_grid_json(tmp_path / "grid.json")
+        back = read_json(tmp_path / "grid.json", case_from_dict)
         assert case_to_dict(back) == case_to_dict(case)
         assert back.lines[0].susceptance == pytest.approx(case.lines[0].susceptance)
 

@@ -7,7 +7,7 @@ import pytest
 
 import dcflex
 from conftest import tiny_config, tiny_instance
-from dcflex.grid import read_grid_json, validate_case
+from dcflex.grid import case_from_dict, validate_case
 from dcflex.instance import (
     BUNDLE_FILES,
     DEMO_SEED,
@@ -20,6 +20,7 @@ from dcflex.instance import (
     fit_signal_artifacts,
     generate_instance,
     load_bundle,
+    read_json,
     read_manifest,
     save_bundle,
     sha256_file,
@@ -169,10 +170,18 @@ class TestBundleIo:
         with pytest.raises(ValueError, match=message):
             load_bundle(tmp_path)
 
+    def test_scalar_base_load_names_grid_json(self, tmp_path):
+        generate_instance(replace(small_params(), signal_days=1.0), 3, tmp_path)
+        doc = json.loads((tmp_path / "grid.json").read_text())
+        doc["buses"][0]["base_load"] = 5
+        (tmp_path / "grid.json").write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"grid\.json: bus 1: base load must be a list"):
+            load_bundle(tmp_path)
+
 
 class TestDemoPackageData:
     def test_bundled_case_is_valid(self):
-        case = read_grid_json(DEMO_DATA / "grid.json")
+        case = read_json(DEMO_DATA / "grid.json", case_from_dict)
         assert validate_case(case) == []
         assert len(case.buses) == 6 and len(case.generators) == 2
 

@@ -8,7 +8,13 @@ import pytest
 
 import dcflex.optimizer as optimizer
 from conftest import tiny_config, tiny_instance
-from dcflex.instance import build_synthetic, fit_signal_artifacts, small_params, write_artifacts
+from dcflex.instance import (
+    build_synthetic,
+    fit_signal_artifacts,
+    read_json,
+    small_params,
+    write_artifacts,
+)
 from dcflex.mps import model_to_mps
 from dcflex.optimizer import (
     STRATEGIES,
@@ -17,6 +23,7 @@ from dcflex.optimizer import (
     ModelConfig,
     ProblemInstance,
     QueueParameters,
+    Solution,
     SolverError,
     allowed_cells,
     build_model,
@@ -30,7 +37,6 @@ from dcflex.optimizer import (
     run_strategy,
     slot_cover,
     solve_model,
-    solution_from_json,
 )
 from dcflex.signals import GaussianEnvelope, VaRTable, inverse_normal_cdf
 from dcflex.simplex import ITERATION_LIMIT, LPResult
@@ -225,7 +231,7 @@ class TestSolutionJson:
         values, _ = solve_model(model)
         sol = extract_solution(inst, cfg, values, "optimal")
         write_artifacts(tmp_path, {"solution.json": sol.to_dict(inst.jobs)})
-        back = solution_from_json(tmp_path / "solution.json")
+        back = read_json(tmp_path / "solution.json", Solution.from_dict)
         assert np.allclose(back.x, sol.x)
         assert np.allclose(back.reg, sol.reg)
         assert back.objective_total == pytest.approx(sol.objective_total)

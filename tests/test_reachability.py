@@ -14,7 +14,6 @@ import dcflex
 PACKAGE = Path(dcflex.__file__).parent
 
 ALLOWED = {
-    ("grid", "read_grid_json"): "reads a bundle's grid.json alone; the grid and demo-data tests",
     ("instance", "materialize_demo"): "acceptance suite builds the demo bundle with it",
     ("mps", "read_mps"): "HiGHS adapter (perfbench/highs_adapter.py) reads the model with it",
     ("signals", "cumulative_windows"): "test oracle: TestVarTable's window sums",
@@ -60,3 +59,27 @@ def test_every_allowed_name_is_still_defined():
     defined = {(module, node.name) for module, tree in _trees().items()
                for node in _public_defs(tree)}
     assert set(ALLOWED) <= defined, sorted(set(ALLOWED) - defined)
+
+
+def _calls_by_function(node, owner=None):
+    """(innermost enclosing function name, call) of every call under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _calls_by_function(child, child.name)
+            continue
+        if isinstance(child, ast.Call):
+            yield owner, child
+        yield from _calls_by_function(child, owner)
+
+
+def test_only_read_json_decodes_json():
+    # Every JSON input goes through instance.read_json, which names the
+    # file of any fault in it.
+    trees = _trees()
+    decoders = [(module, owner) for module, tree in trees.items()
+                for owner, call in _calls_by_function(tree)
+                if isinstance(call.func, ast.Attribute) and call.func.attr in ("load", "loads")
+                and isinstance(call.func.value, ast.Name) and call.func.value.id == "json"]
+    imported = [module for module, tree in trees.items() for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "json"]
+    assert decoders == [("instance", "read_json")] and imported == [], (decoders, imported)
