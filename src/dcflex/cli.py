@@ -25,6 +25,7 @@ from .instance import (
     load_bundle,
     read_json,
     read_manifest,
+    read_signal,
     write_artifacts,
 )
 from .optimizer import (
@@ -40,7 +41,7 @@ from .optimizer import (
     resolve_config,
     run_strategy,
 )
-from .signals import RegulationTrace, read_trace_csv
+from .signals import RegulationTrace
 from .simulator import (
     compliance_report,
     monte_carlo,
@@ -97,10 +98,16 @@ class ExperimentConfig:
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown experiment config keys {sorted(unknown)}")
-        # threshold, split and the model's fields are checked by ModelConfig.
         for key, (kind, ok) in _TOP_LEVEL_TYPES.items():
             if key in data and not ok(data[key]):
                 raise ValueError(f"{key} must be {kind}, got {data[key]!r}")
+        # ModelConfig checks threshold, split and the model's fields, each on
+        # its own, so checking them over the defaults here names this file.
+        model = dict(data.get("model", {}))
+        for key, name in (("threshold", "compliance_threshold"), ("split", "fit_split")):
+            if data.get(key) is not None:
+                model[name] = data[key]
+        ModelConfig.from_dict({**ModelConfig().to_dict(), **model})
         return cls(**data)
 
 
@@ -204,7 +211,7 @@ def _fit_report(fitted: FittedSignal, trace, cfg: ModelConfig) -> dict:
 
 
 def cmd_fit_signal(args) -> int:
-    trace = read_trace_csv(args.trace)
+    trace = read_signal(args.trace)
     cfg = _model_config(args, ModelConfig(), None)
     docs = _fit_report(fit_signal_artifacts(trace, cfg), trace, cfg)
     write_artifacts(args.out, docs)

@@ -460,13 +460,18 @@ def _dc_entry(k, entry: dict, t_total: int) -> dict:
     return fields
 
 
-def _read_signal(bundle: Path) -> RegulationTrace:
-    """The bundle's trace (see ``load_bundle``); the columns of either
-    file pass the same checks, ``trace_from_columns``."""
-    text, copy = bundle / "signal.csv", bundle / SIGNAL_COPY
+def read_signal(path) -> RegulationTrace:
+    """The trace of signal CSV ``path``. When it is a bundle's signal.csv
+    and the bundle's manifest holds the sha256 of both it and SIGNAL_COPY
+    as they are on disk, the trace comes from the copy; otherwise the text
+    is parsed. The columns of either file pass the same checks,
+    ``trace_from_columns``, and a fault names ``path`` and its line."""
+    text = Path(path)
+    copy = text.parent / SIGNAL_COPY
     try:
-        manifest = read_manifest(bundle)
-        fresh = all(manifest.get(p.name) == sha256_file(p) for p in (text, copy))
+        manifest = read_manifest(text.parent)
+        fresh = text.name == "signal.csv" and all(
+            manifest.get(p.name) == sha256_file(p) for p in (text, copy))
         # Mapped, not read: the (n, 2) columns are never copied to the heap,
         # which lowers the peak RSS of every command that loads a bundle.
         # The map lives only until trace_from_columns has copied the
@@ -483,10 +488,11 @@ def _read_signal(bundle: Path) -> RegulationTrace:
 def load_bundle(bundle_dir) -> tuple[ProblemInstance, ModelConfig, RegulationTrace]:
     """Read and validate a bundle directory.
 
-    The trace comes from SIGNAL_COPY only while the manifest holds the
-    sha256 of both it and signal.csv as they are on disk. A hand edit to
-    signal.csv, or a missing or damaged copy or manifest, makes it parse
-    signal.csv instead, so the edit takes effect.
+    The trace is ``read_signal`` of signal.csv: it comes from SIGNAL_COPY
+    only while the manifest holds the sha256 of both it and signal.csv as
+    they are on disk. A hand edit to signal.csv, or a missing or damaged
+    copy or manifest, makes it parse signal.csv instead, so the edit takes
+    effect.
     """
     bundle = Path(bundle_dir)
     missing = [name for name in BUNDLE_FILES if not (bundle / name).exists()]
@@ -495,7 +501,7 @@ def load_bundle(bundle_dir) -> tuple[ProblemInstance, ModelConfig, RegulationTra
     grid = read_json(bundle / "grid.json", case_from_dict)
     jobs = read_workload_csv(bundle / "workload.csv")
     latmap = read_latency_csv(bundle / "latency.csv")
-    trace = _read_signal(bundle)
+    trace = read_signal(bundle / "signal.csv")
     entries = read_json(bundle / "dc.json", lambda doc: [
         _dc_entry(k, entry, grid.n_slots) for k, entry in enumerate(doc["dcs"])])
     dcs = [DataCenterSpec(id=e["id"], bus=e["bus"], cpu_cap=e["cpu_cap"],

@@ -9,7 +9,9 @@ by the instance builder and the test suite.
 
 import csv
 import math
+import os
 import warnings
+from collections import deque
 from dataclasses import dataclass, field
 from datetime import datetime
 
@@ -60,9 +62,10 @@ class RegulationTrace:
             raise ValueError(f"fit_fraction must be in (0, 1), got {fit_fraction}")
         cut = int(self.samples.size * fit_fraction)
         cut = min(max(cut, 2), self.samples.size - 2)
+        # __post_init__'s clip copies each slice once.
         return (
-            RegulationTrace(self.samples[:cut].copy(), self.dt_seconds),
-            RegulationTrace(self.samples[cut:].copy(), self.dt_seconds),
+            RegulationTrace(self.samples[:cut], self.dt_seconds),
+            RegulationTrace(self.samples[cut:], self.dt_seconds),
         )
 
 
@@ -321,15 +324,61 @@ def write_trace_csv(trace: RegulationTrace, path) -> None:
 
     Each number is its ``repr``, so parsing the text gives back the same
     floats bitwise; lines end in CRLF, as from ``csv.writer``. The body is
-    formatted WRITE_CHUNK_ROWS samples at a time, which bounds the text
-    held in memory.
+    formatted in blocks of WRITE_CHUNK_ROWS samples. With more than one
+    block and more than one usable CPU, a pool of forked workers (one per
+    usable CPU, at most one per block) formats them, and they are written
+    in order with at most two blocks per worker in flight; otherwise they
+    are formatted here. Either way the bytes are the same, the text held
+    in memory stays bounded, and no worker outlives the call.
     """
     columns = trace_columns(trace)
+    rows = WRITE_CHUNK_ROWS
+    starts = range(0, len(columns), rows)
+    workers = min(_usable_cpus(), len(starts)) if hasattr(os, "fork") else 1
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("timestamp,s\r\n")
-        for k in range(0, len(columns), WRITE_CHUNK_ROWS):
-            fh.write("".join([f"{t!r},{v!r}\r\n"
-                              for t, v in columns[k:k + WRITE_CHUNK_ROWS].tolist()]))
+        if workers < 2:
+            for k in starts:
+                fh.write(_format_rows(columns[k:k + rows]))
+            return
+        # Imported here because only gen-instance writes a trace: at module
+        # level they would add about 10 ms to every command's start-up.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # Forked workers inherit the columns, so the trace is never pickled.
+        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                 _adopt_columns, (columns,)) as pool:
+            pending = deque()
+            for k in starts:
+                pending.append(pool.submit(_format_rows_at, k, rows))
+                if len(pending) == 2 * workers:
+                    fh.write(pending.popleft().result())
+            for block in pending:
+                fh.write(block.result())
+
+
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+def _format_rows(block: np.ndarray) -> str:
+    """CSV text of an (m, 2) block of ``trace_columns``."""
+    return "".join([f"{t!r},{v!r}\r\n"
+                    for t, v in zip(block[:, 0].tolist(), block[:, 1].tolist())])
+
+
+_worker_columns = None  # a write_trace_csv worker's trace columns
+
+
+def _adopt_columns(columns: np.ndarray) -> None:
+    global _worker_columns
+    _worker_columns = columns
+
+
+def _format_rows_at(start: int, rows: int) -> str:
+    return _format_rows(_worker_columns[start:start + rows])
 
 
 def _parse_timestamp(raw: str, path, line_no: int) -> float:
@@ -380,9 +429,9 @@ def read_trace_csv(path) -> RegulationTrace:
     through ``trace_from_columns``, which names the path and file line of
     any fault. An all-numeric body parses in one ``np.loadtxt`` call; any
     body it rejects (ISO-8601 stamps, quoted or empty fields) is read again
-    row by row. ``instance.load_bundle`` reads a generated bundle's
-    digest-checked ``signal.npy`` instead; a hand-edited ``signal.csv``
-    fails that check and comes here.
+    row by row. ``instance.read_signal`` (used by ``load_bundle`` and
+    fit-signal) reads a generated bundle's digest-checked ``signal.npy``
+    instead; a hand-edited ``signal.csv`` fails that check and comes here.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         header = next(csv.reader(fh), None)

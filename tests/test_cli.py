@@ -420,6 +420,39 @@ class TestBundleSignalCopy:
         assert same_trace(trace, read_trace_csv(copied / "signal.csv"))
 
 
+    def test_fit_signal_reads_a_vouched_copy(self, bundle, text_parses, tmp_path):
+        assert main(["fit-signal", "--trace", str(bundle / "signal.csv"),
+                     "--out", str(tmp_path / "copy"), "--quiet"]) == EXIT_OK
+        assert text_parses == []
+        alone = tmp_path / "alone"
+        alone.mkdir()
+        shutil.copy(bundle / "signal.csv", alone / "signal.csv")
+        assert main(["fit-signal", "--trace", str(alone / "signal.csv"),
+                     "--out", str(tmp_path / "text"), "--quiet"]) == EXIT_OK
+        assert text_parses == [alone / "signal.csv"]
+        for name in ("envelope.json", "var_table.json", "fit_report.json"):
+            assert (tmp_path / "copy" / name).read_bytes() == \
+                (tmp_path / "text" / name).read_bytes(), name
+
+    def test_only_signal_csv_is_read_from_the_copy(self, copied, text_parses):
+        # Another CSV in a bundle can be vouched by the same manifest, as when
+        # a command writes its --out into the bundle directory.
+        edited = copied / "edited.csv"
+        shutil.copy(copied / "signal.csv", edited)
+        edit_sample(edited, 3, b"0.123")
+        instance.write_artifacts(copied, {"edited.csv": edited.read_bytes().decode()})
+        trace = instance.read_signal(edited)
+        assert text_parses == [edited] and trace.samples[3] == 0.123
+
+    def test_fit_signal_parses_a_hand_edited_text(self, copied, text_parses, tmp_path):
+        edit_sample(copied / "signal.csv", 3, b"nan")
+        code, lines = run_cli(["fit-signal", "--trace", str(copied / "signal.csv"),
+                               "--out", str(tmp_path / "o")])
+        assert code == EXIT_INPUT and text_parses == [copied / "signal.csv"]
+        assert lines == [f"error: {copied / 'signal.csv'} line 5: signal value nan "
+                         f"is outside [-1, 1]"]
+
+
 class TestSimulate:
     def test_summary_and_series(self, bundle, solved_dir, tmp_path):
         out = tmp_path / "sim"
@@ -657,7 +690,7 @@ class TestSettings:
                      ["simulate", *common, "--solution", solved_dir / "solution.json"]):
             proc = run_child(*argv)
             assert proc.returncode == EXIT_INPUT, proc.stderr
-            where = f"{target / 'config.json'}: " if source == "bundle" else ""
+            where = f"{target / 'config.json'}: " if source == "bundle" else f"{cfg_path}: "
             assert proc.stderr.splitlines() == [
                 f"error: {where}unknown model config keys ['eps_q']"]
 
@@ -675,7 +708,24 @@ class TestSettings:
                                "--out", str(tmp_path / "sim"), "--seed", "1",
                                "--config", str(cfg_path), *flags, "--quiet"])
         assert code == EXIT_INPUT and len(lines) == 1
-        assert lines[0].startswith(f"error: {field} must")
+        # A fault in the file names it; a flag's fault names no file.
+        where = f"{cfg_path}: " if model else ""
+        assert lines[0].startswith(f"error: {where}{field} must")
+
+    @pytest.mark.parametrize("doc, cause", [
+        ({"seed": 1, "threshold": 7}, "compliance_threshold must be in [0, 1], got 7"),
+        ({"seed": 1, "split": 1.5}, "fit_split must be in (0, 1.0), got 1.5"),
+        ({"seed": 1, "model": {"eps_p": "abc"}}, "eps_p must be numeric, got 'abc'"),
+    ])
+    def test_a_config_file_fault_names_the_file(self, bundle, solved_dir, tmp_path, doc,
+                                                 cause):
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(doc))
+        code, lines = run_cli(["simulate", "--bundle", str(bundle),
+                               "--solution", str(solved_dir / "solution.json"),
+                               "--out", str(tmp_path / "sim"), "--config", str(cfg_path),
+                               "--quiet"])
+        assert code == EXIT_INPUT and lines == [f"error: {cfg_path}: {cause}"]
 
     def test_solve_fits_on_the_config_file_split(self, tmp_path):
         bundle_dir = tmp_path / "demo"

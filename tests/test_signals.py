@@ -1,5 +1,7 @@
 import csv
 import math
+import multiprocessing
+import os
 import tempfile
 from pathlib import Path
 
@@ -350,13 +352,17 @@ def row_loop_trace_csv(trace, path):
 EDGE_SAMPLES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324])
 
 
+# One usable CPU formats every block in process; two make a pool of forked
+# workers whenever there are two blocks or more.
 @settings(max_examples=60, deadline=None)
 @given(samples=st.lists(st.one_of(EDGE_SAMPLES, st.floats(-1.0, 1.0)), min_size=2, max_size=40),
-       dt=st.sampled_from([0.1, 2.0, 2.5, 4.0]), chunk_rows=st.sampled_from([1, 3, 1 << 14]))
-def test_bulk_writer_matches_the_row_loop_and_the_columns(samples, dt, chunk_rows):
+       dt=st.sampled_from([0.1, 2.0, 2.5, 4.0]), chunk_rows=st.sampled_from([1, 3, 1 << 14]),
+       cpus=st.sampled_from([1, 2]))
+def test_bulk_writer_matches_the_row_loop_and_the_columns(samples, dt, chunk_rows, cpus):
     trace = RegulationTrace(np.array(samples), dt)
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(signals, "WRITE_CHUNK_ROWS", chunk_rows)
+        mp.setattr(signals, "_usable_cpus", lambda: cpus)
         bulk, loop = Path(tmp) / "bulk.csv", Path(tmp) / "loop.csv"
         write_trace_csv(trace, bulk)
         row_loop_trace_csv(trace, loop)
@@ -369,6 +375,40 @@ def test_bulk_writer_matches_the_row_loop_and_the_columns(samples, dt, chunk_row
         copied = trace_from_columns(columns[:, 0], columns[:, 1], bulk)
         assert copied.samples.tobytes() == parsed.samples.tobytes()
         assert copied.dt_seconds == parsed.dt_seconds
+
+
+@pytest.fixture
+def pooled_writer(monkeypatch):
+    """write_trace_csv in blocks of 64 rows on two workers."""
+    monkeypatch.setattr(signals, "WRITE_CHUNK_ROWS", 64)
+    monkeypatch.setattr(signals, "_usable_cpus", lambda: 2)
+
+
+def test_no_worker_outlives_the_writer_or_gen_instance(pooled_writer, tmp_path):
+    from dcflex.cli import main
+
+    trace = generate_trace("gaussian", hours=1.0, dt_seconds=2.0, seed=1)
+    write_trace_csv(trace, tmp_path / "signal.csv")
+    assert multiprocessing.active_children() == []
+    assert read_trace_csv(tmp_path / "signal.csv").samples.tobytes() == trace.samples.tobytes()
+    assert main(["gen-instance", "--out", str(tmp_path / "b"), "--seed", "3", "--preset",
+                 "small", "--signal-days", "1", "--quiet"]) == 0
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_error_reaches_the_caller(pooled_writer, monkeypatch, tmp_path):
+    parent, format_rows = os.getpid(), signals._format_rows
+
+    def fail_in_a_worker(block):
+        if os.getpid() != parent:
+            raise RuntimeError("block failed in a worker")
+        return format_rows(block)
+
+    monkeypatch.setattr(signals, "_format_rows", fail_in_a_worker)
+    trace = generate_trace("gaussian", hours=1.0, dt_seconds=2.0, seed=1)
+    with pytest.raises(RuntimeError, match="block failed in a worker"):
+        write_trace_csv(trace, tmp_path / "signal.csv")
+    assert multiprocessing.active_children() == []
 
 
 def test_envelope_rejects_negative_sigma():
