@@ -56,6 +56,19 @@ REPLAY_SHA256 = {
 }
 
 
+# sha256 of the hand-fillable bundle records of `bundle` and of the
+# solution.json of `solved_dir`. They pin the record codecs: a rewrite of a
+# writer or a reader must leave every one of these files byte-identical.
+BUNDLE_SHA256 = {
+    "grid.json": "dee68a8a1a6f7fad0f5f4b58aed2f265ad4b18eb489aa8215662a8c328a5da95",
+    "workload.csv": "41d3d4cdec84aaa199eb45663119bf50e8050b65c8dc43d9cde4874edc69812c",
+    "latency.csv": "0f3257775c278e7b25418e6d1abea064d524ac78f162bf485dfdc80b3787af25",
+    "dc.json": "a165d8da3749b45045f7c39b432228450a1cea7987d7683f9b1212401a581ff2",
+    "config.json": "fa7dff30c19c66aba3029051c7ced85a6e51e7e7371516f9bf1490f4826304f2",
+    "solution.json": "77b451de76133bb4240c68e076e1f196e69d6b052d569756d02cb2032e2ceb69",
+}
+
+
 @pytest.fixture(scope="module")
 def bundle(tmp_path_factory):
     path = tmp_path_factory.mktemp("bundles") / "b"
@@ -72,6 +85,14 @@ def solved_dir(bundle, tmp_path_factory):
                  "--mode", "joint", "--strategy", "cooperative", "--quiet"])
     assert code == EXIT_OK
     return out
+
+
+def test_record_bytes_are_pinned(bundle, solved_dir):
+    paths = {name: (solved_dir if name == "solution.json" else bundle) / name
+             for name in BUNDLE_SHA256}
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for name, path in paths.items()}
+    assert digests == BUNDLE_SHA256
 
 
 def test_cli_import_loads_no_scipy():
