@@ -383,8 +383,15 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit EXIT_INPUT with one line, in every sub-command."""
+
+    def error(self, message):
+        self.exit(EXIT_INPUT, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dcflex",
         description="Co-optimized data center scheduling and regulation bidding",
     )

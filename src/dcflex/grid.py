@@ -8,7 +8,7 @@ difference, positive from the line's first endpoint toward the second.
 """
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -187,36 +187,14 @@ def validate_case(case: GridCase) -> list[str]:
 
 
 def case_to_dict(case: GridCase) -> dict:
+    """The grid document of a case; a line's susceptance is written per-unit."""
     return {
         "mva_base": case.mva_base,
         "slack_bus": case.slack_bus,
-        "buses": [
-            {"id": b.id, "base_load": [float(v) for v in b.base_load]} for b in case.buses
-        ],
-        "lines": [
-            {
-                "id": k.id,
-                "from_bus": k.from_bus,
-                "to_bus": k.to_bus,
-                "susceptance": k.susceptance / case.mva_base,  # stored per-unit
-                "limit_mw": k.limit_mw,
-            }
-            for k in case.lines
-        ],
-        "generators": [
-            {
-                "id": g.id,
-                "bus": g.bus,
-                "cost_per_mwh": g.cost_per_mwh,
-                "p_min": g.p_min,
-                "p_max": g.p_max,
-                "ramp_up": g.ramp_up,
-                "ramp_down": g.ramp_down,
-                "startup_ramp": g.startup_ramp,
-                "shutdown_ramp": g.shutdown_ramp,
-            }
-            for g in case.generators
-        ],
+        "buses": [{"id": b.id, "base_load": b.base_load.tolist()} for b in case.buses],
+        "lines": [{**asdict(k), "susceptance": k.susceptance / case.mva_base}
+                  for k in case.lines],
+        "generators": [asdict(g) for g in case.generators],
     }
 
 
@@ -230,37 +208,23 @@ def _integer(value, where: str) -> int:
     return int(value)
 
 
+def _record(cls, entry: dict, where: str, mva: float):
+    """The Line or Generator of a grid document entry, read in field order;
+    a line's per-unit susceptance is scaled to MW/rad."""
+    values = {f.name: _integer(entry[f.name], f"{where}.{f.name}") if f.type is int
+              else float(entry[f.name]) for f in fields(cls)}
+    if cls is Line:
+        values["susceptance"] *= mva
+    return cls(**values)
+
+
 def case_from_dict(data: dict) -> GridCase:
     """The case of a parsed grid document."""
-    def integer(entry: dict, key: str, where: str) -> int:
-        return _integer(entry[key], f"{where}.{key}")
-
     mva = float(data.get("mva_base", DEFAULT_MVA_BASE))
-    buses = tuple(Bus(integer(b, "id", f"buses[{k}]"), np.asarray(b["base_load"], dtype=float))
+    buses = tuple(Bus(_integer(b["id"], f"buses[{k}].id"), np.asarray(b["base_load"], float))
                   for k, b in enumerate(data["buses"]))
-    lines = tuple(
-        Line(
-            integer(line, "id", f"lines[{k}]"),
-            integer(line, "from_bus", f"lines[{k}]"),
-            integer(line, "to_bus", f"lines[{k}]"),
-            float(line["susceptance"]) * mva,  # per-unit in the file, MW/rad in memory
-            float(line["limit_mw"]),
-        )
-        for k, line in enumerate(data["lines"])
-    )
-    gens = tuple(
-        Generator(
-            integer(g, "id", f"generators[{k}]"),
-            integer(g, "bus", f"generators[{k}]"),
-            float(g["cost_per_mwh"]),
-            float(g["p_min"]),
-            float(g["p_max"]),
-            float(g["ramp_up"]),
-            float(g["ramp_down"]),
-            float(g["startup_ramp"]),
-            float(g["shutdown_ramp"]),
-        )
-        for k, g in enumerate(data["generators"])
-    )
+    lines = tuple(_record(Line, line, f"lines[{k}]", mva) for k, line in enumerate(data["lines"]))
+    gens = tuple(_record(Generator, g, f"generators[{k}]", mva)
+                 for k, g in enumerate(data["generators"]))
     slack = _integer(data["slack_bus"], "slack_bus")
     return GridCase(buses, lines, gens, slack, mva)

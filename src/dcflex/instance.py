@@ -14,7 +14,7 @@ chance-constraint stress shape used for signal-model comparisons.
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
 
@@ -443,12 +443,12 @@ def _dc_entry(k, entry: dict, t_total: int) -> dict:
     """The fields of dc.json entry k: an int for each of _DC_IDS, and as
     float arrays one value per slot for _DC_PER_SLOT and a single number
     for _DC_SCALARS."""
-    fields = {}
+    values = {}
     for name in _DC_IDS + _DC_SCALARS + _DC_PER_SLOT:
         if name not in entry:
             raise ValueError(f"dcs[{k}] has no {name!r}")
         if name in _DC_IDS:
-            fields[name] = _integer(entry[name], f"dcs[{k}] {name!r}")
+            values[name] = _integer(entry[name], f"dcs[{k}] {name!r}")
             continue
         value = np.asarray(entry[name], dtype=float)
         shape = (t_total,) if name in _DC_PER_SLOT else ()
@@ -456,8 +456,8 @@ def _dc_entry(k, entry: dict, t_total: int) -> dict:
             expected = f"{t_total} values, one per slot" if shape else "a single number"
             raise ValueError(f"dcs[{k}] {name!r} has shape {value.shape}; "
                              f"expected {expected}")
-        fields[name] = value
-    return fields
+        values[name] = value
+    return values
 
 
 def read_signal(path) -> RegulationTrace:
@@ -504,9 +504,8 @@ def load_bundle(bundle_dir) -> tuple[ProblemInstance, ModelConfig, RegulationTra
     trace = read_signal(bundle / "signal.csv")
     entries = read_json(bundle / "dc.json", lambda doc: [
         _dc_entry(k, entry, grid.n_slots) for k, entry in enumerate(doc["dcs"])])
-    dcs = [DataCenterSpec(id=e["id"], bus=e["bus"], cpu_cap=e["cpu_cap"],
-                          mem_cap=e["mem_cap"], io_cap=e["io_cap"], p_min=e["p_min"],
-                          p_max=e["p_max"]) for e in entries]
+    dcs = [DataCenterSpec(**{f.name: e[f.name] for f in fields(DataCenterSpec)})
+           for e in entries]
     queue = QueueParameters(*(np.array([e[name] for e in entries])
                               for name in ("q_init", "arrivals", "q_min", "q_max")))
     cfg = read_json(bundle / "config.json", ModelConfig.from_dict)

@@ -304,6 +304,11 @@ class FittedSignal:
         raise ValueError(f"unknown signal model {signal_model!r}")
 
 
+# solution.json's per-slot arrays: file key -> Solution field. "u" is
+# written as rounded ints; every array is read back as floats.
+SOLUTION_ARRAYS = {"R": "reg", "p": "gen", "u": "commit", "theta": "theta", "q": "shed"}
+
+
 @dataclass
 class Solution:
     """Solved decision variables plus the objective breakdown."""
@@ -331,7 +336,7 @@ class Solution:
             "net_cost": self.objective_total,
         }
 
-    def to_dict(self, jobs=None) -> dict:
+    def to_dict(self, jobs) -> dict:
         m, t_total, n_dc = self.x.shape
         sparse = [[i + 1, t + 1, l + 1, float(self.x[i, t, l])]
                   for i, t, l in np.argwhere(np.abs(self.x) > 1e-12).tolist()]
@@ -340,13 +345,10 @@ class Solution:
             "objective_total": self.objective_total,
             "breakdown": self.breakdown(),
             "dims": {"clusters": m, "slots": t_total, "dcs": n_dc},
-            "cluster_ids": [j.id for j in jobs] if jobs is not None else None,
+            "cluster_ids": [j.id for j in jobs],
             "x": sparse,
-            "R": [[float(v) for v in row] for row in self.reg],
-            "p": [[float(v) for v in row] for row in self.gen],
-            "u": [[int(round(v)) for v in row] for row in self.commit],
-            "theta": [[float(v) for v in row] for row in self.theta],
-            "q": [[float(v) for v in row] for row in self.shed],
+            **{key: [[int(round(v)) if key == "u" else float(v) for v in row]
+                     for row in getattr(self, name)] for key, name in SOLUTION_ARRAYS.items()},
             "solver_stats": self.solver_stats,
         }
 
@@ -366,7 +368,7 @@ class Solution:
             if not _finite_numbers(v):
                 raise ValueError(f"x entry {entry} holds {v!r}, not a finite number")
             x[cell[0] - 1, cell[1] - 1, cell[2] - 1] = v
-        arrays = {key: np.asarray(data[key], dtype=float) for key in ("R", "p", "u", "theta", "q")}
+        arrays = {key: np.asarray(data[key], dtype=float) for key in SOLUTION_ARRAYS}
         for key, arr in arrays.items():
             if arr.ndim != 2 or arr.shape[1] != shape[1] or (key == "R" and len(arr) != shape[2]):
                 raise ValueError(f"{key} has shape {arr.shape}, which disagrees with dims {dims}")
@@ -375,11 +377,7 @@ class Solution:
         br = data["breakdown"]
         return cls(
             x=x,
-            reg=arrays["R"],
-            gen=arrays["p"],
-            commit=arrays["u"],
-            theta=arrays["theta"],
-            shed=arrays["q"],
+            **{name: arrays[key] for key, name in SOLUTION_ARRAYS.items()},
             objective_total=float(data["objective_total"]),
             generation_cost=float(br["generation_cost"]),
             penalty_cost=float(br["penalty_cost"]),

@@ -7,7 +7,7 @@ horizon. Power conversion divides cluster energy (kWh/task * tasks) by the
 slot duration.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import csv
@@ -237,75 +237,65 @@ def baseline_assignment(jobs, latmap: LatencyMap, dcs) -> np.ndarray:
     return x
 
 
-def read_workload_csv(path) -> list[JobCluster]:
-    """Read clusters from CSV with the canonical workload header."""
-    required = ["id", "user_region", "arrival_slot", "class", "weight",
-                "r_cpu", "r_mem", "r_io", "d_kwh_per_task"]
-    jobs = []
+# The headers of workload.csv, one column per JobCluster field in order,
+# and of latency.csv; _PARSE reads a workload cell by its field's type.
+WORKLOAD_HEADER = ("id", "user_region", "arrival_slot", "class", "weight",
+                   "r_cpu", "r_mem", "r_io", "d_kwh_per_task")
+LATENCY_HEADER = ("user_region", "dc_id", "latency")
+_PARSE = {str: str.strip, int: int, float: float}
+
+
+def _read_table(path, header, parse_row, what: str) -> list:
+    """``parse_row`` of each row (a dict keyed by ``header``) of CSV file
+    ``path``. Every fault raises one ValueError naming the file, and for a
+    row of the wrong length or a fault of ``parse_row`` also its line."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != required:
-            raise ValueError(f"{path}: expected header {','.join(required)}")
+        if reader.fieldnames is None or tuple(f.strip() for f in reader.fieldnames) != header:
+            raise ValueError(f"{path}: expected header {','.join(header)}")
+        parsed = []
         for line_no, row in enumerate(reader, start=2):
             try:
                 if None in row or None in row.values():
-                    raise ValueError(f"expected {len(required)} fields")
-                jobs.append(
-                    JobCluster(
-                        id=row["id"].strip(),
-                        user_region=row["user_region"].strip(),
-                        arrival_slot=int(row["arrival_slot"]),
-                        flex_class=row["class"].strip(),
-                        weight=float(row["weight"]),
-                        r_cpu=float(row["r_cpu"]),
-                        r_mem=float(row["r_mem"]),
-                        r_io=float(row["r_io"]),
-                        d_kwh_per_task=float(row["d_kwh_per_task"]),
-                    )
-                )
+                    raise ValueError(f"expected {len(header)} fields")
+                parsed.append(parse_row(row))
             except (ValueError, KeyError) as exc:
                 raise ValueError(f"{path} line {line_no}: {exc}") from None
-    if not jobs:
-        raise ValueError(f"{path}: no workload rows")
-    return jobs
+    if not parsed:
+        raise ValueError(f"{path}: no {what} rows")
+    return parsed
+
+
+def read_workload_csv(path) -> list[JobCluster]:
+    """Read clusters from CSV with the canonical workload header."""
+    columns = tuple(zip(WORKLOAD_HEADER, fields(JobCluster)))
+    return _read_table(path, WORKLOAD_HEADER, lambda row: JobCluster(
+        *(_PARSE[f.type](row[name]) for name, f in columns)), "workload")
 
 
 def write_workload_csv(jobs, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["id", "user_region", "arrival_slot", "class", "weight",
-                         "r_cpu", "r_mem", "r_io", "d_kwh_per_task"])
+        writer.writerow(WORKLOAD_HEADER)
         for j in jobs:
-            writer.writerow([j.id, j.user_region, j.arrival_slot, j.flex_class,
-                             repr(j.weight), repr(j.r_cpu), repr(j.r_mem),
-                             repr(j.r_io), repr(j.d_kwh_per_task)])
+            writer.writerow([repr(getattr(j, f.name)) if f.type is float else getattr(j, f.name)
+                             for f in fields(JobCluster)])
+
+
+def _latency_row(row: dict) -> tuple:
+    value = float(row["latency"])
+    if not math.isfinite(value):
+        raise ValueError(f"latency must be finite, got {value}")
+    return (row["user_region"].strip(), int(row["dc_id"])), value
 
 
 def read_latency_csv(path) -> LatencyMap:
-    entries = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = ["user_region", "dc_id", "latency"]
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != required:
-            raise ValueError(f"{path}: expected header {','.join(required)}")
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                if None in row or None in row.values():
-                    raise ValueError(f"expected {len(required)} fields")
-                value = float(row["latency"])
-                if not math.isfinite(value):
-                    raise ValueError(f"latency must be finite, got {value}")
-                entries[(row["user_region"].strip(), int(row["dc_id"]))] = value
-            except (ValueError, KeyError) as exc:
-                raise ValueError(f"{path} line {line_no}: {exc}") from None
-    if not entries:
-        raise ValueError(f"{path}: no latency rows")
-    return LatencyMap(entries)
+    return LatencyMap(dict(_read_table(path, LATENCY_HEADER, _latency_row, "latency")))
 
 
 def write_latency_csv(latmap: LatencyMap, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["user_region", "dc_id", "latency"])
+        writer.writerow(LATENCY_HEADER)
         for (region, dc), v in sorted(latmap.entries.items()):
             writer.writerow([region, dc, repr(v)])

@@ -90,6 +90,16 @@ def test_infeasible_binary_model():
     assert solve_mip(m).status == "infeasible"
 
 
+def test_search_that_exhausts_both_children_is_infeasible():
+    # 2z = 1: the root LP is feasible at z = 0.5, and neither z = 0 nor
+    # z = 1 satisfies the row, so the search ends with no incumbent.
+    m = StandardFormModel()
+    z = m.add_variable("z", 0.0, 1.0, integer=True)
+    m.add_row("half", [(z, 2.0)], "=", 1.0)
+    res = solve_mip(m)
+    assert res.status == "infeasible" and res.nodes == 3
+
+
 def test_rejects_general_integers():
     m = StandardFormModel()
     m.add_variable("n", 0.0, 5.0, integer=True)

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dcflex.instance as instance
-from dcflex.cli import EXIT_INPUT, EXIT_OK, EXIT_SOLVER, main
+from dcflex.cli import (EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION,
+                        main)
 from dcflex.optimizer import ModelConfig
 from dcflex.signals import RegulationTrace, read_trace_csv, write_trace_csv
 from test_mps import REFERENCE_SOLVER
@@ -85,6 +86,17 @@ def solved_dir(bundle, tmp_path_factory):
                  "--mode", "joint", "--strategy", "cooperative", "--quiet"])
     assert code == EXIT_OK
     return out
+
+
+@pytest.fixture(scope="module")
+def powerless_bundle(bundle, tmp_path_factory):
+    """`bundle` with every DC's power bounds at 0: no cluster can complete."""
+    path = shutil.copytree(bundle, tmp_path_factory.mktemp("bundles") / "powerless")
+    doc = json.loads((path / "dc.json").read_text())
+    for entry in doc["dcs"]:
+        entry["p_min"] = entry["p_max"] = [0.0] * len(entry["p_max"])
+    (path / "dc.json").write_text(json.dumps(doc))
+    return path
 
 
 def test_record_bytes_are_pinned(bundle, solved_dir):
@@ -357,6 +369,29 @@ class TestSolve:
             blobs.append((out / "solution.json").read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_infeasible_model_exits_2_naming_the_binding_families(self, powerless_bundle,
+                                                                 tmp_path):
+        code, lines = run_cli(["solve", "--bundle", str(powerless_bundle),
+                               "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == EXIT_INFEASIBLE
+        assert lines[0] == "infeasible: model coopt is infeasible", lines
+        families = [line.split(":")[0] for line in lines[1:]]
+        assert families == ["  binding family done", "  binding family pcap"], lines
+        assert not (tmp_path / "o").exists()
+
+    def test_solution_that_fails_validation_exits_3(self, bundle, tmp_path):
+        # An external solver that reports one variable: every other is 0, so
+        # no cluster completes.
+        script = tmp_path / "one_value.py"
+        script.write_text("import sys\nopen(sys.argv[2], 'w').write('p_1_1 0\\n')\n")
+        out = tmp_path / "o"
+        proc = run_child("solve", "--bundle", bundle, "--out", out,
+                         "--backend", f"cmd:{sys.executable} {script}")
+        assert proc.returncode == EXIT_VALIDATION, proc.stderr
+        assert "  violation: completion at cluster " in proc.stdout, proc.stdout
+        assert proc.stderr == ""
+        assert json.loads((out / "validation.json").read_text())["ok"] is False
+
 
 @pytest.fixture
 def text_parses(monkeypatch):
@@ -588,6 +623,18 @@ class TestCompare:
                                "--backend", "cmd:", "--quiet"])
         assert code == EXIT_INPUT and len(lines) == 1, lines
         assert lines[0].startswith("error: unknown backend 'cmd:'"), lines
+
+    def test_no_solvable_cell_exits_2_recording_the_families(self, powerless_bundle,
+                                                             tmp_path):
+        out = tmp_path / "cmp"
+        code, lines = run_cli(["compare", "--bundle", str(powerless_bundle), "--out", str(out),
+                               "--quiet"])
+        assert code == EXIT_INFEASIBLE and lines == []
+        doc = json.loads((out / "compare.json").read_text())
+        assert doc["rows"] == []
+        assert [(e["strategy"], e["mode"], e["error"]) for e in doc["errors"]] == [
+            ("cooperative", "joint", "model coopt is infeasible")]
+        assert list(doc["errors"][0]["families"]) == ["done", "pcap"]
 
 
 class TestExperimentConfig:
@@ -955,3 +1002,24 @@ def test_bad_flag_value_exits_4_naming_the_setting(bundle, solved_dir, tmp_path,
     assert code == EXIT_INPUT and len(lines) == 1, lines
     assert lines[0].startswith("error: ") and f"{setting} must be" in lines[0], lines
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--bundle", "BUNDLE", "--out", "OUT", "--mode", "bogus"],
+    ["solve", "--bundle", "BUNDLE", "--out", "OUT", "--bogus"],
+    ["gen-instance", "--out", "OUT", "--seed", "x"],
+    ["solve", "--bundle", "BUNDLE"],
+], ids=["bad_choice", "unknown_flag", "non_integer_seed", "missing_out"])
+def test_usage_error_exits_4_with_one_line(bundle, tmp_path, argv):
+    out = tmp_path / "out"
+    proc = run_child(*[{"BUNDLE": bundle, "OUT": out}.get(a, a) for a in argv])
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == EXIT_INPUT and len(lines) == 1, proc.stderr
+    assert lines[0].startswith("error: "), lines
+    assert not out.exists()
+
+
+def test_help_exits_0():
+    proc = run_child("solve", "--help")
+    assert proc.returncode == EXIT_OK and proc.stderr == ""
+    assert "--bundle" in proc.stdout

@@ -70,8 +70,9 @@ def test_fixed_variables_fold_into_rhs():
 
 
 def test_degenerate_redundant_equalities_terminate():
-    # Multiple copies of the same equality plus a redundant inequality fan:
-    # classic degeneracy; Bland fallback must still terminate at the optimum.
+    # Multiple copies of the same equality plus a redundant inequality fan.
+    # Presolve drops the duplicate rows before the simplex runs, so this
+    # does not reach Bland's rule; test_blands_rule_alone_matches_reference_solver does.
     m = StandardFormModel()
     xs = [m.add_variable(f"x{i}", lb=0.0, ub=10.0, obj=1.0 + 0.0 * i) for i in range(6)]
     for r in range(4):
@@ -174,6 +175,18 @@ def test_hundred_random_lps_match_reference_solver():
         checked += _matches_reference(model, trial)
     # Construction keeps a feasible point, so the optimal branch dominates.
     assert checked >= 60
+
+
+def test_blands_rule_alone_matches_reference_solver(monkeypatch):
+    # A streak of 0 makes every pivot, not only those after a run of
+    # degenerate steps, enter the lowest-index improving column.
+    monkeypatch.setattr(simplex, "DEGENERATE_STREAK", 0)
+    rng = np.random.Generator(np.random.PCG64(2024))
+    checked = 0
+    for trial in range(30):
+        model = _random_model(rng, n_vars=int(rng.integers(2, 9)), n_rows=int(rng.integers(1, 8)))
+        checked += _matches_reference(model, trial)
+    assert checked >= 15
 
 
 def test_upper_bounded_only_columns_match_reference_solver():
