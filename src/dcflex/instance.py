@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .grid import Bus, Generator, GridCase, Line, _integer, case_from_dict, case_to_dict
-from .optimizer import ModelConfig, ProblemInstance, QueueParameters
+from .optimizer import FittedSignal, ModelConfig, ProblemInstance, QueueParameters
 from .signals import (
     RegulationTrace,
     build_var_table,
@@ -34,7 +34,6 @@ from .signals import (
     trace_from_columns,
     write_trace_csv,
 )
-from .optimizer import FittedSignal
 from .workload import (
     DataCenterSpec,
     JobCluster,

@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .bnb import solve_mip
-from .grid import GridCase
+from .grid import GridCase, validate_case
 from .mps import run_external_solver
 from .signals import (
     DEFAULT_QUANTILE_GRID,
@@ -248,13 +248,19 @@ class ProblemInstance:
         return h
 
     @cached_property
+    def latency_table(self) -> np.ndarray:
+        """(M, N) latency of each cluster's region to each DC, rows in job
+        order and columns in DC order."""
+        lat = self.latency.table([job.user_region for job in self.jobs],
+                                 [dc.id for dc in self.dcs])
+        lat.flags.writeable = False
+        return lat
+
+    @cached_property
     def baseline_latency(self) -> np.ndarray:
-        return baseline_latency_profile(self.x_base, self.jobs, self.latency,
-                                        [dc.id for dc in self.dcs])
+        return baseline_latency_profile(self.x_base, self.latency_table)
 
     def validate(self) -> None:
-        from .grid import validate_case
-
         if not self.dcs:
             raise ValueError("instance needs at least one data center")
         t_total = self.n_slots
@@ -554,13 +560,10 @@ def _schedule_rows(model: StandardFormModel, inst: ProblemInstance, cfg: ModelCo
     for i in members:
         model.add_row(f"done_{i + 1}",
                       [(xcol[i, t - 1, l - 1], 1.0) for t in slots for l in dcs], "=", 1.0)
+    lat = inst.latency_table
     for t in slots:
         bound = inst.baseline_latency[t - 1] + cfg.delta_qos
-        coeffs = [
-            (xcol[i, t - 1, l - 1],
-             inst.latency.latency(inst.jobs[i].user_region, inst.dcs[l - 1].id) - bound)
-            for i in members for l in dcs
-        ]
+        coeffs = [(xcol[i, t - 1, l - 1], lat[i, l - 1] - bound) for i in members for l in dcs]
         model.add_row(f"qos_{t}", coeffs, "<=", 0.0)
     for l in dcs:
         dc = inst.dcs[l - 1]
@@ -872,6 +875,11 @@ def solve_model(model: StandardFormModel, backend: str = BACKEND_BUNDLED):
             with tempfile.TemporaryDirectory(prefix="dcflex_ext_") as wd:
                 status, values = run_external_solver(pre.model, command, wd)
             if values is not None:
+                # A solution file may omit variables (read as 0): check the point.
+                excess = pre.model.max_violation(values)
+                if excess > FEAS_TOL:
+                    raise SolverError(f"model {model.name}: {command} solver point breaks "
+                                      f"the presolved model by {excess:.3e}")
                 values = pre.expand(values)
         stats = {"backend": command, "status": status}
     if status == INFEASIBLE:

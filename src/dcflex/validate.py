@@ -135,8 +135,7 @@ def validate_solution(
         report.add(family, usage - stack(dcs, family), dc_slot)
 
     # QoS (linearized form, matching the optimizer's rows).
-    lat = np.array([[inst.latency.latency(job.user_region, dc.id) for dc in dcs] for job in jobs])
-    num = (lat[:, None, :] * x).sum(axis=(0, 2))
+    num = (inst.latency_table[:, None, :] * x).sum(axis=(0, 2))
     den = x.sum(axis=(0, 2))
     report.add("qos", num - (inst.baseline_latency + cfg.delta_qos) * den,
                lambda t: f"slot {t + 1}", FEAS_TOL * np.maximum(1.0, den))
@@ -192,5 +191,4 @@ def validate_solution(
 
 def qos_deviation_report(inst: ProblemInstance, solution: Solution) -> np.ndarray:
     """Per-slot latency deviation of the solved schedule from baseline."""
-    return qos_deviation(solution.x, inst.x_base, inst.jobs, inst.latency,
-                         [dc.id for dc in inst.dcs])
+    return qos_deviation(solution.x, inst.x_base, inst.latency_table)

@@ -8,7 +8,6 @@ slot duration.
 """
 
 from dataclasses import dataclass, fields
-from typing import NamedTuple
 
 import csv
 import math
@@ -74,6 +73,10 @@ class LatencyMap:
         except KeyError:
             raise KeyError(f"no latency entry for region {user_region!r}, dc {dc_id}") from None
 
+    def table(self, regions, dc_ids) -> np.ndarray:
+        """(len(regions), len(dc_ids)) latency of each region to each DC."""
+        return np.array([[self.latency(r, d) for d in dc_ids] for r in regions], dtype=float)
+
     def check_complete(self, regions, dc_ids) -> None:
         missing = [(r, d) for r in regions for d in dc_ids if (r, d) not in self.entries]
         if missing:
@@ -112,11 +115,6 @@ class DataCenterSpec:
         return self.cpu_cap.size
 
 
-class SlotLatency(NamedTuple):
-    value: float
-    has_jobs: bool
-
-
 def cluster_energies_mwh(jobs) -> np.ndarray:
     return np.array([j.energy_mwh for j in jobs])
 
@@ -134,62 +132,40 @@ def load_matrix(x: np.ndarray, jobs, slot_hours: float) -> np.ndarray:
     return np.ascontiguousarray(nodal.T)
 
 
-def effective_latency(x: np.ndarray, t: int, jobs, latmap: LatencyMap, dc_ids) -> SlotLatency:
-    """Schedule-weighted average latency at slot t (1-based); dc_ids[l] is
-    the id of the DC in column l of x.
+def slot_latency(x: np.ndarray, lat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each slot's schedule-weighted latency and whether it holds jobs;
+    ``lat`` is the (clusters, DCs) latency table of x's rows and columns.
 
     A slot whose total mass is at most COMPLETENESS_TOL holds only round-off
-    and is reported as empty: latency 0 with has_jobs False.
+    and is reported as empty: latency 0 and held False.
     """
-    x = np.asarray(x)
-    num = 0.0
-    den = 0.0
-    for i, job in enumerate(jobs):
-        for l in range(x.shape[2]):
-            w = float(x[i, t - 1, l])
-            if w != 0.0:
-                num += latmap.latency(job.user_region, dc_ids[l]) * w
-                den += w
-    if den <= COMPLETENESS_TOL:
-        return SlotLatency(0.0, False)
-    return SlotLatency(num / den, True)
+    x = np.asarray(x, dtype=float)
+    num = (lat[:, None, :] * x).sum(axis=(0, 2))
+    den = x.sum(axis=(0, 2))
+    held = den > COMPLETENESS_TOL
+    return np.divide(num, den, out=np.zeros_like(num), where=held), held
 
 
-def baseline_latency_profile(x_base: np.ndarray, jobs, latmap: LatencyMap, dc_ids) -> np.ndarray:
+def baseline_latency_profile(x_base: np.ndarray, lat: np.ndarray) -> np.ndarray:
     """Per-slot baseline latency, with empty slots filled by the horizon mean.
 
     Deferring work into a slot the baseline left empty needs a reference
     latency; the schedule-weighted mean over the whole horizon is used so
     the tolerance stays anchored to typical baseline service.
     """
-    t_total = x_base.shape[1]
-    values = np.zeros(t_total)
-    mass = np.zeros(t_total)
-    for t in range(1, t_total + 1):
-        lat = effective_latency(x_base, t, jobs, latmap, dc_ids)
-        if lat.has_jobs:
-            values[t - 1] = lat.value
-            mass[t - 1] = 1.0
-    if mass.sum() == 0:
-        return values
-    horizon_mean = float(np.sum(values * mass) / mass.sum())
-    values[mass == 0] = horizon_mean
+    values, held = slot_latency(x_base, lat)
+    if held.any():
+        values[~held] = np.sum(values * held) / held.sum()
     return values
 
 
-def qos_deviation(x: np.ndarray, x_base: np.ndarray, jobs, latmap: LatencyMap,
-                  dc_ids) -> np.ndarray:
+def qos_deviation(x: np.ndarray, x_base: np.ndarray, lat: np.ndarray) -> np.ndarray:
     """Per-slot latency deviation of x from the baseline profile.
 
     Slots where x schedules nothing contribute deviation 0.
     """
-    profile = baseline_latency_profile(x_base, jobs, latmap, dc_ids)
-    out = np.zeros_like(profile)
-    for t in range(1, len(profile) + 1):
-        lat = effective_latency(x, t, jobs, latmap, dc_ids)
-        if lat.has_jobs:
-            out[t - 1] = lat.value - profile[t - 1]
-    return out
+    values, held = slot_latency(x, lat)
+    return np.where(held, values - baseline_latency_profile(x_base, lat), 0.0)
 
 
 def baseline_assignment(jobs, latmap: LatencyMap, dcs) -> np.ndarray:
@@ -212,21 +188,20 @@ def baseline_assignment(jobs, latmap: LatencyMap, dcs) -> np.ndarray:
             np.stack([dc.io_cap for dc in dcs]),
         ]
     )
+    ids = [dc.id for dc in dcs]
+    lat = latmap.table([job.user_region for job in jobs], ids)
     x = np.zeros((len(jobs), t_total, n_dc))
     for i, job in enumerate(jobs):
         if job.arrival_slot > t_total:
             raise ValueError(f"cluster {job.id}: arrival slot {job.arrival_slot} > horizon {t_total}")
         t = job.arrival_slot - 1
         demand = np.array([job.r_cpu, job.r_mem, job.r_io]) * job.weight
-        order = sorted(range(n_dc), key=lambda l: (latmap.latency(job.user_region, dcs[l].id), dcs[l].id))
-        placed = False
-        for l in order:
+        for l in np.lexsort((ids, lat[i])):
             if np.all(used[:, l, t] + demand <= caps[:, l, t] + 1e-9):
                 used[:, l, t] += demand
                 x[i, t, l] = 1.0
-                placed = True
                 break
-        if not placed:
+        else:
             gaps = caps[:, :, t] - used[:, :, t] - demand[:, None]
             worst = int(np.argmin(np.max(gaps, axis=1)))
             name = ("cpu", "mem", "io")[worst]

@@ -12,11 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dcflex.cli as cli
 import dcflex.instance as instance
 from dcflex.cli import (EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION,
                         main)
 from dcflex.optimizer import ModelConfig
 from dcflex.signals import RegulationTrace, read_trace_csv, write_trace_csv
+from dcflex.validate import validate_solution
 from test_mps import REFERENCE_SOLVER
 
 MODEL_KEYS = tuple(ModelConfig.__dataclass_fields__)
@@ -379,18 +381,52 @@ class TestSolve:
         assert families == ["  binding family done", "  binding family pcap"], lines
         assert not (tmp_path / "o").exists()
 
-    def test_solution_that_fails_validation_exits_3(self, bundle, tmp_path):
-        # An external solver that reports one variable: every other is 0, so
-        # no cluster completes.
+    def test_solution_file_that_omits_values_exits_5_with_one_line(self, bundle, tmp_path):
+        # An external solver that reports one variable: every other is read
+        # as 0, so the point breaks the completion rows.
         script = tmp_path / "one_value.py"
         script.write_text("import sys\nopen(sys.argv[2], 'w').write('p_1_1 0\\n')\n")
         out = tmp_path / "o"
         proc = run_child("solve", "--bundle", bundle, "--out", out,
-                         "--backend", f"cmd:{sys.executable} {script}")
-        assert proc.returncode == EXIT_VALIDATION, proc.stderr
-        assert "  violation: completion at cluster " in proc.stdout, proc.stdout
-        assert proc.stderr == ""
+                         "--backend", f"cmd:{sys.executable} {script}", "--quiet")
+        lines = proc.stderr.splitlines()
+        assert proc.returncode == EXIT_SOLVER and len(lines) == 1, proc.stderr
+        assert lines[0].startswith("error: model coopt: "), lines
+        assert "solver point breaks the presolved model by " in lines[0], lines
+        assert not out.exists()
+
+    def test_external_solver_that_writes_no_file_exits_5_naming_it(self, bundle, tmp_path):
+        script = tmp_path / "silent.py"
+        script.write_text("import sys\n")
+        out = tmp_path / "o"
+        proc = run_child("solve", "--bundle", bundle, "--out", out,
+                         "--backend", f"cmd:{sys.executable} {script}", "--quiet")
+        lines = proc.stderr.splitlines()
+        assert proc.returncode == EXIT_SOLVER and len(lines) == 1, proc.stderr
+        assert lines[0].startswith("error: external solver wrote no solution file at "), lines
+        assert lines[0].endswith("coopt.sol"), lines
+        assert not out.exists()
+
+    def test_solution_that_fails_validation_exits_3(self, bundle, tmp_path, monkeypatch,
+                                                    capsys):
+        monkeypatch.setattr(cli, "validate_solution", violating("cooperative"))
+        out = tmp_path / "o"
+        assert main(["solve", "--bundle", str(bundle), "--out", str(out)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "  violation: completion at cluster c01: 1.000e+00" in captured.out, captured.out
+        assert captured.err == ""
         assert json.loads((out / "validation.json").read_text())["ok"] is False
+
+
+def violating(strategy):
+    """validate_solution, with one completion violation added to the report
+    of every solve under ``strategy``."""
+    def check(inst, cfg, fitted, solution):
+        report = validate_solution(inst, cfg, fitted, solution)
+        if cfg.strategy == strategy:
+            report.add("completion", 1.0, "cluster c01")
+        return report
+    return check
 
 
 @pytest.fixture
@@ -635,6 +671,18 @@ class TestCompare:
         assert [(e["strategy"], e["mode"], e["error"]) for e in doc["errors"]] == [
             ("cooperative", "joint", "model coopt is infeasible")]
         assert list(doc["errors"][0]["families"]) == ["done", "pcap"]
+
+    def test_cell_that_fails_validation_is_an_error_row(self, bundle, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "validate_solution", violating("decoupled"))
+        out = tmp_path / "cmp"
+        assert main(["compare", "--bundle", str(bundle), "--out", str(out),
+                     "--strategies", "cooperative,decoupled", "--modes", "joint",
+                     "--quiet"]) == EXIT_OK
+        doc = json.loads((out / "compare.json").read_text())
+        assert [(r["strategy"], r["mode"]) for r in doc["rows"]] == [("cooperative", "joint")]
+        assert doc["errors"] == [{"strategy": "decoupled", "mode": "joint",
+                                  "error": "1 validation violations"}]
+        assert not (out / "loadcurve_decoupled_joint.csv").exists()
 
 
 class TestExperimentConfig:
@@ -972,6 +1020,21 @@ def test_csv_row_of_the_wrong_length_exits_4_naming_file_and_line(quick_bundle, 
                            "--quiet"])
     assert code == EXIT_INPUT
     assert lines == [f"error: {work / name} line {line_no}: expected {fields} fields"]
+
+
+def test_latency_csv_missing_a_used_pair_exits_4_naming_it(quick_bundle, tmp_path):
+    work = shutil.copytree(quick_bundle, tmp_path / "b")
+    with open(work / "workload.csv", newline="") as fh:
+        used = {row["user_region"] for row in csv.DictReader(fh)}
+    lines = (work / "latency.csv").read_text().splitlines(keepends=True)
+    k = next(k for k, line in enumerate(lines[1:], start=1) if line.split(",")[0] in used)
+    region, dc = lines[k].split(",")[:2]
+    (work / "latency.csv").write_text("".join(lines[:k] + lines[k + 1:]))
+    code, lines = run_cli(["solve", "--bundle", str(work), "--out", str(tmp_path / "o"),
+                           "--quiet"])
+    assert code == EXIT_INPUT
+    assert lines == [f"error: latency map missing 1 pairs, first ({region!r}, {int(dc)})"]
+    assert not (tmp_path / "o").exists()
 
 
 def test_unreadable_out_manifest_fails_before_any_write(bundle, solved_dir, tmp_path):

@@ -13,11 +13,11 @@ from dcflex.workload import (
     LatencyMap,
     baseline_assignment,
     baseline_latency_profile,
-    effective_latency,
     load_matrix,
     qos_deviation,
     read_latency_csv,
     read_workload_csv,
+    slot_latency,
     write_latency_csv,
     write_workload_csv,
 )
@@ -40,6 +40,11 @@ def simple_latency(n_regions=2, n_dc=2):
         for l in range(1, n_dc + 1):
             entries[(f"r{r}", l)] = float(abs(r - l) * 4 + 5)
     return LatencyMap(entries)
+
+
+def region_table(latmap, jobs, dc_ids):
+    """The (clusters, DCs) latency table of ``jobs`` over ``dc_ids``."""
+    return latmap.table([job.user_region for job in jobs], dc_ids)
 
 
 class TestAggregateLoad:
@@ -87,20 +92,22 @@ class TestAggregateLoad:
 
 
 class TestEffectiveLatency:
+    """Each slot's schedule-weighted latency, as slot_latency computes it."""
+
     def test_single_location(self):
         latmap = LatencyMap({("r1", 1): 5.0, ("r1", 2): 9.0})
         jobs = [cluster(), cluster("j2")]
         x = np.zeros((2, 1, 2))
         x[:, 0, 0] = 1.0
-        lat = effective_latency(x, 1, jobs, latmap, [1, 2])
-        assert lat.value == pytest.approx(5.0) and lat.has_jobs
+        values, held = slot_latency(x, region_table(latmap, jobs, [1, 2]))
+        assert values[0] == pytest.approx(5.0) and held[0]
 
     def test_equal_weights_mean(self):
         latmap = LatencyMap({("r1", 1): 10.0, ("r2", 1): 20.0})
         jobs = [cluster(region="r1"), cluster("j2", region="r2")]
         x = np.zeros((2, 1, 1))
         x[:, 0, 0] = 1.0
-        assert effective_latency(x, 1, jobs, latmap, [1]).value == pytest.approx(15.0)
+        assert slot_latency(x, region_table(latmap, jobs, [1]))[0][0] == pytest.approx(15.0)
 
     def test_weighted_mean(self):
         latmap = LatencyMap({("r1", 1): 4.0, ("r2", 1): 8.0})
@@ -108,12 +115,12 @@ class TestEffectiveLatency:
         x = np.zeros((2, 1, 1))
         x[0, 0, 0] = 0.25
         x[1, 0, 0] = 0.75
-        assert effective_latency(x, 1, jobs, latmap, [1]).value == pytest.approx(7.0)
+        assert slot_latency(x, region_table(latmap, jobs, [1]))[0][0] == pytest.approx(7.0)
 
     def test_empty_slot_flagged(self):
         latmap = LatencyMap({("r1", 1): 4.0})
-        lat = effective_latency(np.zeros((1, 2, 1)), 2, [cluster()], latmap, [1])
-        assert lat.value == 0.0 and not lat.has_jobs
+        values, held = slot_latency(np.zeros((1, 2, 1)), region_table(latmap, [cluster()], [1]))
+        assert values[1] == 0.0 and not held[1]
 
 
 class TestBaselineAssignment:
@@ -171,7 +178,7 @@ class TestQosDeviation:
         jobs = [cluster("a", "r1"), cluster("b", "r2", slot=2)]
         dcs = [dc_spec(1, 1), dc_spec(2, 2)]
         x = baseline_assignment(jobs, latmap, dcs)
-        assert np.all(qos_deviation(x, x, jobs, latmap, [1, 2]) == 0.0)
+        assert np.all(qos_deviation(x, x, region_table(latmap, jobs, [1, 2])) == 0.0)
 
     def test_move_to_far_dc(self):
         latmap = LatencyMap({("r1", 1): 5.0, ("r1", 2): 9.0})
@@ -180,7 +187,7 @@ class TestQosDeviation:
         x_base[:, 0, 0] = 1.0
         x = np.zeros((2, 1, 2))
         x[:, 0, 1] = 1.0
-        dev = qos_deviation(x, x_base, jobs, latmap, [1, 2])
+        dev = qos_deviation(x, x_base, region_table(latmap, jobs, [1, 2]))
         assert dev[0] == pytest.approx(4.0)
 
     def test_empty_baseline_slot_uses_horizon_mean(self):
@@ -188,7 +195,7 @@ class TestQosDeviation:
         jobs = [cluster("a", "r1")]
         x_base = np.zeros((1, 2, 1))
         x_base[0, 0, 0] = 1.0
-        profile = baseline_latency_profile(x_base, jobs, latmap, [1])
+        profile = baseline_latency_profile(x_base, region_table(latmap, jobs, [1]))
         assert profile[1] == pytest.approx(5.0)
 
     def test_round_off_mass_is_not_work(self):
@@ -198,7 +205,7 @@ class TestQosDeviation:
         x_base[0, 0, 0] = 1.0
         x = x_base.copy()
         x[0, 1, 1] = 5e-15  # a far DC in the slot the baseline leaves empty
-        assert qos_deviation(x, x_base, jobs, latmap, [1, 2])[1] == 0.0
+        assert qos_deviation(x, x_base, region_table(latmap, jobs, [1, 2]))[1] == 0.0
 
 
 class TestCsvIo:
