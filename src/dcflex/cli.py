@@ -41,6 +41,7 @@ from .optimizer import (
     resolve_config,
     run_strategy,
 )
+from .pool import run_ordered
 from .signals import RegulationTrace
 from .simulator import (
     compliance_report,
@@ -282,6 +283,37 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _compare_cell(inst, cfg: ModelConfig, fitted: FittedSignal, backend: str,
+                  base_total) -> tuple:
+    """One compare cell solved and validated: (its row, its load-curve CSV
+    text), or (its error entry, None) if it is infeasible or fails
+    validation. Any other exception propagates."""
+    cell = {"strategy": cfg.strategy, "mode": cfg.shifting_mode}
+    try:
+        solution = run_strategy(inst, cfg, fitted, backend=backend)
+    except InfeasibleModel as exc:
+        return {**cell, "error": str(exc), "families": exc.family_report}, None
+    report = validate_solution(inst, cfg, fitted, solution)
+    if not report.ok:
+        return {**cell, "error": f"{len(report.violations)} validation violations"}, None
+    dc_load = load_matrix(solution.x, inst.jobs, cfg.slot_hours).sum(axis=0)
+    system = base_total + dc_load
+    row = {
+        **cell,
+        "average_load_mw": float(dc_load.mean()),
+        "total_cost_kusd": (solution.generation_cost + solution.penalty_cost
+                             + solution.migration_cost) / 1000.0,
+        "average_regulation_capacity_mw": float(solution.reg.mean()),
+        "regulation_profit_kusd": solution.regulation_revenue / 1000.0,
+        "net_cost_kusd": solution.objective_total / 1000.0,
+        "peak_system_load_mw": float(system.max()),
+    }
+    curve = _csv_text([["slot", "base_load_mw", "dc_load_mw", "system_load_mw"]]
+                      + [[t + 1, repr(float(base_total[t])), repr(float(dc_load[t])),
+                          repr(float(system[t]))] for t in range(len(system))])
+    return row, curve
+
+
 def cmd_compare(args) -> int:
     backend_command(args.backend)
     inst, bundle_cfg, trace = load_bundle(args.bundle)
@@ -292,45 +324,28 @@ def cmd_compare(args) -> int:
         repeated = [name for k, name in enumerate(names) if name in names[:k]]
         if repeated:
             raise ValueError(f"{flag} lists {repeated[0]!r} more than once")
-    cells = [(s, m) for s in strategies for m in modes]
+    cells = [replace(base_cfg, strategy=s, shifting_mode=m) for s in strategies for m in modes]
     # Every cell is checked before the first solve writes anything.
-    for strategy, mode in cells:
-        replace(base_cfg, strategy=strategy, shifting_mode=mode).validate()
-    rows, errors, files = [], [], {}
+    for cfg in cells:
+        cfg.validate()
     base_total = np.sum([b.base_load for b in inst.grid.buses], axis=0)
     # The fit depends on the split, quantile grid, horizons and eps_e only,
     # none of which a cell changes.
     fitted = fit_signal_artifacts(trace, base_cfg)
-    for strategy, mode in cells:
-        cfg = replace(base_cfg, strategy=strategy, shifting_mode=mode)
-        try:
-            solution = run_strategy(inst, cfg, fitted, backend=args.backend)
-            report = validate_solution(inst, cfg, fitted, solution)
-            if not report.ok:
-                errors.append({"strategy": strategy, "mode": mode,
-                               "error": f"{len(report.violations)} validation violations"})
-                continue
-        except InfeasibleModel as exc:
-            errors.append({"strategy": strategy, "mode": mode, "error": str(exc),
-                           "families": exc.family_report})
-            continue
-        dc_load = load_matrix(solution.x, inst.jobs, cfg.slot_hours)
-        system = base_total + dc_load.sum(axis=0)
-        rows.append({
-            "strategy": strategy,
-            "mode": mode,
-            "average_load_mw": float(dc_load.sum(axis=0).mean()),
-            "total_cost_kusd": (solution.generation_cost + solution.penalty_cost
-                                 + solution.migration_cost) / 1000.0,
-            "average_regulation_capacity_mw": float(solution.reg.mean()),
-            "regulation_profit_kusd": solution.regulation_revenue / 1000.0,
-            "net_cost_kusd": solution.objective_total / 1000.0,
-            "peak_system_load_mw": float(system.max()),
-        })
-        files[f"loadcurve_{strategy}_{mode}.csv"] = _csv_text(
-            [["slot", "base_load_mw", "dc_load_mw", "system_load_mw"]]
-            + [[t + 1, repr(float(base_total[t])), repr(float(dc_load.sum(axis=0)[t])),
-                repr(float(system[t]))] for t in range(inst.n_slots)])
+    # Forked workers inherit the bundle, the fit and the settings; each
+    # returns only its cell's entry and load-curve text.
+    results = []
+    run_ordered(lambda k: _compare_cell(inst, cells[k], fitted, args.backend, base_total),
+                len(cells), results.append,
+                lambda k: SolverError(f"compare cell {cells[k].strategy}/"
+                                      f"{cells[k].shifting_mode}: its worker process died"))
+    rows, errors, files = [], [], {}
+    for entry, curve in results:
+        if curve is None:
+            errors.append(entry)
+        else:
+            rows.append(entry)
+            files[f"loadcurve_{entry['strategy']}_{entry['mode']}.csv"] = curve
     fieldnames = ["strategy", "mode", "average_load_mw", "total_cost_kusd",
                   "average_regulation_capacity_mw", "regulation_profit_kusd",
                   "net_cost_kusd", "peak_system_load_mw"]
@@ -343,9 +358,10 @@ def cmd_compare(args) -> int:
         _say(args, f"{row['strategy']:12s} {row['mode']:9s} "
                    f"net {row['net_cost_kusd']:10.4f} k$  "
                    f"avg R {row['average_regulation_capacity_mw']:7.3f} MW")
-    if errors and not rows:
-        return EXIT_INFEASIBLE
-    return EXIT_OK
+    if rows:
+        return EXIT_OK
+    # Only an infeasible cell's error entry carries "families".
+    return EXIT_INFEASIBLE if all("families" in e for e in errors) else EXIT_VALIDATION
 
 
 def _report_section(probe: str, data: dict) -> list[str]:

@@ -14,6 +14,7 @@ chance-constraint stress shape used for signal-model comparisons.
 import hashlib
 import json
 import math
+import shutil
 from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
@@ -387,20 +388,27 @@ def write_artifacts(out_dir, files: dict) -> list[Path]:
 
     A content is a text, a callable that writes the file at the path it
     is given (for files written as a stream), or else a JSON document,
-    written with indent 2, sorted keys and a final newline.
+    written with indent 2, sorted keys and a final newline. If a write
+    fails and this call created ``out_dir``, it removes the directory.
     """
     out = Path(out_dir)
     # Read first: a manifest that cannot be read fails before any write.
     manifest = read_manifest(out) if (out / MANIFEST).exists() else {}
+    created = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
-    for name, content in files.items():
-        if callable(content):
-            content(out / name)
-        else:
-            text = content if isinstance(content, str) else _json_text(content)
-            (out / name).write_text(text, encoding="utf-8", newline="")
-    manifest.update((name, sha256_file(out / name)) for name in files)
-    (out / MANIFEST).write_text(_json_text(manifest), encoding="utf-8")
+    try:
+        for name, content in files.items():
+            if callable(content):
+                content(out / name)
+            else:
+                text = content if isinstance(content, str) else _json_text(content)
+                (out / name).write_text(text, encoding="utf-8", newline="")
+        manifest.update((name, sha256_file(out / name)) for name in files)
+        (out / MANIFEST).write_text(_json_text(manifest), encoding="utf-8")
+    except Exception:
+        if created:
+            shutil.rmtree(out, ignore_errors=True)
+        raise
     return [out / name for name in files]
 
 

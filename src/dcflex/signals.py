@@ -9,13 +9,13 @@ by the instance builder and the test suite.
 
 import csv
 import math
-import os
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
 from datetime import datetime
 
 import numpy as np
+
+from .pool import run_ordered
 
 DEFAULT_QUANTILE_GRID = (0.80, 0.85, 0.90, 0.925, 0.95, 0.975, 0.99)
 DEFAULT_VAR_HORIZONS = (0.25, 0.5, 1.0, 2.0, 3.0, 4.0)
@@ -324,61 +324,28 @@ def write_trace_csv(trace: RegulationTrace, path) -> None:
 
     Each number is its ``repr``, so parsing the text gives back the same
     floats bitwise; lines end in CRLF, as from ``csv.writer``. The body is
-    formatted in blocks of WRITE_CHUNK_ROWS samples. With more than one
-    block and more than one usable CPU, a pool of forked workers (one per
-    usable CPU, at most one per block) formats them, and they are written
-    in order with at most two blocks per worker in flight; otherwise they
-    are formatted here. Either way the bytes are the same, the text held
-    in memory stays bounded, and no worker outlives the call.
+    formatted in blocks of WRITE_CHUNK_ROWS samples by ``run_ordered``: on
+    forked workers (one per usable CPU, at most one per block, at most two
+    blocks per worker in flight) or in process, and written in order.
+    Either way the bytes are the same, the text held in memory stays
+    bounded, and no worker outlives the call. A worker that dies raises
+    OSError naming ``path``.
     """
     columns = trace_columns(trace)
     rows = WRITE_CHUNK_ROWS
-    starts = range(0, len(columns), rows)
-    workers = min(_usable_cpus(), len(starts)) if hasattr(os, "fork") else 1
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("timestamp,s\r\n")
-        if workers < 2:
-            for k in starts:
-                fh.write(_format_rows(columns[k:k + rows]))
-            return
-        # Imported here because only gen-instance writes a trace: at module
-        # level they would add about 10 ms to every command's start-up.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
         # Forked workers inherit the columns, so the trace is never pickled.
-        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                                 _adopt_columns, (columns,)) as pool:
-            pending = deque()
-            for k in starts:
-                pending.append(pool.submit(_format_rows_at, k, rows))
-                if len(pending) == 2 * workers:
-                    fh.write(pending.popleft().result())
-            for block in pending:
-                fh.write(block.result())
-
-
-def _usable_cpus() -> int:
-    """How many CPUs this process may run on."""
-    return len(os.sched_getaffinity(0))
+        run_ordered(lambda k: _format_rows(columns[k * rows:(k + 1) * rows]),
+                    -(-len(columns) // rows), fh.write,
+                    lambda k: OSError(f"{path}: a worker process died while formatting "
+                                      f"rows {k * rows + 1} on"))
 
 
 def _format_rows(block: np.ndarray) -> str:
     """CSV text of an (m, 2) block of ``trace_columns``."""
     return "".join([f"{t!r},{v!r}\r\n"
                     for t, v in zip(block[:, 0].tolist(), block[:, 1].tolist())])
-
-
-_worker_columns = None  # a write_trace_csv worker's trace columns
-
-
-def _adopt_columns(columns: np.ndarray) -> None:
-    global _worker_columns
-    _worker_columns = columns
-
-
-def _format_rows_at(start: int, rows: int) -> str:
-    return _format_rows(_worker_columns[start:start + rows])
 
 
 def _parse_timestamp(raw: str, path, line_no: int) -> float:

@@ -3,9 +3,12 @@ import csv
 import hashlib
 import io
 import json
+import multiprocessing
+import os
 import shutil
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -14,9 +17,10 @@ from hypothesis import strategies as st
 
 import dcflex.cli as cli
 import dcflex.instance as instance
+import dcflex.pool as pool
 from dcflex.cli import (EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION,
                         main)
-from dcflex.optimizer import ModelConfig
+from dcflex.optimizer import ModelConfig, SolverError
 from dcflex.signals import RegulationTrace, read_trace_csv, write_trace_csv
 from dcflex.validate import validate_solution
 from test_mps import REFERENCE_SOLVER
@@ -683,6 +687,96 @@ class TestCompare:
         assert doc["errors"] == [{"strategy": "decoupled", "mode": "joint",
                                   "error": "1 validation violations"}]
         assert not (out / "loadcurve_decoupled_joint.csv").exists()
+
+    def test_no_cell_that_passes_validation_exits_3(self, bundle, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "validate_solution", violating("decoupled"))
+        out = tmp_path / "cmp"
+        code, lines = run_cli(["compare", "--bundle", str(bundle), "--out", str(out),
+                               "--strategies", "decoupled", "--modes", "joint,none",
+                               "--quiet"])
+        assert code == EXIT_VALIDATION and lines == []
+        doc = json.loads((out / "compare.json").read_text())
+        assert doc["rows"] == []
+        assert [(e["strategy"], e["mode"], e["error"]) for e in doc["errors"]] == [
+            ("decoupled", "joint", "1 validation violations"),
+            ("decoupled", "none", "1 validation violations")]
+
+    @pytest.mark.parametrize("strategies, modes", [
+        ("cooperative,independent,decoupled", "joint"),
+        ("cooperative", "none,spatial,temporal,joint"),
+    ])
+    def test_bytes_do_not_depend_on_usable_cpus(self, bundle, tmp_path, monkeypatch,
+                                                strategies, modes):
+        files = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
+            out = tmp_path / f"cpus{cpus}"
+            assert main(["compare", "--bundle", str(bundle), "--out", str(out),
+                         "--strategies", strategies, "--modes", modes,
+                         "--quiet"]) == EXIT_OK
+            assert multiprocessing.active_children() == []
+            files[cpus] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert files[1] == files[2]
+
+    @staticmethod
+    def failing(monkeypatch, fail):
+        """run_strategy raising the SolverError ``fail(cfg)`` returns, if any."""
+        run_strategy = cli.run_strategy
+
+        def run(inst, cfg, fitted, backend):
+            exc = fail(cfg)
+            if exc is not None:
+                raise exc
+            return run_strategy(inst, cfg, fitted, backend=backend)
+
+        monkeypatch.setattr(cli, "run_strategy", run)
+
+    def run_three(self, bundle, out):
+        code, lines = run_cli(["compare", "--bundle", str(bundle), "--out", str(out),
+                               "--strategies", "cooperative,independent,decoupled",
+                               "--modes", "joint", "--quiet"])
+        assert not out.exists() and multiprocessing.active_children() == []
+        return code, lines
+
+    def test_solver_error_in_a_worker_exits_5_as_in_process(self, bundle, tmp_path,
+                                                           monkeypatch):
+        parent = os.getpid()
+        seen = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
+            # With two CPUs, only a worker raises.
+            self.failing(monkeypatch, lambda cfg: SolverError("model indep: no optimum")
+                         if cfg.strategy == "independent" and (cpus == 1 or os.getpid() != parent)
+                         else None)
+            seen[cpus] = self.run_three(bundle, tmp_path / f"cpus{cpus}")
+        assert seen[1] == seen[2] == (EXIT_SOLVER, ["error: model indep: no optimum"])
+
+    def test_of_two_failing_cells_the_first_in_order_is_named(self, bundle, tmp_path,
+                                                              monkeypatch):
+        monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
+
+        def fail(cfg):
+            if cfg.strategy == "independent":
+                time.sleep(0.5)  # the later cell fails first
+            if cfg.strategy != "cooperative":
+                return SolverError(f"model {cfg.strategy}: no optimum")
+            return None
+
+        self.failing(monkeypatch, fail)
+        assert self.run_three(bundle, tmp_path / "cmp") == (
+            EXIT_SOLVER, ["error: model independent: no optimum"])
+
+    def test_a_worker_that_dies_exits_5_with_one_line(self, bundle, tmp_path, monkeypatch):
+        monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
+        parent = os.getpid()
+
+        def die_in_a_worker(cfg):
+            if os.getpid() != parent:
+                os._exit(1)
+
+        self.failing(monkeypatch, die_in_a_worker)
+        assert self.run_three(bundle, tmp_path / "cmp") == (
+            EXIT_SOLVER, ["error: compare cell cooperative/joint: its worker process died"])
 
 
 class TestExperimentConfig:

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import math
 import multiprocessing
 import os
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dcflex.pool as pool
 import dcflex.signals as signals
 from dcflex.signals import (
     GaussianEnvelope,
@@ -362,7 +365,7 @@ def test_bulk_writer_matches_the_row_loop_and_the_columns(samples, dt, chunk_row
     trace = RegulationTrace(np.array(samples), dt)
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(signals, "WRITE_CHUNK_ROWS", chunk_rows)
-        mp.setattr(signals, "_usable_cpus", lambda: cpus)
+        mp.setattr(pool, "usable_cpus", lambda: cpus)
         bulk, loop = Path(tmp) / "bulk.csv", Path(tmp) / "loop.csv"
         write_trace_csv(trace, bulk)
         row_loop_trace_csv(trace, loop)
@@ -381,7 +384,7 @@ def test_bulk_writer_matches_the_row_loop_and_the_columns(samples, dt, chunk_row
 def pooled_writer(monkeypatch):
     """write_trace_csv in blocks of 64 rows on two workers."""
     monkeypatch.setattr(signals, "WRITE_CHUNK_ROWS", 64)
-    monkeypatch.setattr(signals, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
 
 
 def test_no_worker_outlives_the_writer_or_gen_instance(pooled_writer, tmp_path):
@@ -408,6 +411,29 @@ def test_a_worker_error_reaches_the_caller(pooled_writer, monkeypatch, tmp_path)
     trace = generate_trace("gaussian", hours=1.0, dt_seconds=2.0, seed=1)
     with pytest.raises(RuntimeError, match="block failed in a worker"):
         write_trace_csv(trace, tmp_path / "signal.csv")
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_dies_ends_gen_instance_with_one_line(pooled_writer, monkeypatch,
+                                                          tmp_path):
+    from dcflex.cli import EXIT_INPUT, main
+
+    parent = os.getpid()
+
+    def die_in_a_worker(block):
+        if os.getpid() != parent:
+            os._exit(1)
+
+    monkeypatch.setattr(signals, "_format_rows", die_in_a_worker)
+    out = tmp_path / "b"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["gen-instance", "--out", str(out), "--seed", "3", "--preset", "small",
+                     "--signal-days", "1", "--quiet"])
+    lines = err.getvalue().splitlines()
+    assert code == EXIT_INPUT and len(lines) == 1, lines
+    assert lines[0].startswith(f"error: {out / 'signal.csv'}: a worker process died"), lines
+    assert not out.exists()
     assert multiprocessing.active_children() == []
 
 
