@@ -7,8 +7,9 @@ file. This module owns ``write_artifacts``, the one writer of every
 command's output directory and its manifest. The synthetic generator
 builds desk-scale instances that are feasible by construction (the
 baseline assignment witnesses feasibility of every constraint family) and
-deterministic per seed; presets cover the shipped demo shape and a
-chance-constraint stress shape used for signal-model comparisons.
+deterministic per seed; presets cover the demo shape (the bundle that
+``gen-instance --preset demo --seed 7`` writes) and a chance-constraint
+stress shape used for signal-model comparisons.
 """
 
 import hashlib
@@ -91,7 +92,7 @@ class GenParams:
 
 
 def demo_params() -> GenParams:
-    """The shipped desk-scale shape: 6 buses, 2 generators, 3 DCs."""
+    """The demo's desk-scale shape: 6 buses, 2 generators, 3 DCs."""
     return GenParams()
 
 

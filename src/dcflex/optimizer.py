@@ -360,7 +360,8 @@ class Solution:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Solution":
-        """Inverse of to_dict; an x entry outside ``dims``, an array whose
+        """Inverse of to_dict; an x entry outside ``dims`` or with an index
+        that is not an integer (a JSON ``true`` is not 1), an array whose
         shape disagrees with them, or a NaN or infinite number raises
         ValueError naming the field."""
         dims = data["dims"]
@@ -368,8 +369,9 @@ class Solution:
         x = np.zeros(shape)
         for entry in data["x"]:
             *cell, v = entry
-            if len(cell) != 3 or not all(isinstance(k, int) and 1 <= k <= n
-                                         for k, n in zip(cell, shape)):
+            if len(cell) != 3 or not all(
+                    isinstance(k, int) and not isinstance(k, bool) and 1 <= k <= n
+                    for k, n in zip(cell, shape)):
                 raise ValueError(f"x entry {entry} lies outside dims {dims}")
             if not _finite_numbers(v):
                 raise ValueError(f"x entry {entry} holds {v!r}, not a finite number")

@@ -586,14 +586,15 @@ class TestSimulate:
     @pytest.mark.parametrize("break_solution, named", [
         (lambda doc: doc["x"][0].__setitem__(0, 99), "x entry"),
         (lambda doc: doc["x"][0].__setitem__(0, 1.5), "x entry"),
+        (lambda doc: doc["x"].__setitem__(0, [True, 1, True, 0.5]), "x entry"),
         (lambda doc: doc["x"][0].__setitem__(3, float("nan")), "x[0][3] must be finite"),
         (lambda doc: doc["R"].pop(), "R has shape"),
         (lambda doc: [row.pop() for row in doc["R"]], "R has shape"),
         (lambda doc: doc["R"][0].__setitem__(0, float("inf")), "R[0][0] must be finite"),
         (lambda doc: doc["dims"].__setitem__("clusters", doc["dims"]["clusters"] + 1),
          "(clusters, slots, dcs)"),
-    ], ids=["x_outside_dims", "x_cell_not_an_integer", "x_value_nan", "R_missing_a_dc",
-            "R_missing_a_slot", "R_value_infinite", "dims_off_the_bundle"])
+    ], ids=["x_outside_dims", "x_cell_not_an_integer", "x_cell_a_bool", "x_value_nan",
+            "R_missing_a_dc", "R_missing_a_slot", "R_value_infinite", "dims_off_the_bundle"])
     def test_solution_that_does_not_fit_exits_4_with_one_line(self, bundle, solved_dir,
                                                               tmp_path, break_solution, named):
         doc = json.loads((solved_dir / "solution.json").read_text())

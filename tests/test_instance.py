@@ -1,11 +1,9 @@
 import json
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import dcflex
 from conftest import tiny_config, tiny_instance
 from dcflex.grid import case_from_dict, validate_case
 from dcflex.instance import (
@@ -30,8 +28,6 @@ from dcflex.instance import (
 from dcflex.optimizer import ProblemInstance
 from dcflex.signals import RegulationTrace
 from dcflex.workload import COMPLETENESS_TOL, load_matrix
-
-DEMO_DATA = Path(dcflex.__file__).parent / "data" / "demo"
 
 
 class TestSyntheticInstances:
@@ -179,18 +175,12 @@ class TestBundleIo:
             load_bundle(tmp_path)
 
 
-class TestDemoPackageData:
-    def test_bundled_case_is_valid(self):
-        case = read_json(DEMO_DATA / "grid.json", case_from_dict)
+class TestDemoBundle:
+    def test_bundled_case_is_valid(self, tmp_path):
+        generate_instance(demo_params(), DEMO_SEED, tmp_path)
+        case = read_json(tmp_path / "grid.json", case_from_dict)
         assert validate_case(case) == []
         assert len(case.buses) == 6 and len(case.generators) == 2
-
-    def test_static_files_match_generator_output(self, tmp_path):
-        generate_instance(demo_params(), DEMO_SEED, tmp_path / "demo")
-        for name in ("grid.json", "dc.json", "workload.csv", "latency.csv", "config.json"):
-            static = (DEMO_DATA / name).read_bytes()
-            fresh = (tmp_path / "demo" / name).read_bytes()
-            assert static == fresh, f"{name} drifted from the generator output"
 
 
 def test_cc_stress_preset_has_loose_caps():

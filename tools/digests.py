@@ -2,11 +2,13 @@
 
 Run from any directory:
 
-    python3 tools/digests.py > digests.txt
+    python3 tools/digests.py > tools/digests.txt
 
-Two checkouts that produce the same outputs print the same text, so a
-before-and-after check of a change is a ``diff`` of two such files. It
-prints four sections:
+Two checkouts that produce the same outputs print the same text. The
+output is committed as ``tools/digests.txt``, and
+``tests/test_digests.py`` requires the tool to print it; a commit that
+moves a digest on purpose regenerates the file with the command above.
+It prints four sections:
 
 - ``demo``: every artifact of the README demo flow (``gen-instance
   --preset demo --seed 7``, ``fit-signal``, ``solve``, ``simulate
@@ -32,7 +34,7 @@ prints four sections:
 
 The commands run in this checkout's root, so the ``cmd:`` backend string
 recorded in ``solution.json`` is the same in every checkout. It takes
-about half a minute on two cores.
+about 10 s on two cores.
 """
 
 import copy
