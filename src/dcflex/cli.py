@@ -4,6 +4,11 @@ Every command is deterministic given its inputs and an explicit seed, and
 writes its artifacts under --out together with a manifest of content
 hashes. Exit codes: 0 success, 2 infeasible model, 3 validation failure,
 4 input/configuration error, 5 solver failure.
+
+At module level this imports only the standard library and
+``dcflex.artifacts``, so parsing a command line and catching its errors
+loads neither numpy nor any solver. Each ``cmd_*`` imports the modules it
+runs when it runs, and ``report`` needs none of them.
 """
 
 import argparse
@@ -14,44 +19,17 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
-from .instance import (
+from .artifacts import (
     MANIFEST,
-    GenParams,
-    PRESETS,
-    fit_signal_artifacts,
-    generate_instance,
-    load_bundle,
-    read_json,
-    read_manifest,
-    read_signal,
-    write_artifacts,
-)
-from .optimizer import (
     SHIFTING_MODES,
     SIGNAL_MODELS,
     STRATEGIES,
-    FittedSignal,
     InfeasibleModel,
-    ModelConfig,
-    Solution,
     SolverError,
-    backend_command,
-    resolve_config,
-    run_strategy,
+    read_json,
+    read_manifest,
+    write_artifacts,
 )
-from .pool import run_ordered
-from .signals import RegulationTrace
-from .simulator import (
-    compliance_report,
-    monte_carlo,
-    results_digest,
-    simulate,
-    write_series_csv,
-)
-from .validate import validate_solution
-from .workload import load_matrix
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -96,6 +74,8 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         """The settings of a parsed --config file."""
+        from .optimizer import ModelConfig
+
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown experiment config keys {sorted(unknown)}")
@@ -141,7 +121,7 @@ def _experiment(args) -> "ExperimentConfig":
     return exp
 
 
-def _model_config(args, base: ModelConfig, exp: "ExperimentConfig | None") -> ModelConfig:
+def _model_config(args, base: "ModelConfig", exp: "ExperimentConfig | None") -> "ModelConfig":
     """The model settings of one command, validated once.
 
     Each source overrides the ones before it: ``base`` (the bundle's
@@ -149,6 +129,8 @@ def _model_config(args, base: ModelConfig, exp: "ExperimentConfig | None") -> Mo
     ``model`` object, its top-level ``threshold`` and ``split``, then the
     command's flags.
     """
+    from .optimizer import ModelConfig
+
     data = base.to_dict()
     data.update(getattr(exp, "model", {}))
     # The file's top level holds only threshold and split of these.
@@ -170,7 +152,21 @@ def _horizons(text: str) -> tuple:
         raise ValueError(f"horizons must be comma-separated hours, got {text!r}") from None
 
 
+def _preset(name: str) -> str:
+    """A --preset value, refused with the line argparse prints for a value
+    outside ``choices``; a type rather than ``choices``, so that only a
+    command line that gives --preset imports instance."""
+    from .instance import PRESETS
+
+    if name not in PRESETS:
+        choices = ", ".join(map(repr, sorted(PRESETS)))
+        raise argparse.ArgumentTypeError(f"invalid choice: {name!r} (choose from {choices})")
+    return name
+
+
 def cmd_gen_instance(args) -> int:
+    from .instance import PRESETS, GenParams, generate_instance
+
     params = PRESETS[args.preset]() if args.preset else GenParams()
     overrides = {}
     for flag, key in (("n_dc", "n_dc"), ("slots", "n_slots"), ("clusters", "n_clusters"),
@@ -187,9 +183,11 @@ def cmd_gen_instance(args) -> int:
     return EXIT_OK
 
 
-def _fit_report(fitted: FittedSignal, trace, cfg: ModelConfig) -> dict:
+def _fit_report(fitted: "FittedSignal", trace, cfg: "ModelConfig") -> dict:
     """Envelope, VaR-table and fit-report documents, keyed by file name, of
     a signal already fitted on ``trace`` with ``cfg``."""
+    import numpy as np
+
     fit_seg, _ = trace.split(cfg.fit_split)
     envelope, direct, table = fitted.envelope, fitted.direct, fitted.var_table
     margins = []
@@ -212,6 +210,9 @@ def _fit_report(fitted: FittedSignal, trace, cfg: ModelConfig) -> dict:
 
 
 def cmd_fit_signal(args) -> int:
+    from .instance import fit_signal_artifacts, read_signal
+    from .optimizer import ModelConfig
+
     trace = read_signal(args.trace)
     cfg = _model_config(args, ModelConfig(), None)
     docs = _fit_report(fit_signal_artifacts(trace, cfg), trace, cfg)
@@ -223,6 +224,10 @@ def cmd_fit_signal(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    from .instance import fit_signal_artifacts, load_bundle
+    from .optimizer import backend_command, run_strategy
+    from .validate import validate_solution
+
     exp = _experiment(args)
     backend_command(exp.backend)
     inst, bundle_cfg, trace = load_bundle(exp.bundle)
@@ -245,6 +250,17 @@ def cmd_solve(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .instance import fit_signal_artifacts, load_bundle
+    from .optimizer import Solution, resolve_config
+    from .signals import RegulationTrace
+    from .simulator import (
+        compliance_report,
+        monte_carlo,
+        results_digest,
+        simulate,
+        write_series_csv,
+    )
+
     exp = _experiment(args)
     if exp.seed is None:
         raise ValueError("simulate needs an explicit --seed (flag or config)")
@@ -283,11 +299,15 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _compare_cell(inst, cfg: ModelConfig, fitted: FittedSignal, backend: str,
+def _compare_cell(inst, cfg: "ModelConfig", fitted: "FittedSignal", backend: str,
                   base_total) -> tuple:
     """One compare cell solved and validated: (its row, its load-curve CSV
     text), or (its error entry, None) if it is infeasible or fails
     validation. Any other exception propagates."""
+    from .optimizer import run_strategy
+    from .validate import validate_solution
+    from .workload import load_matrix
+
     cell = {"strategy": cfg.strategy, "mode": cfg.shifting_mode}
     try:
         solution = run_strategy(inst, cfg, fitted, backend=backend)
@@ -315,7 +335,19 @@ def _compare_cell(inst, cfg: ModelConfig, fitted: FittedSignal, backend: str,
 
 
 def cmd_compare(args) -> int:
-    backend_command(args.backend)
+    import numpy as np
+
+    from .instance import fit_signal_artifacts, load_bundle
+    from .optimizer import backend_command
+    from .pool import run_ordered
+
+    # Forked workers inherit what is imported here; a module a worker
+    # imported itself would be compiled again in each worker.
+    from . import validate, workload  # noqa: F401
+    if backend_command(args.backend) is None:
+        from . import bnb, simplex  # noqa: F401
+    else:
+        from . import mps  # noqa: F401
     inst, bundle_cfg, trace = load_bundle(args.bundle)
     base_cfg = _model_config(args, bundle_cfg, None)
     strategies = args.strategies.split(",") if args.strategies else ["cooperative"]
@@ -422,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen-instance", help="write a synthetic instance bundle")
     common(g, needs_seed=True)
-    g.add_argument("--preset", choices=sorted(PRESETS))
+    g.add_argument("--preset", type=_preset)
     g.add_argument("--n-dc", type=int, dest="n_dc")
     g.add_argument("--slots", type=int)
     g.add_argument("--clusters", type=int)
@@ -486,7 +518,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # Commands create --out only after their work, so refuse a file first.
+        # Commands create --out only after their work, so refuse a file, or
+        # an empty path (Path("") is the working directory), first.
+        if not args.out:
+            raise ValueError("--out must name a directory, got ''")
         if Path(args.out).exists() and not Path(args.out).is_dir():
             raise FileExistsError(f"--out {args.out} exists and is not a directory")
         if getattr(args, "seed", None) is not None and args.seed < 0:

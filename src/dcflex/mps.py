@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .standard_form import INF, SolverError, StandardFormModel
+from .artifacts import SolverError
+from .standard_form import INF, StandardFormModel
 
 OBJECTIVE_ROW = "COST"
 

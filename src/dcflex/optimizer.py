@@ -30,15 +30,13 @@ import math
 import numbers
 import re
 import shlex
-import tempfile
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
-from .bnb import solve_mip
+from .artifacts import SHIFTING_MODES, SIGNAL_MODELS, STRATEGIES, InfeasibleModel, SolverError
 from .grid import GridCase, validate_case
-from .mps import run_external_solver
 from .signals import (
     DEFAULT_QUANTILE_GRID,
     DEFAULT_VAR_HORIZONS,
@@ -46,8 +44,7 @@ from .signals import (
     VaRTable,
     inverse_normal_cdf,
 )
-from .simplex import INFEASIBLE, OPTIMAL, solve_lp
-from .standard_form import FEAS_TOL, INF, SolverError, StandardFormModel, presolve
+from .standard_form import FEAS_TOL, INF, StandardFormModel, presolve
 from .workload import (
     LatencyMap,
     baseline_assignment,
@@ -56,9 +53,6 @@ from .workload import (
     load_matrix,
 )
 
-SHIFTING_MODES = ("none", "spatial", "temporal", "joint")
-STRATEGIES = ("decoupled", "independent", "cooperative")
-SIGNAL_MODELS = ("direct_gaussian", "envelope")
 BACKEND_BUNDLED = "bundled"
 _CHOICES = {"shifting_mode": SHIFTING_MODES, "strategy": STRATEGIES,
             "signal_model": SIGNAL_MODELS, "forfeiture": ("full", "proportional")}
@@ -67,14 +61,6 @@ _ELASTIC_SUFFIX = "_elastic"
 
 class ModelBuildError(ValueError):
     """Model assembly failed; the message names the offending family."""
-
-
-class InfeasibleModel(RuntimeError):
-    """Solve came back infeasible; carries a per-family violation report."""
-
-    def __init__(self, message, family_report=None):
-        super().__init__(message)
-        self.family_report = family_report or {}
 
 
 @dataclass(frozen=True)
@@ -855,18 +841,30 @@ def solve_model(model: StandardFormModel, backend: str = BACKEND_BUNDLED):
     diagnose_infeasibility on the same backend, when no feasible point
     exists, and SolverError on any other status.
     """
+    # Each arm imports its solvers, so a command that never solves loads
+    # none of them and a bundled solve never loads mps or subprocess.
+    from .simplex import INFEASIBLE, OPTIMAL
+
     command = backend_command(backend)
     if command is None:
         if any(v.integer and v.ub - v.lb > 1e-12 for v in model.variables):
+            from .bnb import solve_mip
+
             res = solve_mip(model)
             stats = {"backend": "bundled", "nodes": res.nodes, "status": res.status}
             if res.gap is not None:
                 stats["gap"] = res.gap
         else:
+            from .simplex import solve_lp
+
             res = solve_lp(model)
             stats = {"backend": "bundled", "iterations": res.iterations, "status": res.status}
         status, values, counts = res.status, res.x, res.presolve
     else:
+        import tempfile
+
+        from .mps import run_external_solver
+
         pre = presolve(model)
         counts = pre.counts
         if pre.model is None:

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .standard_form import EMPTY_ROW_TOL, INF, SolverError, StandardFormModel, presolve
+from .artifacts import SolverError
+from .standard_form import EMPTY_ROW_TOL, INF, StandardFormModel, presolve
 
 PIVOT_TOL = 1e-9
 RC_TOL = 1e-9

@@ -22,10 +22,6 @@ EMPTY_ROW_TOL = 1e-7
 FEAS_TOL = 1e-6
 
 
-class SolverError(RuntimeError):
-    """A solver ended with neither a proven optimum nor a proof of infeasibility."""
-
-
 @dataclass
 class Variable:
     name: str

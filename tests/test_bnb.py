@@ -6,9 +6,10 @@ from scipy.optimize import LinearConstraint, milp
 from scipy.optimize import Bounds as ScipyBounds
 
 import dcflex.bnb as bnb
+from dcflex.artifacts import SolverError
 from dcflex.bnb import solve_mip
 from dcflex.simplex import ITERATION_LIMIT, OPTIMAL, LPResult, solve_lp
-from dcflex.standard_form import INF, SolverError, StandardFormModel
+from dcflex.standard_form import INF, StandardFormModel
 
 
 def knapsack_model(values, weights, capacity):

@@ -15,12 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import dcflex.cli as cli
 import dcflex.instance as instance
+import dcflex.optimizer as optimizer
 import dcflex.pool as pool
+import dcflex.validate as validate
+from dcflex.artifacts import SolverError
 from dcflex.cli import (EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION,
                         main)
-from dcflex.optimizer import ModelConfig, SolverError
+from dcflex.optimizer import ModelConfig
 from dcflex.signals import RegulationTrace, read_trace_csv, write_trace_csv
 from dcflex.validate import validate_solution
 from test_mps import REFERENCE_SOLVER
@@ -413,7 +415,7 @@ class TestSolve:
 
     def test_solution_that_fails_validation_exits_3(self, bundle, tmp_path, monkeypatch,
                                                     capsys):
-        monkeypatch.setattr(cli, "validate_solution", violating("cooperative"))
+        monkeypatch.setattr(validate, "validate_solution", violating("cooperative"))
         out = tmp_path / "o"
         assert main(["solve", "--bundle", str(bundle), "--out", str(out)]) == EXIT_VALIDATION
         captured = capsys.readouterr()
@@ -678,7 +680,7 @@ class TestCompare:
         assert list(doc["errors"][0]["families"]) == ["done", "pcap"]
 
     def test_cell_that_fails_validation_is_an_error_row(self, bundle, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "validate_solution", violating("decoupled"))
+        monkeypatch.setattr(validate, "validate_solution", violating("decoupled"))
         out = tmp_path / "cmp"
         assert main(["compare", "--bundle", str(bundle), "--out", str(out),
                      "--strategies", "cooperative,decoupled", "--modes", "joint",
@@ -690,7 +692,7 @@ class TestCompare:
         assert not (out / "loadcurve_decoupled_joint.csv").exists()
 
     def test_no_cell_that_passes_validation_exits_3(self, bundle, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "validate_solution", violating("decoupled"))
+        monkeypatch.setattr(validate, "validate_solution", violating("decoupled"))
         out = tmp_path / "cmp"
         code, lines = run_cli(["compare", "--bundle", str(bundle), "--out", str(out),
                                "--strategies", "decoupled", "--modes", "joint,none",
@@ -722,7 +724,7 @@ class TestCompare:
     @staticmethod
     def failing(monkeypatch, fail):
         """run_strategy raising the SolverError ``fail(cfg)`` returns, if any."""
-        run_strategy = cli.run_strategy
+        run_strategy = optimizer.run_strategy
 
         def run(inst, cfg, fitted, backend):
             exc = fail(cfg)
@@ -730,7 +732,7 @@ class TestCompare:
                 raise exc
             return run_strategy(inst, cfg, fitted, backend=backend)
 
-        monkeypatch.setattr(cli, "run_strategy", run)
+        monkeypatch.setattr(optimizer, "run_strategy", run)
 
     def run_three(self, bundle, out):
         code, lines = run_cli(["compare", "--bundle", str(bundle), "--out", str(out),
@@ -976,6 +978,41 @@ def test_path_of_the_wrong_kind_exits_4_with_one_line(bundle, tmp_path, argv, ki
     code, lines = run_cli([subs.get(a, a) for a in argv] + ["--quiet"])
     assert code == EXIT_INPUT and len(lines) == 1, lines
     assert lines[0].startswith("error: ") and str(path) in lines[0], lines
+
+
+# Path("") is the working directory: an empty --out must not write there.
+@pytest.mark.parametrize("argv", [
+    ["gen-instance", "--preset", "small", "--seed", "3"],
+    ["fit-signal", "--trace", "BUNDLE/signal.csv"],
+    ["solve", "--bundle", "BUNDLE"],
+    ["simulate", "--bundle", "BUNDLE", "--solution", "RUN/solution.json", "--seed", "7"],
+    ["compare", "--bundle", "BUNDLE"],
+    ["report"],
+], ids=lambda argv: argv[0])
+def test_empty_out_exits_4_with_one_line_and_writes_nothing(bundle, solved_dir, tmp_path,
+                                                             monkeypatch, argv):
+    # The working directory holds a finished run, so report would have
+    # written into it too.
+    cwd = shutil.copytree(solved_dir, tmp_path / "cwd")
+    before = {p.name: p.read_bytes() for p in cwd.iterdir()}
+    monkeypatch.chdir(cwd)
+    argv = [a.replace("BUNDLE", str(bundle)).replace("RUN", str(solved_dir)) for a in argv]
+    code, lines = run_cli(argv + ["--out", "", "--quiet"])
+    assert code == EXIT_INPUT and lines == ["error: --out must name a directory, got ''"]
+    assert {p.name: p.read_bytes() for p in cwd.iterdir()} == before
+
+
+# Named before any later fault on the same command line, such as a missing
+# --seed or a negative one.
+@pytest.mark.parametrize("seed", [["--seed", "7"], [], ["--seed", "-1"]],
+                         ids=["alone", "no_seed", "negative_seed"])
+def test_unknown_preset_exits_4_with_the_parsers_line(tmp_path, seed):
+    out = tmp_path / "out"
+    proc = run_child("gen-instance", "--preset", "x", *seed, "--out", out)
+    assert proc.returncode == EXIT_INPUT and proc.stderr.splitlines() == [
+        "error: argument --preset: invalid choice: 'x' (choose from 'cc_stress', 'demo', "
+        "'small')"], proc.stderr
+    assert not out.exists()
 
 
 def test_report_summarizes_run(solved_dir, capsys):

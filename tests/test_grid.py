@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dcflex.artifacts import read_json, write_artifacts
 from dcflex.grid import (
     Bus,
     Generator,
@@ -12,7 +13,6 @@ from dcflex.grid import (
     power_balance_residual,
     validate_case,
 )
-from dcflex.instance import read_json, write_artifacts
 
 
 def three_bus_case(t=2):

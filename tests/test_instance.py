@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_config, tiny_instance
+from dcflex.artifacts import read_json, read_manifest, sha256_file, write_artifacts
 from dcflex.grid import case_from_dict, validate_case
 from dcflex.instance import (
     BUNDLE_FILES,
@@ -18,12 +19,8 @@ from dcflex.instance import (
     fit_signal_artifacts,
     generate_instance,
     load_bundle,
-    read_json,
-    read_manifest,
     save_bundle,
-    sha256_file,
     small_params,
-    write_artifacts,
 )
 from dcflex.optimizer import ProblemInstance
 from dcflex.signals import RegulationTrace

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from dcflex.artifacts import STRATEGIES
 from dcflex.bnb import solve_mip
 from dcflex.mps import (
     ExternalSolverError,
@@ -25,7 +26,7 @@ from dcflex.instance import (
     fit_signal_artifacts,
     small_params,
 )
-from dcflex.optimizer import STRATEGIES, run_strategy, solve_model
+from dcflex.optimizer import run_strategy, solve_model
 from dcflex.simplex import solve_lp
 from dcflex.standard_form import INF, StandardFormModel
 from dcflex.validate import validate_solution

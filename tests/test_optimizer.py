@@ -6,25 +6,26 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import dcflex.bnb as bnb
+import dcflex.mps as mps
 import dcflex.optimizer as optimizer
+import dcflex.simplex as simplex
 from conftest import tiny_config, tiny_instance
-from dcflex.instance import (
-    build_synthetic,
-    fit_signal_artifacts,
+from dcflex.artifacts import (
+    STRATEGIES,
+    InfeasibleModel,
+    SolverError,
     read_json,
-    small_params,
     write_artifacts,
 )
+from dcflex.instance import build_synthetic, fit_signal_artifacts, small_params
 from dcflex.mps import model_to_mps
 from dcflex.optimizer import (
-    STRATEGIES,
     FittedSignal,
-    InfeasibleModel,
     ModelConfig,
     ProblemInstance,
     QueueParameters,
     Solution,
-    SolverError,
     allowed_cells,
     build_model,
     build_per_dc_model,
@@ -250,8 +251,8 @@ def _refuse_bundled_solvers(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the bundled solver ran under the cmd: backend")
 
-    monkeypatch.setattr(optimizer, "solve_lp", refuse)
-    monkeypatch.setattr(optimizer, "solve_mip", refuse)
+    monkeypatch.setattr(simplex, "solve_lp", refuse)
+    monkeypatch.setattr(bnb, "solve_mip", refuse)
 
 
 def test_every_strategy_model_goes_through_the_selected_backend(monkeypatch, external_command):
@@ -260,13 +261,13 @@ def test_every_strategy_model_goes_through_the_selected_backend(monkeypatch, ext
     bundled = {s: run_strategy(inst, replace(cfg, strategy=s), fitted) for s in STRATEGIES}
     _refuse_bundled_solvers(monkeypatch)
     solved = []
-    run_external_solver = optimizer.run_external_solver
+    run_external_solver = mps.run_external_solver
 
     def recording(model, command, workdir):
         solved.append(model.name)
         return run_external_solver(model, command, workdir)
 
-    monkeypatch.setattr(optimizer, "run_external_solver", recording)
+    monkeypatch.setattr(mps, "run_external_solver", recording)
     expected = {
         "decoupled": ["decoupled_phase1", "regulation_adjustment"],
         "independent": ["dc1_independent", "dc2_independent", "independent_dispatch"],
@@ -313,7 +314,7 @@ def test_backend_command_rejects_before_any_solve(monkeypatch, backend):
 def test_unproven_status_raises_solver_error(monkeypatch):
     m = StandardFormModel("capped")
     m.add_variable("x", 0.0, 1.0, obj=-1.0)
-    monkeypatch.setattr(optimizer, "solve_lp",
+    monkeypatch.setattr(simplex, "solve_lp",
                         lambda model: LPResult(ITERATION_LIMIT, None, None, 5))
     with pytest.raises(SolverError, match=ITERATION_LIMIT):
         solve_model(m)

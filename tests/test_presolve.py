@@ -7,9 +7,9 @@ import copy
 import numpy as np
 import pytest
 
-import dcflex.optimizer as optimizer
-from dcflex import simplex
-from dcflex.optimizer import InfeasibleModel, solve_model
+from dcflex import mps, simplex
+from dcflex.artifacts import InfeasibleModel
+from dcflex.optimizer import solve_model
 from dcflex.simplex import OPTIMAL, solve_lp
 from dcflex.standard_form import EMPTY_ROW_TOL, INF, StandardFormModel, presolve
 from test_mps import external_command  # noqa: F401  (fixture)
@@ -70,7 +70,7 @@ def test_all_fixed_model_returns_its_fixed_point_without_a_solver(monkeypatch, b
         raise AssertionError("a solver ran on a model with every column fixed")
 
     monkeypatch.setattr(simplex, "_build_arrays", refuse)
-    monkeypatch.setattr(optimizer, "run_external_solver", refuse)
+    monkeypatch.setattr(mps, "run_external_solver", refuse)
     m = StandardFormModel("pinned")
     a = m.add_variable("a", 2.0, 2.0, obj=3.0)
     b = m.add_variable("b", -1.0, -1.0, obj=0.5)

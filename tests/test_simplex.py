@@ -5,9 +5,10 @@ import pytest
 from scipy.optimize import linprog
 
 from dcflex import simplex
+from dcflex.artifacts import SolverError
 from dcflex.optimizer import solve_model
 from dcflex.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
-from dcflex.standard_form import INF, SolverError, StandardFormModel, presolve
+from dcflex.standard_form import INF, StandardFormModel, presolve
 
 
 def simple_model():

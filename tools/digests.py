@@ -51,6 +51,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
+from dcflex.artifacts import InfeasibleModel, SolverError  # noqa: E402
 from dcflex.cli import main  # noqa: E402
 from dcflex.instance import (  # noqa: E402
     DEMO_SEED,
@@ -59,7 +60,7 @@ from dcflex.instance import (  # noqa: E402
     fit_signal_artifacts,
     small_params,
 )
-from dcflex.optimizer import InfeasibleModel, SolverError, run_strategy  # noqa: E402
+from dcflex.optimizer import run_strategy  # noqa: E402
 from dcflex.validate import validate_solution  # noqa: E402
 
 ADAPTER = "cmd:python3 perfbench/highs_adapter.py"
