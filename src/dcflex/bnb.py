@@ -2,8 +2,11 @@
 
 Each node re-solves the LP relaxation on the bundled simplex with the
 node's binaries passed as solve_lp's pins, so no solve writes to the
-caller's model. Binaries only; desk-scale models (a few dozen binaries)
-solve exactly.
+caller's model. The two children of an expanded node, pinned to 0 and then
+to 1, are solved by one ``pool.run_ordered`` call (on two forked workers
+when two CPUs are usable) and used in that order; each LP depends only on
+the model and its pins, so the search is the same wherever they run.
+Binaries only; desk-scale models (a few dozen binaries) solve exactly.
 """
 
 import heapq
@@ -11,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import SolverError
+from .pool import run_ordered
 from .simplex import INFEASIBLE, ITERATION_LIMIT, OPTIMAL, UNBOUNDED, solve_lp
 from .standard_form import StandardFormModel
 
@@ -88,10 +93,12 @@ def solve_mip(model: StandardFormModel) -> MIPResult:
         bound, _, fixed, branch_j = heapq.heappop(heap)
         if bound >= incumbent_obj - GAP_TOL:
             break
-        for val in (0.0, 1.0):
-            child_fixed = dict(fixed)
-            child_fixed[branch_j] = val
-            result = solve_lp(model, child_fixed)
+        pins = [{**fixed, branch_j: val} for val in (0.0, 1.0)]
+        children = []
+        run_ordered(lambda k: solve_lp(model, pins[k]), 2, children.append,
+                    lambda k: SolverError(f"model {model.name}: a branch-and-bound node's "
+                                          "worker process died"))
+        for child_fixed, result in zip(pins, children):
             nodes += 1
             if result.status != OPTIMAL:
                 continue

@@ -186,13 +186,13 @@ def cmd_gen_instance(args) -> int:
 def _fit_report(fitted: "FittedSignal", trace, cfg: "ModelConfig") -> dict:
     """Envelope, VaR-table and fit-report documents, keyed by file name, of
     a signal already fitted on ``trace`` with ``cfg``."""
-    import numpy as np
+    from .signals import empirical_quantiles
 
     fit_seg, _ = trace.split(cfg.fit_split)
     envelope, direct, table = fitted.envelope, fitted.direct, fitted.var_table
     margins = []
     grid = tuple(cfg.quantile_grid)
-    for q, emp in zip(grid, np.quantile(fit_seg.samples, grid).tolist()):
+    for q, emp in zip(grid, empirical_quantiles(fit_seg.samples, grid).tolist()):
         upper = envelope.upper_quantile(q)
         margins.append({"quantile": q, "empirical": emp, "envelope": upper,
                         "dominance_margin": upper - emp})

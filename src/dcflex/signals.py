@@ -178,7 +178,31 @@ def empirical_quantile(samples, q: float) -> float:
         raise ValueError("empirical_quantile of empty sample set")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must be in [0, 1], got {q}")
-    return float(np.quantile(arr, q))
+    return float(empirical_quantiles(arr, q))
+
+
+def empirical_quantiles(samples, levels) -> np.ndarray:
+    """numpy's default (``linear``) quantiles of nonempty ``samples`` at
+    ``levels`` in [0, 1], bitwise as ``np.quantile`` gives them.
+
+    Like numpy, it partitions a copy at the order statistics next to each
+    virtual index (n - 1) * q (the last one for q = 1) and interpolates as
+    numpy's ``_lerp`` does: b - d * (1 - t) where t >= 0.5, else a + d * t.
+    Unlike ``np.quantile`` it never calls ``np.unique``, which imports
+    ``numpy.ma`` (about 8 ms per command).
+    """
+    arr = np.array(samples, dtype=float).reshape(-1)
+    index = (arr.size - 1) * np.asarray(levels, dtype=float)
+    top = index >= arr.size - 1
+    lo = np.where(top, -1, np.floor(index)).astype(np.intp)
+    hi = np.where(top, -1, lo + 1)
+    arr.partition(sorted({0, -1, *lo.ravel().tolist(), *hi.ravel().tolist()}))
+    if np.isnan(arr[-1]):  # a NaN sorts last, and numpy returns it for every level
+        return np.full(index.shape, arr[-1])
+    a, b = arr[lo], arr[hi]
+    t = index - lo
+    d = b - a
+    return np.where(t >= 0.5, b - d * (1 - t), a + d * t)
 
 
 def cumulative_windows(trace: RegulationTrace, window_hours: float) -> np.ndarray:
@@ -258,7 +282,7 @@ def fit_gaussian_envelope(trace: RegulationTrace,
             raise ValueError(f"grid level {q} outside (0.5, {MAX_GRID_LEVEL}]")
     mu = float(np.mean(trace.samples))
     sigma = 0.0
-    for q, emp in zip(grid, np.quantile(trace.samples, grid).tolist()):
+    for q, emp in zip(grid, empirical_quantiles(trace.samples, grid).tolist()):
         sigma = max(sigma, (emp - mu) / inverse_normal_cdf(q))
     if sigma <= 0.0:
         warnings.warn(

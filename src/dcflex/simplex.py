@@ -14,8 +14,9 @@ rows, duplicate rows and parallel rows never reach the tableau, and a
 row over one continuous column arrives as a bound; the columns branch and
 bound pins at a node are fixed there too, so they drop out as well. The one
 dense tableau is updated only on the nonzero rows x columns of each
-rank-1 pivot, and a model whose solve could hold more than
-MAX_TABLEAU_BYTES is refused.
+rank-1 pivot, through their flat indices, and a model whose solve could
+hold more than MAX_TABLEAU_BYTES is refused. The budget holds per solve:
+branch and bound runs a node's two children at once, on two workers.
 """
 
 from dataclasses import dataclass, field
@@ -177,20 +178,20 @@ def solve_lp(model: StandardFormModel, pins: dict | None = None) -> LPResult:
 
     def run_phase(cost: np.ndarray, phase_one: bool) -> str:
         nonlocal iterations, degenerate_run
+        open_box = ub > PIVOT_TOL  # ub changes only between phases
         while iterations < max_iterations:
             iterations += 1
             if iterations % 256 == 0:
                 refresh_xb()
             rc = cost - cost[basis] @ tableau
             rc[basis] = 0.0
-            movable = ~is_basic & (ub > PIVOT_TOL)
-            down = movable & ~at_upper & (rc < -RC_TOL)
-            upfl = movable & at_upper & (rc > RC_TOL)
-            if not down.any() and not upfl.any():
+            # The objective's rate along each nonbasic column moved off its
+            # bound: up from its lower bound, down from its upper one.
+            rate = np.where(at_upper, -rc, rc)
+            improving = ~is_basic & open_box & (rate < -RC_TOL)
+            if not improving.any():
                 return OPTIMAL
-            score = np.zeros(total)
-            score[down] = rc[down]
-            score[upfl] = -rc[upfl]
+            score = np.where(improving, rate, 0.0)
             if degenerate_run >= DEGENERATE_STREAK:
                 candidates = np.where(score < -RC_TOL)[0]
                 enter = int(candidates[0])  # Bland: lowest index
@@ -242,7 +243,8 @@ def solve_lp(model: StandardFormModel, pins: dict | None = None) -> LPResult:
             col[leave_row] = 0.0
             rr, cc = np.flatnonzero(col), np.flatnonzero(row)
             if rr.size:  # cc always holds the entering column
-                tableau[np.ix_(rr, cc)] -= np.outer(col[rr], row[cc])
+                flat = np.add.outer(rr * total, cc).ravel()
+                tableau.reshape(-1)[flat] -= np.outer(col[rr], row[cc]).ravel()
             tableau[leave_row] = row
             basis[leave_row] = enter
             is_basic[enter] = True

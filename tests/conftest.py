@@ -16,6 +16,16 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, [str(Path(dcflex.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
 
 
+def no_child_processes() -> bool:
+    """Whether this process has no child, running or unreaped: forked pool
+    workers included, which multiprocessing.active_children() cannot see."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
 def tiny_instance():
     """Hand-built 2-DC / 3-slot / 3-cluster / 1-generator / 2-bus instance.
 

@@ -1,4 +1,5 @@
 import itertools
+import os
 
 import numpy as np
 import pytest
@@ -6,10 +7,13 @@ from scipy.optimize import LinearConstraint, milp
 from scipy.optimize import Bounds as ScipyBounds
 
 import dcflex.bnb as bnb
+import dcflex.pool as pool
 from dcflex.artifacts import SolverError
 from dcflex.bnb import solve_mip
 from dcflex.simplex import ITERATION_LIMIT, OPTIMAL, LPResult, solve_lp
 from dcflex.standard_form import INF, StandardFormModel
+
+from conftest import no_child_processes
 
 
 def knapsack_model(values, weights, capacity):
@@ -176,6 +180,8 @@ def _bounds(model):
 
 @pytest.mark.parametrize("raise_at", [None, 3])
 def test_solves_leave_the_callers_bounds_as_they_were(monkeypatch, raise_at):
+    # One usable CPU keeps every node's solve, and the spy's record, here.
+    monkeypatch.setattr(pool, "usable_cpus", lambda: 1)
     model = knapsack_model([10, 13, 7, 8, 11, 4], [3, 4, 2, 3, 4, 1], 8)
     before = _bounds(model)
     calls = []
@@ -198,6 +204,8 @@ def test_solves_leave_the_callers_bounds_as_they_were(monkeypatch, raise_at):
 
 
 def test_failed_final_resolve_returns_the_incumbents_own_solve(monkeypatch):
+    # One usable CPU keeps every node's solve, and the spy's record, here.
+    monkeypatch.setattr(pool, "usable_cpus", lambda: 1)
     model = knapsack_model([10, 13, 7, 8, 11, 4], [3, 4, 2, 3, 4, 1], 8)
     int_idx = model.integer_indices()
     results = []
@@ -229,3 +237,60 @@ def test_failed_final_resolve_returns_the_incumbents_own_solve(monkeypatch):
     assert res.status == OPTIMAL and res.nodes == clean.nodes
     assert res.objective == incumbent.objective == res.best_bound == clean.objective
     assert res.x.tolist() == incumbent.x.tolist()
+
+
+def _branching_models():
+    """Models whose search expands at least one node: six random ones, two
+    knapsacks and one with no integral point."""
+    rng = np.random.Generator(np.random.PCG64(5))
+    models = [_random_binary_model(rng, n_bin=8, n_cont=4, n_rows=8) for _ in range(6)]
+    half = StandardFormModel()
+    z = half.add_variable("z", 0.0, 1.0, integer=True)
+    half.add_row("half", [(z, 2.0)], "=", 1.0)
+    return models + [knapsack_model([10, 13, 7, 8, 11, 4], [3, 4, 2, 3, 4, 1], 8),
+                     knapsack_model([6, 5, 9, 4, 7, 3, 8], [2, 3, 4, 2, 3, 1, 5], 9), half]
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_results_do_not_depend_on_usable_cpus(monkeypatch, k):
+    # With two usable CPUs each node's two children solve on forked workers.
+    model = _branching_models()[k]
+    seen = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
+        res = solve_mip(model)
+        seen[cpus] = (res.status, res.objective, None if res.x is None else res.x.tobytes(),
+                      res.nodes, res.presolve)
+    assert seen[1] == seen[2] and seen[1][3] >= 3
+    assert no_child_processes()
+
+
+def test_a_solver_error_in_a_node_worker_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
+    parent = os.getpid()
+
+    def fail_in_a_worker(m, pins=None):
+        if os.getpid() != parent:
+            raise SolverError("node solve failed in a worker")
+        return solve_lp(m, pins)
+
+    monkeypatch.setattr(bnb, "solve_lp", fail_in_a_worker)
+    with pytest.raises(SolverError, match="node solve failed in a worker"):
+        solve_mip(knapsack_model([10, 13, 7, 8, 11, 4], [3, 4, 2, 3, 4, 1], 8))
+    assert no_child_processes()
+
+
+def test_a_node_worker_that_dies_raises_a_solver_error(monkeypatch):
+    monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
+    parent = os.getpid()
+
+    def die_in_a_worker(m, pins=None):
+        if os.getpid() != parent:
+            os._exit(1)
+        return solve_lp(m, pins)
+
+    monkeypatch.setattr(bnb, "solve_lp", die_in_a_worker)
+    with pytest.raises(SolverError, match="model knapsack: a branch-and-bound node's worker "
+                                          "process died"):
+        solve_mip(knapsack_model([10, 13, 7, 8, 11, 4], [3, 4, 2, 3, 4, 1], 8))
+    assert no_child_processes()

@@ -3,7 +3,6 @@ import csv
 import hashlib
 import io
 import json
-import multiprocessing
 import os
 import shutil
 import subprocess
@@ -25,6 +24,7 @@ from dcflex.cli import (EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, EXIT_SOLVER, EXIT_
 from dcflex.optimizer import ModelConfig
 from dcflex.signals import RegulationTrace, read_trace_csv, write_trace_csv
 from dcflex.validate import validate_solution
+from conftest import no_child_processes
 from test_mps import REFERENCE_SOLVER
 
 MODEL_KEYS = tuple(ModelConfig.__dataclass_fields__)
@@ -717,7 +717,7 @@ class TestCompare:
             assert main(["compare", "--bundle", str(bundle), "--out", str(out),
                          "--strategies", strategies, "--modes", modes,
                          "--quiet"]) == EXIT_OK
-            assert multiprocessing.active_children() == []
+            assert no_child_processes()
             files[cpus] = {p.name: p.read_bytes() for p in out.iterdir()}
         assert files[1] == files[2]
 
@@ -738,7 +738,7 @@ class TestCompare:
         code, lines = run_cli(["compare", "--bundle", str(bundle), "--out", str(out),
                                "--strategies", "cooperative,independent,decoupled",
                                "--modes", "joint", "--quiet"])
-        assert not out.exists() and multiprocessing.active_children() == []
+        assert not out.exists() and no_child_processes()
         return code, lines
 
     def test_solver_error_in_a_worker_exits_5_as_in_process(self, bundle, tmp_path,

@@ -131,8 +131,6 @@ def test_the_file_layer_imports_no_numpy(module):
                                                              "dcflex.cli"}
 
 
-def test_the_pool_imports_multiprocessing_only_when_it_pools():
-    assert "multiprocessing" not in _loaded_after("import dcflex.pool")
 
 
 def test_report_loads_no_numpy(solved, tmp_path):
@@ -144,17 +142,18 @@ def test_report_loads_no_numpy(solved, tmp_path):
 
 
 # Each command, and the modules it must not load: no command that solves on
-# the bundled solver loads the MPS layer or subprocess, and no command that
-# never solves loads a solver. This compare has one cell, so it solves in
-# process; a pool of workers imports subprocess through multiprocessing.
+# the bundled solver loads the MPS layer or subprocess, no command that never
+# solves loads a solver, and none loads numpy.ma (np.quantile's np.unique
+# would). This compare has one cell, so it solves in process; a pooled one
+# loads no subprocess either (below).
 COMMANDS = {
     "fit-signal": (["fit-signal", "--trace", "BUNDLE/signal.csv"],
-                   {"dcflex.mps", "subprocess", "dcflex.bnb", "dcflex.simplex"}),
+                   {"dcflex.mps", "subprocess", "dcflex.bnb", "dcflex.simplex", "numpy.ma"}),
     "simulate": (["simulate", "--bundle", "BUNDLE", "--solution", "RUN/solution.json",
                   "--seed", "7", "--scenarios", "2"],
-                 {"dcflex.mps", "subprocess", "dcflex.bnb", "dcflex.simplex"}),
-    "solve": (["solve", "--bundle", "BUNDLE"], {"dcflex.mps", "subprocess"}),
-    "compare": (["compare", "--bundle", "BUNDLE"], {"dcflex.mps", "subprocess"}),
+                 {"dcflex.mps", "subprocess", "dcflex.bnb", "dcflex.simplex", "numpy.ma"}),
+    "solve": (["solve", "--bundle", "BUNDLE"], {"dcflex.mps", "subprocess", "numpy.ma"}),
+    "compare": (["compare", "--bundle", "BUNDLE"], {"dcflex.mps", "subprocess", "numpy.ma"}),
 }
 
 
@@ -168,8 +167,24 @@ def test_a_command_loads_only_what_it_runs(solved, tmp_path, command):
 
 
 def test_pooled_compare_imports_its_cells_modules_before_forking(solved, tmp_path):
-    # A pool of two workers; multiprocessing itself imports subprocess.
+    # A pool of two workers, forked bare: no subprocess.
     loaded = _after_main(["compare", "--bundle", str(solved[0]), "--out", str(tmp_path / "o"),
                           "--strategies", "cooperative,decoupled", "--quiet"], cpus=2)
     assert {"dcflex.validate", "dcflex.workload", "dcflex.bnb", "dcflex.simplex"} <= loaded
-    assert "dcflex.mps" not in loaded
+    assert {"dcflex.mps", "subprocess"} & loaded == set()
+
+
+# Commands that run the pool on two CPUs: gen-instance formats signal.csv in
+# blocks, compare solves two cells and solve's branch and bound expands nodes.
+POOLED = {
+    "gen-instance": ["gen-instance", "--seed", "3", "--preset", "small", "--signal-days", "1"],
+    "compare": ["compare", "--bundle", "BUNDLE", "--strategies", "cooperative,decoupled"],
+    "solve": ["solve", "--bundle", "BUNDLE"],
+}
+
+
+@pytest.mark.parametrize("command", list(POOLED))
+def test_the_pool_loads_no_process_pool_modules(solved, tmp_path, command):
+    argv = [a.replace("BUNDLE", str(solved[0])) for a in POOLED[command]]
+    loaded = _after_main(argv + ["--out", str(tmp_path / "out"), "--quiet"], cpus=2)
+    assert {"multiprocessing", "concurrent.futures"} & loaded == set()

@@ -2,14 +2,13 @@ import contextlib
 import csv
 import io
 import math
-import multiprocessing
 import os
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dcflex.pool as pool
@@ -20,6 +19,7 @@ from dcflex.signals import (
     build_var_table,
     cumulative_windows,
     empirical_quantile,
+    empirical_quantiles,
     fit_direct_gaussian,
     fit_gaussian_envelope,
     generate_trace,
@@ -30,6 +30,8 @@ from dcflex.signals import (
     trace_from_columns,
     write_trace_csv,
 )
+
+from conftest import no_child_processes
 
 
 def constant_trace(value, n=7200, dt=2.0):
@@ -84,6 +86,26 @@ class TestEmpiricalQuantile:
     def test_monotone_in_q(self, samples, q1, q2):
         lo, hi = sorted((q1, q2))
         assert empirical_quantile(samples, lo) <= empirical_quantile(samples, hi) + 1e-12
+
+    @given(
+        st.lists(st.one_of(st.sampled_from([0.0, -0.0, 5e-324]),
+                           st.floats(allow_nan=False, allow_infinity=False)),
+                 min_size=1, max_size=40),
+        st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0, 1)),
+                 min_size=1, max_size=6),
+    )
+    @example([3.5], [0.0, 0.3, 1.0])
+    @example([-0.0, 0.0, -0.0], [0.0, 0.5, 1.0])
+    @example([2.0, float("nan"), 1.0], [0.0, 0.5])
+    @settings(max_examples=300, deadline=None)
+    def test_quantiles_match_numpy_bitwise(self, samples, levels):
+        with np.errstate(all="ignore"):
+            expected = np.quantile(np.array(samples), levels)
+            got = empirical_quantiles(samples, levels)
+            assert got.tobytes() == expected.tobytes()
+            for q in levels:
+                assert (np.float64(empirical_quantile(samples, q)).tobytes()
+                        == np.float64(np.quantile(np.array(samples), q)).tobytes())
 
 
 class TestCumulativeWindows:
@@ -392,11 +414,11 @@ def test_no_worker_outlives_the_writer_or_gen_instance(pooled_writer, tmp_path):
 
     trace = generate_trace("gaussian", hours=1.0, dt_seconds=2.0, seed=1)
     write_trace_csv(trace, tmp_path / "signal.csv")
-    assert multiprocessing.active_children() == []
+    assert no_child_processes()
     assert read_trace_csv(tmp_path / "signal.csv").samples.tobytes() == trace.samples.tobytes()
     assert main(["gen-instance", "--out", str(tmp_path / "b"), "--seed", "3", "--preset",
                  "small", "--signal-days", "1", "--quiet"]) == 0
-    assert multiprocessing.active_children() == []
+    assert no_child_processes()
 
 
 def test_a_worker_error_reaches_the_caller(pooled_writer, monkeypatch, tmp_path):
@@ -411,7 +433,7 @@ def test_a_worker_error_reaches_the_caller(pooled_writer, monkeypatch, tmp_path)
     trace = generate_trace("gaussian", hours=1.0, dt_seconds=2.0, seed=1)
     with pytest.raises(RuntimeError, match="block failed in a worker"):
         write_trace_csv(trace, tmp_path / "signal.csv")
-    assert multiprocessing.active_children() == []
+    assert no_child_processes()
 
 
 def test_a_worker_that_dies_ends_gen_instance_with_one_line(pooled_writer, monkeypatch,
@@ -434,7 +456,7 @@ def test_a_worker_that_dies_ends_gen_instance_with_one_line(pooled_writer, monke
     assert code == EXIT_INPUT and len(lines) == 1, lines
     assert lines[0].startswith(f"error: {out / 'signal.csv'}: a worker process died"), lines
     assert not out.exists()
-    assert multiprocessing.active_children() == []
+    assert no_child_processes()
 
 
 def test_envelope_rejects_negative_sigma():
