@@ -43,6 +43,19 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
+def not_utf8(path) -> ValueError:
+    """The error for a text file that is not UTF-8: it names the file, the
+    line of its first byte that is not, and that byte. A decoder's own
+    message gives an offset into its buffer, not a place in the file."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return ValueError(f"{path} line {line}: byte 0x{data[exc.start]:02x} is not UTF-8")
+    return ValueError(f"{path}: not UTF-8 text")
+
+
 def read_manifest(directory) -> dict:
     """A directory's manifest: file name (relative to it) -> sha256."""
     def entries(doc: dict) -> dict:

@@ -2,11 +2,12 @@
 
 Each node re-solves the LP relaxation on the bundled simplex with the
 node's binaries passed as solve_lp's pins, so no solve writes to the
-caller's model. The two children of an expanded node, pinned to 0 and then
-to 1, are solved by one ``pool.run_ordered`` call (on two forked workers
-when two CPUs are usable) and used in that order; each LP depends only on
-the model and its pins, so the search is the same wherever they run.
-Binaries only; desk-scale models (a few dozen binaries) solve exactly.
+caller's model. A search opens one ``pool.Workers`` of width 2, which
+forks nothing before the first expanded node; one ``run`` solves the two
+children of each expanded node, pinned to 0 and then to 1, on the same two
+forked workers when two CPUs are usable, and they are used in that order.
+Each LP depends only on the model and its pins, so the search is the same
+wherever they run. Binaries only; desk-scale models solve exactly.
 """
 
 import heapq
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .artifacts import SolverError
-from .pool import run_ordered
+from .pool import Workers
 from .simplex import INFEASIBLE, ITERATION_LIMIT, OPTIMAL, UNBOUNDED, solve_lp
 from .standard_form import StandardFormModel
 
@@ -89,28 +90,26 @@ def solve_mip(model: StandardFormModel) -> MIPResult:
         heapq.heappush(heap, (root.objective, counter, {}, frac_j))
     nodes = 1
 
-    while heap:
-        bound, _, fixed, branch_j = heapq.heappop(heap)
-        if bound >= incumbent_obj - GAP_TOL:
-            break
-        pins = [{**fixed, branch_j: val} for val in (0.0, 1.0)]
-        children = []
-        run_ordered(lambda k: solve_lp(model, pins[k]), 2, children.append,
-                    lambda k: SolverError(f"model {model.name}: a branch-and-bound node's "
-                                          "worker process died"))
-        for child_fixed, result in zip(pins, children):
-            nodes += 1
-            if result.status != OPTIMAL:
-                continue
-            if result.objective >= incumbent_obj - GAP_TOL:
-                continue
-            if consider(result):
-                continue
-            child_branch = _fractional(result.x, int_idx)
-            if child_branch < 0:
-                continue
-            counter += 1
-            heapq.heappush(heap, (result.objective, counter, child_fixed, child_branch))
+    with Workers(lambda pins: solve_lp(model, pins), 2) as workers:
+        while heap:
+            bound, _, fixed, branch_j = heapq.heappop(heap)
+            if bound >= incumbent_obj - GAP_TOL:
+                break
+            pins = [{**fixed, branch_j: val} for val in (0.0, 1.0)]
+            children = []
+            workers.run(pins, children.append, lambda k: SolverError(
+                f"model {model.name}: a branch-and-bound node's worker process died"))
+            for child_fixed, result in zip(pins, children):
+                nodes += 1
+                if result.status != OPTIMAL or result.objective >= incumbent_obj - GAP_TOL:
+                    continue
+                if consider(result):
+                    continue
+                child_branch = _fractional(result.x, int_idx)
+                if child_branch < 0:
+                    continue
+                counter += 1
+                heapq.heappush(heap, (result.objective, counter, child_fixed, child_branch))
 
     if incumbent_x is None:
         return MIPResult(INFEASIBLE, None, None, None, nodes, root.presolve)

@@ -350,8 +350,9 @@ def cmd_compare(args) -> int:
         from . import mps  # noqa: F401
     inst, bundle_cfg, trace = load_bundle(args.bundle)
     base_cfg = _model_config(args, bundle_cfg, None)
-    strategies = args.strategies.split(",") if args.strategies else ["cooperative"]
-    modes = args.modes.split(",") if args.modes else [base_cfg.shifting_mode]
+    # An empty list is a list of one empty name, which validate rejects.
+    strategies = args.strategies.split(",") if args.strategies is not None else ["cooperative"]
+    modes = args.modes.split(",") if args.modes is not None else [base_cfg.shifting_mode]
     for flag, names in (("--strategies", strategies), ("--modes", modes)):
         repeated = [name for k, name in enumerate(names) if name in names[:k]]
         if repeated:

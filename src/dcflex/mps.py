@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import SolverError
+from .artifacts import SolverError, not_utf8
 from .standard_form import INF, StandardFormModel
 
 OBJECTIVE_ROW = "COST"
@@ -188,13 +188,17 @@ def read_solution_file(path, model: StandardFormModel) -> np.ndarray:
     """Parse ``name value`` lines into a value vector over model variables.
 
     Unknown leading tokens (status banners etc.) are skipped; variables the
-    file omits default to zero. Raises when nothing matches the model or a
-    model variable's value is not finite.
+    file omits default to zero. Raises when the file is not UTF-8, nothing
+    matches the model or a model variable's value is not finite.
     """
     index = {v.name: j for j, v in enumerate(model.variables)}
     values = np.zeros(model.n_vars)
     matched = 0
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ExternalSolverError(str(not_utf8(path))) from None
+    for raw in text.splitlines():
         tokens = raw.split()
         if len(tokens) < 2 or tokens[0] not in index:
             continue
@@ -222,11 +226,13 @@ def run_external_solver(model: StandardFormModel, command: str, workdir) -> tupl
     sol_path = workdir / f"{model.name}.sol"
     write_mps(model, mps_path)
     argv = shlex.split(command) + [str(mps_path), str(sol_path)]
-    proc = subprocess.run(argv, capture_output=True, text=True)
+    # Bytes, not text: the command's output need not be UTF-8, and only
+    # stderr is read, to quote it when the command fails.
+    proc = subprocess.run(argv, capture_output=True)
     if proc.returncode == 2:
         return "infeasible", None
     if proc.returncode != 0:
-        stderr = proc.stderr.strip()[:500]
+        stderr = proc.stderr.decode("utf-8", errors="replace").strip()[:500]
         raise ExternalSolverError(f"model {model.name}: external solver exited "
                                   f"{proc.returncode}" + (f": {stderr}" if stderr else ""))
     if not sol_path.exists():

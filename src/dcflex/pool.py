@@ -1,12 +1,15 @@
 """Ordered work on forked workers, one per usable CPU.
 
-``run_ordered`` is the one pool of dcflex: ``gen-instance`` formats the
-blocks of ``signal.csv`` with it, ``compare`` solves its cells with it and
-branch and bound solves each node's two children with it. Workers are bare
-``os.fork`` children, so they inherit the task and everything it refers to;
-only task indices and pickled results cross between processes, over pipes.
-A worker runs every ``run_ordered`` call of its own in process, so pools
-never nest.
+``Workers`` is the one pool of dcflex. Its workers are bare ``os.fork``
+children, forked at its first pooled ``run``, that call its task on each
+argument a ``run`` sends them until its ``with`` block ends. They inherit
+the task and everything it refers to, so only pickled arguments and
+results cross between processes, over pipes. Branch and bound opens one
+``Workers`` per search and solves each expanded node's two children on
+it. ``run_ordered``, one ``run`` over 0, ..., n - 1 on workers of its own,
+formats the blocks of ``signal.csv`` for ``gen-instance`` and solves
+``compare``'s cells. A worker runs every pool of its own in process, so
+pools never nest.
 """
 
 import functools
@@ -64,112 +67,159 @@ def _read(fd: int, size: int) -> bytes:
     return b"".join(chunks)
 
 
-def _write(fd: int, data: bytes) -> None:
-    view = memoryview(data)
+def _receive(fd: int) -> bytes:
+    """The next message's pickle from pipe ``fd``, or b"" if the pipe ends first."""
+    head = _read(fd, 8)
+    return head and _read(fd, int.from_bytes(head, "little"))
+
+
+def _send(fd: int, data: bytes) -> None:
+    """Write pickle ``data`` to pipe ``fd`` behind its 8-byte length."""
+    view = memoryview(len(data).to_bytes(8, "little") + data)
     while view:
         view = view[os.write(fd, view):]
 
 
 def _serve(task, tasks: int, results: int) -> None:
-    """A worker's loop: for each task index read from ``tasks``, write the
-    pickled (True, result) or (False, exception) to ``results``, each
-    behind its 8-byte length, until ``tasks`` ends."""
-    while head := _read(tasks, 8):
+    """A worker's loop: for each argument read from ``tasks``, send the
+    pickled (True, result) or (False, exception) to ``results``, until
+    ``tasks`` ends."""
+    while data := _receive(tasks):
         try:
-            reply = (True, task(int.from_bytes(head, "little")))
+            reply = (True, task(pickle.loads(data)))
         except Exception as exc:
             reply = (False, exc)
         try:
             data = pickle.dumps(reply)
         except Exception as exc:  # a result or exception pickle cannot carry
             data = pickle.dumps((False, exc))
-        _write(results, len(data).to_bytes(8, "little") + data)
+        _send(results, data)
 
 
-def run_ordered(task, n: int, collect, died) -> None:
-    """Call ``collect(task(k))`` for k = 0, ..., n - 1, in that order.
+def _drop(workers: list, kill: bool) -> None:
+    """Close the pipes of ``workers``, kill them if asked, and reap them."""
+    for pid, task_w, result_r in workers:
+        os.close(task_w)
+        os.close(result_r)
+        if kill:
+            from signal import SIGKILL  # only a pool broken off kills
 
-    With more than one usable CPU, more than one task and ``os.fork``,
-    forked workers (one per usable CPU, at most one per task) run the
-    tasks, each taking the next one when it is idle, with at most two per
-    worker not yet collected; else, and always inside a worker, they run
-    here. Either way ``collect`` sees the same results in the same order.
-    The first pooled call holds OpenBLAS, where numpy loaded it, to one
-    thread for the rest of the process, and so in every worker.
+            os.kill(pid, SIGKILL)
+    for pid, _, _ in workers:
+        os.waitpid(pid, 0)
 
-    A task fails when it raises, or when its worker dies (killed by a
-    signal or the OOM killer) before it returns; its result is then that
-    exception, or ``died(k)`` for task k. The first task in order that
-    fails raises that here, once every task before it is collected. No
-    worker outlives the call: idle workers exit when their task pipe
-    closes, and busy ones are killed, before every one is reaped.
+
+class Workers:
+    """Workers that call ``task`` on the arguments of each ``run``, opened
+    by ``with`` and living until its block ends.
+
+    With more than one usable CPU, a ``width`` over one and ``os.fork``,
+    the first ``run`` forks min(usable CPUs, ``width``) workers, once it
+    has held OpenBLAS, where numpy loaded it, to one thread for the rest of
+    the process, and so in every worker. They serve that ``run`` and every
+    later one, and exit when the block ends; if it ends by an exception,
+    they are killed. Either way each is reaped. Else, and always inside a
+    worker, every ``run`` calls ``task`` here.
     """
-    global _in_worker
-    workers = min(usable_cpus(), n) if hasattr(os, "fork") and not _in_worker else 1
-    if workers < 2:
-        for k in range(n):
-            collect(task(k))
-        return
-    _hold_openblas_to_one_thread()
-    task_pipes, result_pipes, pids = [], [], []
-    idle = []  # (pid, task pipe, result pipe) of each worker waiting for a task
-    busy = {}  # result pipe -> (worker, k) of each worker running task k
-    try:
-        for _ in range(workers):
+
+    def __init__(self, task, width: int):
+        self.task = task
+        self.width = width
+        self.count = None  # workers forked by the first run; 0 when runs call task here
+        self.idle = []  # (pid, task pipe, result pipe) of each worker waiting for a task
+
+    def __enter__(self) -> "Workers":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        idle, self.idle = self.idle, []
+        _drop(idle, kill=exc_type is not None)
+
+    def _fork(self) -> None:
+        global _in_worker
+        count = min(usable_cpus(), self.width) if hasattr(os, "fork") and not _in_worker else 1
+        self.count = count if count > 1 else 0
+        if not self.count:
+            return
+        _hold_openblas_to_one_thread()
+        for _ in range(count):
             task_r, task_w = os.pipe()
             result_r, result_w = os.pipe()
-            task_pipes.append(task_w)
-            result_pipes.append(result_r)
             pid = os.fork()
             if pid == 0:
                 try:
                     _in_worker = True
-                    for fd in task_pipes + result_pipes:
+                    for fd in [task_w, result_r] + [fd for w in self.idle for fd in w[1:]]:
                         os.close(fd)
-                    _serve(task, task_r, result_w)
+                    _serve(self.task, task_r, result_w)
                 finally:
                     os._exit(0)
             os.close(task_r)
             os.close(result_w)
-            pids.append(pid)
-            idle.append((pid, task_w, result_r))
+            self.idle.append((pid, task_w, result_r))
+
+    def run(self, args, collect, died) -> None:
+        """Call ``collect(task(arg))`` for each of ``args``, in their order.
+
+        On workers, each idle one takes the next argument, with at most two
+        per worker not yet collected; either way ``collect`` sees the same
+        results in the same order. Task k (counted from 0) fails when it
+        raises, or when its worker dies (killed by a signal or the OOM
+        killer) before it returns; its result is then that exception, or
+        ``died(k)``. The first task in order that fails raises that here,
+        once every task before it is collected. A worker that died, or that
+        is still busy when a run is broken off, is reaped and serves no
+        later run.
+        """
+        if self.count is None:
+            self._fork()
+        if not self.count:
+            for arg in args:
+                collect(self.task(arg))
+            return
+        args, idle = list(args), self.idle
+        busy = {}  # result pipe -> (worker, k) of each worker running task k
         held = {}  # k -> (ok, result or exception) of tasks done but not collected
         sent = done = 0
-        while done < n:
-            while idle and sent < min(n, done + 2 * workers):
-                worker = idle.pop()
-                try:
-                    _write(worker[1], sent.to_bytes(8, "little"))
-                    busy[worker[2]] = (worker, sent)
-                except BrokenPipeError:  # it died waiting for a task
-                    held[sent] = (False, died(sent))
-                sent += 1
-            if sent == n:  # every task is sent: each worker exits after its last
-                while task_pipes:
-                    os.close(task_pipes.pop())
-            if done in held:
-                ok, value = held.pop(done)
-                if not ok:
-                    raise value
-                collect(value)
-                done += 1
-                continue
-            for result_r in select.select(list(busy), [], [])[0]:
-                worker, k = busy.pop(result_r)
-                head = _read(result_r, 8)
-                data = head and _read(result_r, int.from_bytes(head, "little"))
-                if data:
-                    held[k] = pickle.loads(data)
-                    idle.append(worker)
-                else:
-                    held[k] = (False, died(k))
-    finally:
-        for fd in task_pipes + result_pipes:
-            os.close(fd)
-        if busy:
-            from signal import SIGKILL  # only a call broken off has busy workers
+        try:
+            while done < len(args):
+                while sent < min(len(args), done + 2 * self.count) and (idle or not busy):
+                    if not idle:  # every worker has died
+                        held[sent] = (False, died(sent))
+                    else:
+                        data = pickle.dumps(args[sent])
+                        worker = idle.pop()
+                        busy[worker[2]] = (worker, sent)
+                        try:
+                            _send(worker[1], data)
+                        except BrokenPipeError:  # it died waiting for a task
+                            del busy[worker[2]]
+                            _drop([worker], kill=False)
+                            held[sent] = (False, died(sent))
+                    sent += 1
+                if done in held:
+                    ok, value = held.pop(done)
+                    if not ok:
+                        raise value
+                    collect(value)
+                    done += 1
+                    continue
+                for result_r in select.select(list(busy), [], [])[0]:
+                    worker, k = busy.pop(result_r)
+                    data = _receive(result_r)
+                    if data:
+                        held[k] = pickle.loads(data)
+                        idle.append(worker)
+                    else:
+                        _drop([worker], kill=False)
+                        held[k] = (False, died(k))
+        finally:
+            _drop([worker for worker, _ in busy.values()], kill=True)
 
-            for (pid, _, _), _ in busy.values():
-                os.kill(pid, SIGKILL)
-        for pid in pids:
-            os.waitpid(pid, 0)
+
+def run_ordered(task, n: int, collect, died) -> None:
+    """Call ``collect(task(k))`` for k = 0, ..., n - 1, in that order: one
+    ``Workers(task, n).run`` over them, so on min(usable CPUs, n) workers
+    forked for this call alone, with the contract of ``Workers.run``."""
+    with Workers(task, n) as workers:
+        workers.run(range(n), collect, died)

@@ -15,6 +15,7 @@ from datetime import datetime
 
 import numpy as np
 
+from .artifacts import not_utf8
 from .pool import run_ordered
 
 DEFAULT_QUANTILE_GRID = (0.80, 0.85, 0.90, 0.925, 0.95, 0.975, 0.99)
@@ -418,25 +419,29 @@ def read_trace_csv(path) -> RegulationTrace:
 
     Timestamps may be epoch seconds or ISO-8601. The parsed columns go
     through ``trace_from_columns``, which names the path and file line of
-    any fault. An all-numeric body parses in one ``np.loadtxt`` call; any
-    body it rejects (ISO-8601 stamps, quoted or empty fields) is read again
-    row by row. ``instance.read_signal`` (used by ``load_bundle`` and
+    any fault; a file that is not UTF-8 raises ``artifacts.not_utf8``. An
+    all-numeric body parses in one ``np.loadtxt`` call; any body it rejects
+    (ISO-8601 stamps, quoted or empty fields) is read again row by row. ``instance.read_signal`` (used by ``load_bundle`` and
     fit-signal) reads a generated bundle's digest-checked ``signal.npy``
     instead; a hand-edited ``signal.csv`` fails that check and comes here.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)
-        if header is None or [h.strip().lower() for h in header[:2]] != ["timestamp", "s"]:
-            raise ValueError(f"{path}: expected header 'timestamp,s', got {header}")
-        try:
-            with warnings.catch_warnings():
-                # A header-only file warns; the two-row check reports it.
-                warnings.simplefilter("ignore", UserWarning)
-                body = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, usecols=(0, 1))
-            stamps, values = body[:, 0], body[:, 1]
-        except ValueError:
-            fh.seek(0)
-            stamps, values = _read_trace_rows(fh, path)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header = next(csv.reader(fh), None)
+            if header is None or [h.strip().lower() for h in header[:2]] != ["timestamp", "s"]:
+                raise ValueError(f"{path}: expected header 'timestamp,s', got {header}")
+            try:
+                with warnings.catch_warnings():
+                    # A header-only file warns; the two-row check reports it.
+                    warnings.simplefilter("ignore", UserWarning)
+                    body = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
+                                      usecols=(0, 1))
+                stamps, values = body[:, 0], body[:, 1]
+            except ValueError:  # a UnicodeDecodeError too: the row reader meets it again
+                fh.seek(0)
+                stamps, values = _read_trace_rows(fh, path)
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
     return trace_from_columns(stamps, values, path)
 
 

@@ -12,11 +12,14 @@ by whole-array operations. Every solve starts with
 standard_form.presolve, so fixed columns, empty rows, bound-redundant
 rows, duplicate rows and parallel rows never reach the tableau, and a
 row over one continuous column arrives as a bound; the columns branch and
-bound pins at a node are fixed there too, so they drop out as well. The one
-dense tableau is updated only on the nonzero rows x columns of each
-rank-1 pivot, through their flat indices, and a model whose solve could
-hold more than MAX_TABLEAU_BYTES is refused. The budget holds per solve:
-branch and bound runs a node's two children at once, on two workers.
+bound pins at a node are fixed there too, so they drop out as well. A
+pivot prices only the eligible columns (nonbasic with an open box, a mask
+kept up to date pivot by pivot), runs both ratio tests over full-length
+masks into one buffer, and updates the one dense tableau only on the
+nonzero rows x columns of its rank-1 step, through their flat indices. A
+model whose solve could hold more than MAX_TABLEAU_BYTES is refused. The
+budget holds per solve: branch and bound runs a node's two children at
+once, on its two workers.
 """
 
 from dataclasses import dataclass, field
@@ -178,52 +181,44 @@ def solve_lp(model: StandardFormModel, pins: dict | None = None) -> LPResult:
 
     def run_phase(cost: np.ndarray, phase_one: bool) -> str:
         nonlocal iterations, degenerate_run
-        open_box = ub > PIVOT_TOL  # ub changes only between phases
+        # Nonbasic columns with an open box; ub changes only between phases.
+        eligible = ~is_basic & (ub > PIVOT_TOL)
+        row_starts = np.arange(m) * total
+        steps = np.empty(m)
         while iterations < max_iterations:
             iterations += 1
             if iterations % 256 == 0:
                 refresh_xb()
             rc = cost - cost[basis] @ tableau
-            rc[basis] = 0.0
             # The objective's rate along each nonbasic column moved off its
             # bound: up from its lower bound, down from its upper one.
             rate = np.where(at_upper, -rc, rc)
-            improving = ~is_basic & open_box & (rate < -RC_TOL)
-            if not improving.any():
-                return OPTIMAL
-            score = np.where(improving, rate, 0.0)
+            score = np.where(eligible & (rate < -RC_TOL), rate, 0.0)
             if degenerate_run >= DEGENERATE_STREAK:
-                candidates = np.where(score < -RC_TOL)[0]
-                enter = int(candidates[0])  # Bland: lowest index
+                enter = int((score < -RC_TOL).argmax())  # Bland: lowest index
             else:
-                enter = int(np.argmin(score))
-            direction = -1.0 if at_upper[enter] else 1.0
-            w = direction * tableau[:, enter]
+                enter = int(score.argmin())
+            if not score[enter] < -RC_TOL:
+                return OPTIMAL
+            col = tableau[:, enter].copy()
+            w = -col if at_upper[enter] else col
 
-            # Largest step before a basic variable hits one of its bounds.
+            # Largest step before a basic variable hits one of its bounds;
+            # argmin takes the lowest row on a tie.
             t_best = ub[enter]
             leave_row = -1
             leave_to_upper = False
-            pos = np.where(w > PIVOT_TOL)[0]
-            neg = np.where(w < -PIVOT_TOL)[0]
-            if pos.size:
-                steps = xb[pos] / w[pos]
-                k = int(np.argmin(steps))
+            ub_basic = ub[basis]
+            tests = ((False, w > PIVOT_TOL, xb, w),
+                     (True, (w < -PIVOT_TOL) & np.isfinite(ub_basic), ub_basic - xb, -w))
+            for to_upper, mask, num, den in tests if m else ():
+                steps.fill(INF)
+                np.divide(num, den, out=steps, where=mask)
+                k = int(steps.argmin())
                 if steps[k] < t_best - 1e-15:
                     t_best = max(steps[k], 0.0)
-                    leave_row = int(pos[k])
-                    leave_to_upper = False
-            if neg.size:
-                ub_b = ub[basis[neg]]
-                finite = np.isfinite(ub_b)
-                if finite.any():
-                    rows = neg[finite]
-                    steps = (ub_b[finite] - xb[rows]) / (-w[rows])
-                    k = int(np.argmin(steps))
-                    if steps[k] < t_best - 1e-15:
-                        t_best = max(steps[k], 0.0)
-                        leave_row = int(rows[k])
-                        leave_to_upper = True
+                    leave_row = k
+                    leave_to_upper = to_upper
             if not np.isfinite(t_best):
                 return UNBOUNDED if not phase_one else INFEASIBLE
             degenerate_run = degenerate_run + 1 if t_best <= 1e-11 else 0
@@ -236,19 +231,16 @@ def solve_lp(model: StandardFormModel, pins: dict | None = None) -> LPResult:
 
             leaving = int(basis[leave_row])
             xb[:] -= t_best * w
-            new_value = t_best if direction > 0 else ub[enter] - t_best
-            piv = tableau[leave_row, enter]
-            row = tableau[leave_row] / piv
-            col = tableau[:, enter].copy()
-            col[leave_row] = 0.0
-            rr, cc = np.flatnonzero(col), np.flatnonzero(row)
+            new_value = ub[enter] - t_best if at_upper[enter] else t_best
+            row = tableau[leave_row] / col[leave_row]
+            col[leave_row] = 0.0  # w, which may be col itself, is not read again
+            rr, cc = col.nonzero()[0], row.nonzero()[0]
             if rr.size:  # cc always holds the entering column
-                flat = np.add.outer(rr * total, cc).ravel()
-                tableau.reshape(-1)[flat] -= np.outer(col[rr], row[cc]).ravel()
+                tableau.reshape(-1)[row_starts[rr][:, None] + cc] -= col[rr][:, None] * row[cc]
             tableau[leave_row] = row
             basis[leave_row] = enter
-            is_basic[enter] = True
-            is_basic[leaving] = False
+            is_basic[enter], is_basic[leaving] = True, False
+            eligible[enter], eligible[leaving] = False, ub[leaving] > PIVOT_TOL
             at_upper[enter] = False
             at_upper[leaving] = leave_to_upper
             xb[leave_row] = new_value

@@ -14,6 +14,8 @@ import math
 
 import numpy as np
 
+from .artifacts import not_utf8
+
 FLEX_CLASSES = ("fixed", "interactive", "deferrable")
 
 COMPLETENESS_TOL = 1e-9
@@ -223,19 +225,23 @@ _PARSE = {str: str.strip, int: int, float: float}
 def _read_table(path, header, parse_row, what: str) -> list:
     """``parse_row`` of each row (a dict keyed by ``header``) of CSV file
     ``path``. Every fault raises one ValueError naming the file, and for a
-    row of the wrong length or a fault of ``parse_row`` also its line."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(f.strip() for f in reader.fieldnames) != header:
-            raise ValueError(f"{path}: expected header {','.join(header)}")
-        parsed = []
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                if None in row or None in row.values():
-                    raise ValueError(f"expected {len(header)} fields")
-                parsed.append(parse_row(row))
-            except (ValueError, KeyError) as exc:
-                raise ValueError(f"{path} line {line_no}: {exc}") from None
+    row of the wrong length, a fault of ``parse_row`` or a byte that is not
+    UTF-8 also its line."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None or tuple(f.strip() for f in reader.fieldnames) != header:
+                raise ValueError(f"{path}: expected header {','.join(header)}")
+            parsed = []
+            for line_no, row in enumerate(reader, start=2):
+                try:
+                    if None in row or None in row.values():
+                        raise ValueError(f"expected {len(header)} fields")
+                    parsed.append(parse_row(row))
+                except (ValueError, KeyError) as exc:
+                    raise ValueError(f"{path} line {line_no}: {exc}") from None
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
     if not parsed:
         raise ValueError(f"{path}: no {what} rows")
     return parsed

@@ -294,3 +294,34 @@ def test_a_node_worker_that_dies_raises_a_solver_error(monkeypatch):
                                           "process died"):
         solve_mip(knapsack_model([10, 13, 7, 8, 11, 4], [3, 4, 2, 3, 4, 1], 8))
     assert no_child_processes()
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids this process forks, through a wrapper of the real os.fork."""
+    pids, real_fork = [], os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
+
+
+@pytest.mark.parametrize("cpus, forked", [(2, 2), (1, 0)])
+def test_a_search_forks_its_node_workers_once(monkeypatch, forks, cpus, forked):
+    monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
+    res = solve_mip(knapsack_model([12, 11, 9, 8, 7, 6, 5, 4], [7, 6, 5, 5, 4, 4, 3, 3], 17))
+    assert res.status == OPTIMAL and res.nodes == 17  # eight nodes expanded
+    assert len(forks) == forked
+    assert no_child_processes()
+
+
+def test_an_integral_root_forks_nothing(monkeypatch, forks):
+    monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
+    res = solve_mip(knapsack_model([10, 13, 7], [3, 3, 3], 6))
+    assert res.status == OPTIMAL and res.nodes == 1 and res.objective == -23.0
+    assert forks == []

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,6 +202,13 @@ class TestFitSignal:
         code = main(["fit-signal", "--trace", str(bad), "--out", str(tmp_path / "o")])
         assert code == EXIT_INPUT
         assert "line 3" in capsys.readouterr().err
+
+    def test_a_binary_trace_exits_4_naming_it(self, bundle, tmp_path):
+        code, lines = run_cli(["fit-signal", "--trace", str(bundle / "signal.npy"),
+                               "--out", str(tmp_path / "o")])
+        assert code == EXIT_INPUT
+        assert lines == [f"error: {bundle / 'signal.npy'} line 1: byte 0x93 is not UTF-8"]
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("body", ["nan,0.1\n2,0.2\n", "0,0.1\n2,nan\n"])
     def test_nan_trace_exits_4_with_one_line(self, tmp_path, body):
@@ -413,6 +421,40 @@ class TestSolve:
         assert lines[0].endswith("coopt.sol"), lines
         assert not out.exists()
 
+    def shell_backend(self, tmp_path, body):
+        """A cmd: backend running ``body`` as a shell script."""
+        script = tmp_path / "solver.sh"
+        script.write_bytes(body)
+        return f"cmd:/bin/sh {script}"
+
+    def test_output_that_is_not_utf8_does_not_fail_a_solve(self, bundle, tmp_path):
+        adapter = Path(__file__).parents[1] / "perfbench" / "highs_adapter.py"
+        backend = self.shell_backend(
+            tmp_path, b"printf '\\377'\nexec " + f'{sys.executable} {adapter} "$@"\n'.encode())
+        proc = run_child("solve", "--bundle", bundle, "--out", tmp_path / "o",
+                         "--backend", backend, "--quiet")
+        assert proc.returncode == EXIT_OK and proc.stderr == "", proc.stderr
+        assert json.loads((tmp_path / "o" / "validation.json").read_text())["ok"] is True
+
+    def test_stderr_that_is_not_utf8_is_quoted_in_the_exit_5_line(self, bundle, tmp_path):
+        backend = self.shell_backend(tmp_path, b"printf 'bad \\377 byte' >&2\nexit 1\n")
+        proc = run_child("solve", "--bundle", bundle, "--out", tmp_path / "o",
+                         "--backend", backend, "--quiet")
+        assert proc.returncode == EXIT_SOLVER, proc.stderr
+        assert proc.stderr.splitlines() == [
+            "error: model coopt: external solver exited 1: bad \ufffd byte"]
+        assert not (tmp_path / "o").exists()
+
+    def test_solution_file_that_is_not_utf8_exits_5_naming_it(self, bundle, tmp_path):
+        backend = self.shell_backend(tmp_path, b"printf 'p_1_1 0\\n\\377\\n' > \"$2\"\n")
+        proc = run_child("solve", "--bundle", bundle, "--out", tmp_path / "o",
+                         "--backend", backend, "--quiet")
+        lines = proc.stderr.splitlines()
+        assert proc.returncode == EXIT_SOLVER and len(lines) == 1, proc.stderr
+        assert lines[0].startswith("error: "), lines
+        assert lines[0].endswith("coopt.sol line 2: byte 0xff is not UTF-8"), lines
+        assert not (tmp_path / "o").exists()
+
     def test_solution_that_fails_validation_exits_3(self, bundle, tmp_path, monkeypatch,
                                                     capsys):
         monkeypatch.setattr(validate, "validate_solution", violating("cooperative"))
@@ -542,6 +584,16 @@ class TestBundleSignalCopy:
         trace = instance.read_signal(edited)
         assert text_parses == [edited] and trace.samples[3] == 0.123
 
+    def test_a_hand_edited_text_that_is_not_utf8_exits_4_naming_file_and_line(
+            self, copied, text_parses, tmp_path):
+        path = copied / "signal.csv"
+        data = path.read_bytes()
+        path.write_bytes(data + b"\xff")
+        code, lines = run_cli(["solve", "--bundle", str(copied), "--out", str(tmp_path / "o")])
+        last = data.count(b"\n") + 1  # the byte starts a line after the last \r\n
+        assert code == EXIT_INPUT and text_parses == [path]
+        assert lines == [f"error: {path} line {last}: byte 0xff is not UTF-8"]
+
     def test_fit_signal_parses_a_hand_edited_text(self, copied, text_parses, tmp_path):
         edit_sample(copied / "signal.csv", 3, b"nan")
         code, lines = run_cli(["fit-signal", "--trace", str(copied / "signal.csv"),
@@ -549,6 +601,18 @@ class TestBundleSignalCopy:
         assert code == EXIT_INPUT and text_parses == [copied / "signal.csv"]
         assert lines == [f"error: {copied / 'signal.csv'} line 5: signal value nan "
                          f"is outside [-1, 1]"]
+
+
+@pytest.mark.parametrize("name", ["workload.csv", "latency.csv"])
+def test_a_bundle_csv_that_is_not_utf8_exits_4_naming_file_and_line(bundle, tmp_path, name):
+    copied = shutil.copytree(bundle, tmp_path / "b")
+    lines = (copied / name).read_bytes().split(b"\n")
+    lines[2] = b"\x93" + lines[2]
+    (copied / name).write_bytes(b"\n".join(lines))
+    code, err = run_cli(["solve", "--bundle", str(copied), "--out", str(tmp_path / "o")])
+    assert code == EXIT_INPUT
+    assert err == [f"error: {copied / name} line 3: byte 0x93 is not UTF-8"]
+    assert not (tmp_path / "o").exists()
 
 
 class TestSimulate:
@@ -660,6 +724,16 @@ class TestCompare:
         assert lines[0].startswith("error: ") and repr(bad) in lines[0], lines
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, key", [("--strategies", "strategy"),
+                                           ("--modes", "shifting_mode")])
+    def test_an_empty_list_exits_4_naming_the_empty_name(self, bundle, tmp_path, flag, key):
+        out = tmp_path / "empty"
+        code, lines = run_cli(["compare", "--bundle", str(bundle), "--out", str(out),
+                               flag, "", "--quiet"])
+        assert code == EXIT_INPUT and len(lines) == 1, lines
+        assert lines[0].startswith(f"error: {key} must be one of "), lines
+        assert lines[0].endswith(", got ''"), lines
+        assert not out.exists()
 
     def test_cmd_backend_without_a_command_exits_4_with_one_line(self, bundle, tmp_path):
         code, lines = run_cli(["compare", "--bundle", str(bundle), "--out", str(tmp_path / "c"),

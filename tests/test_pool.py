@@ -5,7 +5,7 @@ import time
 import pytest
 
 import dcflex.pool as pool
-from dcflex.pool import run_ordered
+from dcflex.pool import Workers, run_ordered
 
 from conftest import no_child_processes
 
@@ -95,4 +95,71 @@ def test_the_first_pooled_call_holds_openblas_to_one_thread(two_cpus):
     out = []
     run_ordered(lambda k: get_threads(), 2, out.append, None)
     assert out == [1, 1] and get_threads() == 1
+    assert no_child_processes()
+
+
+def test_runs_on_one_pool_are_served_by_the_same_workers(two_cpus):
+    def task(arg):
+        arg["pid"] = os.getpid()
+        return arg
+
+    with Workers(task, 2) as workers:
+        first, second = [], []
+        workers.run([{"k": k} for k in range(4)], first.append, None)
+        # Made after the workers forked, so they can reach them only pickled.
+        args = [{"k": k, "data": bytes(70_000)} for k in range(4)]
+        workers.run(args, second.append, None)
+        assert [r["k"] for r in first] == [r["k"] for r in second] == [0, 1, 2, 3]
+        pids = {r["pid"] for r in first}
+        assert len(pids) == 2 and os.getpid() not in pids
+        assert {r["pid"] for r in second} == pids
+        assert all("pid" not in arg for arg in args)  # each worker had a copy
+        assert not no_child_processes()
+    assert no_child_processes()
+
+
+def test_a_caller_that_raises_between_runs_leaves_no_worker(two_cpus):
+    out = []
+    with pytest.raises(KeyError):
+        with Workers(lambda k: k, 2) as workers:
+            workers.run(range(3), out.append, None)
+            raise KeyError("between runs")
+    assert out == [0, 1, 2]
+    assert no_child_processes()
+
+
+def test_a_worker_that_dies_serves_no_later_run(two_cpus):
+    parent = os.getpid()
+
+    def task(k):
+        if k == 1 and os.getpid() != parent:
+            os._exit(1)
+        return os.getpid()
+
+    out = []
+    with pytest.raises(LookupError, match="task 1"):
+        with Workers(task, 2) as workers:
+            # Task 0 is collected before task 1 fails, so no worker is busy then.
+            with pytest.raises(LookupError, match="task 1"):
+                workers.run(range(2), out.append, lambda k: LookupError(f"task {k}"))
+            assert len(out) == 1
+            survivors = []
+            workers.run([0, 2, 3], survivors.append, None)
+            assert len(set(survivors)) == 1 and parent not in survivors
+            workers.run(range(4), out.append, lambda k: LookupError(f"task {k}"))
+    assert no_child_processes()
+
+
+def test_a_pool_whose_workers_all_died_fails_its_next_run(two_cpus):
+    parent = os.getpid()
+
+    def task(k):
+        if os.getpid() != parent:
+            os._exit(1)
+        return k
+
+    with Workers(task, 2) as workers:
+        for _ in range(2):
+            with pytest.raises(LookupError, match="task 0"):
+                workers.run(range(3), None, lambda k: LookupError(f"task {k}"))
     assert no_child_processes()
