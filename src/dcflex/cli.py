@@ -350,17 +350,15 @@ def cmd_compare(args) -> int:
         from . import mps  # noqa: F401
     inst, bundle_cfg, trace = load_bundle(args.bundle)
     base_cfg = _model_config(args, bundle_cfg, None)
-    # An empty list is a list of one empty name, which validate rejects.
+    # An empty list is a list of one empty name, which a cell's config rejects.
     strategies = args.strategies.split(",") if args.strategies is not None else ["cooperative"]
     modes = args.modes.split(",") if args.modes is not None else [base_cfg.shifting_mode]
     for flag, names in (("--strategies", strategies), ("--modes", modes)):
         repeated = [name for k, name in enumerate(names) if name in names[:k]]
         if repeated:
             raise ValueError(f"{flag} lists {repeated[0]!r} more than once")
+    # Each cell checks itself as it is built, before the first solve.
     cells = [replace(base_cfg, strategy=s, shifting_mode=m) for s in strategies for m in modes]
-    # Every cell is checked before the first solve writes anything.
-    for cfg in cells:
-        cfg.validate()
     base_total = np.sum([b.base_load for b in inst.grid.buses], axis=0)
     # The fit depends on the split, quantile grid, horizons and eps_e only,
     # none of which a cell changes.

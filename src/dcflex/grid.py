@@ -7,7 +7,6 @@ unit-commitment parameters. Flow on a line is susceptance times the angle
 difference, positive from the line's first endpoint toward the second.
 """
 
-from collections import deque
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -67,6 +66,9 @@ class Generator:
 
 @dataclass(frozen=True)
 class GridCase:
+    """A connected case with at least one bus and one generator; building
+    one with a structural fault raises ValueError listing every fault."""
+
     buses: tuple
     lines: tuple
     generators: tuple
@@ -74,9 +76,45 @@ class GridCase:
     mva_base: float = DEFAULT_MVA_BASE
 
     def __post_init__(self):
-        object.__setattr__(self, "buses", tuple(self.buses))
-        object.__setattr__(self, "lines", tuple(self.lines))
-        object.__setattr__(self, "generators", tuple(self.generators))
+        for name in ("buses", "lines", "generators"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        for name in ("buses", "generators"):
+            if not getattr(self, name):
+                raise ValueError(f"grid case has no {name}")
+        violations = []
+        ids = self.bus_ids()
+        if len(set(ids)) != len(ids):
+            violations.append("duplicate bus ids")
+        if self.slack_bus not in ids:
+            violations.append(f"slack bus {self.slack_bus} is not a case bus")
+        first = self.buses[0]
+        other = next((b for b in self.buses if b.base_load.size != first.base_load.size), None)
+        if other is not None:
+            violations.append(f"base loads differ in length: bus {first.id} has "
+                              f"{first.base_load.size} slots, bus {other.id} has "
+                              f"{other.base_load.size}")
+        id_set = set(ids)
+        for line in self.lines:
+            for end in (line.from_bus, line.to_bus):
+                if end not in id_set:
+                    violations.append(f"line {line.id}: endpoint bus {end} does not exist")
+        for g in self.generators:
+            if g.bus not in id_set:
+                violations.append(f"generator {g.id}: bus {g.bus} does not exist")
+        adjacency: dict[int, set[int]] = {i: set() for i in ids}
+        for line in self.lines:
+            if line.from_bus in id_set and line.to_bus in id_set:
+                adjacency[line.from_bus].add(line.to_bus)
+                adjacency[line.to_bus].add(line.from_bus)
+        seen, stack = {ids[0]}, [ids[0]]
+        while stack:
+            for nxt in adjacency[stack.pop()] - seen:
+                seen.add(nxt)
+                stack.append(nxt)
+        if seen != id_set:
+            violations.append(f"grid is disconnected; unreachable buses {sorted(id_set - seen)}")
+        if violations:
+            raise ValueError("grid case invalid: " + "; ".join(violations))
 
     @property
     def n_slots(self) -> int:
@@ -91,9 +129,6 @@ class GridCase:
             if b.id == bus_id:
                 return i
         raise KeyError(f"unknown bus id {bus_id}")
-
-    def max_generator_cost(self) -> float:
-        return max((g.cost_per_mwh for g in self.generators), default=0.0)
 
 
 def line_flow(theta_b, theta_j, line: Line):
@@ -144,46 +179,6 @@ def power_balance_residual(
         residual[fpos] -= flow
         residual[tpos] += flow
     return residual
-
-
-def validate_case(case: GridCase) -> list[str]:
-    """All structural violations of a grid case; empty list means valid."""
-    violations: list[str] = []
-    ids = [b.id for b in case.buses]
-    if len(set(ids)) != len(ids):
-        violations.append("duplicate bus ids")
-    if case.slack_bus not in ids:
-        violations.append(f"slack bus {case.slack_bus} is not a case bus")
-    t_total = case.n_slots
-    for b in case.buses:
-        if b.base_load.size != t_total:
-            violations.append(f"bus {b.id}: base load length differs from horizon")
-    id_set = set(ids)
-    for line in case.lines:
-        for end in (line.from_bus, line.to_bus):
-            if end not in id_set:
-                violations.append(f"line {line.id}: endpoint bus {end} does not exist")
-    for g in case.generators:
-        if g.bus not in id_set:
-            violations.append(f"generator {g.id}: bus {g.bus} does not exist")
-    if len(case.buses) > 1:
-        adjacency: dict[int, set[int]] = {i: set() for i in ids}
-        for line in case.lines:
-            if line.from_bus in id_set and line.to_bus in id_set:
-                adjacency[line.from_bus].add(line.to_bus)
-                adjacency[line.to_bus].add(line.from_bus)
-        seen = {ids[0]}
-        queue = deque([ids[0]])
-        while queue:
-            node = queue.popleft()
-            for nxt in adjacency[node]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        if seen != id_set:
-            unreached = sorted(id_set - seen)
-            violations.append(f"grid is disconnected; unreachable buses {unreached}")
-    return violations
 
 
 def case_to_dict(case: GridCase) -> dict:

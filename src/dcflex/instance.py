@@ -318,9 +318,7 @@ def build_synthetic(params: GenParams, seed: int) -> tuple[ProblemInstance, Mode
         dt_seconds=params.signal_dt_seconds,
         seed=int(rng.integers(0, 2**63 - 1)),
     )
-    inst = ProblemInstance(tuple(jobs), latmap, tuple(dcs), grid, queue)
-    inst.validate()
-    return inst, cfg, trace
+    return ProblemInstance(tuple(jobs), latmap, tuple(dcs), grid, queue), cfg, trace
 
 
 def save_bundle(out_dir, inst: ProblemInstance, cfg: ModelConfig,
@@ -376,6 +374,21 @@ def _dc_entry(k, entry: dict, t_total: int) -> dict:
     return values
 
 
+def _read_dcs(doc: dict, t_total: int) -> tuple[tuple, QueueParameters]:
+    """The DCs and queue parameters of a parsed dc.json document; a DC id
+    may appear once only, since latency is keyed by it."""
+    entries = []
+    for k, entry in enumerate(doc["dcs"]):
+        values = _dc_entry(k, entry, t_total)
+        if any(e["id"] == values["id"] for e in entries):
+            raise ValueError(f"dcs[{k}] repeats id {values['id']}")
+        entries.append(values)
+    dcs = tuple(DataCenterSpec(**{f.name: e[f.name] for f in fields(DataCenterSpec)})
+                for e in entries)
+    return dcs, QueueParameters(*(np.array([e[name] for e in entries])
+                                  for name in ("q_init", "arrivals", "q_min", "q_max")))
+
+
 def read_signal(path) -> RegulationTrace:
     """The trace of signal CSV ``path``. When it is a bundle's signal.csv
     and the bundle's manifest holds the sha256 of both it and SIGNAL_COPY
@@ -402,7 +415,9 @@ def read_signal(path) -> RegulationTrace:
 
 
 def load_bundle(bundle_dir) -> tuple[ProblemInstance, ModelConfig, RegulationTrace]:
-    """Read and validate a bundle directory.
+    """Read a bundle directory. Each record checks itself as it is built
+    from its file, so a fault names that file; the grid is read first,
+    because dc.json is read against its horizon.
 
     The trace is ``read_signal`` of signal.csv: it comes from SIGNAL_COPY
     only while the manifest holds the sha256 of both it and signal.csv as
@@ -418,17 +433,10 @@ def load_bundle(bundle_dir) -> tuple[ProblemInstance, ModelConfig, RegulationTra
     jobs = read_workload_csv(bundle / "workload.csv")
     latmap = read_latency_csv(bundle / "latency.csv")
     trace = read_signal(bundle / "signal.csv")
-    entries = read_json(bundle / "dc.json", lambda doc: [
-        _dc_entry(k, entry, grid.n_slots) for k, entry in enumerate(doc["dcs"])])
-    dcs = [DataCenterSpec(**{f.name: e[f.name] for f in fields(DataCenterSpec)})
-           for e in entries]
-    queue = QueueParameters(*(np.array([e[name] for e in entries])
-                              for name in ("q_init", "arrivals", "q_min", "q_max")))
+    dcs, queue = read_json(bundle / "dc.json", partial(_read_dcs, t_total=grid.n_slots))
     cfg = read_json(bundle / "config.json", ModelConfig.from_dict)
     _check_signal_interval(cfg.slot_hours, trace.dt_seconds)
-    inst = ProblemInstance(tuple(jobs), latmap, tuple(dcs), grid, queue)
-    inst.validate()
-    return inst, cfg, trace
+    return ProblemInstance(tuple(jobs), latmap, dcs, grid, queue), cfg, trace
 
 
 def fit_signal_artifacts(trace: RegulationTrace, cfg: ModelConfig) -> FittedSignal:

@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .artifacts import SHIFTING_MODES, SIGNAL_MODELS, STRATEGIES, InfeasibleModel, SolverError
-from .grid import GridCase, validate_case
+from .grid import GridCase
 from .signals import (
     DEFAULT_QUANTILE_GRID,
     DEFAULT_VAR_HORIZONS,
@@ -95,9 +95,11 @@ def _finite_numbers(value) -> bool:
                for v in items)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
-    """All knobs of one optimization run; mirrors the bundle config file."""
+    """All knobs of one optimization run; mirrors the bundle config file.
+    Building one with a field of the wrong type or out of range raises
+    ValueError naming the first such field."""
 
     shifting_mode: str = "joint"
     strategy: str = "cooperative"
@@ -119,9 +121,7 @@ class ModelConfig:
     compliance_threshold: float = 0.25
     forfeiture: str = "full"  # or "proportional"
 
-    def validate(self, max_gen_cost: float = 0.0) -> None:
-        """Raise ValueError naming the first field of the wrong type or out
-        of range."""
+    def __post_init__(self):
         for name, value in self.__dict__.items():
             if name in _CHOICES:
                 if value not in _CHOICES[name]:
@@ -143,9 +143,8 @@ class ModelConfig:
             raise ValueError("delta_qos must be >= 0")
         if self.slot_hours <= 0:
             raise ValueError("slot_hours must be > 0")
-        if self.c_penal <= max_gen_cost:
-            raise ValueError(f"c_penal must exceed the highest generator cost "
-                             f"{max_gen_cost}, got {self.c_penal}")
+        if self.c_penal <= 0:
+            raise ValueError(f"c_penal must be > 0, got {self.c_penal}")
 
     def prices(self, t_total: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(c_rc, c_rp, m_bar) as per-slot arrays of a resolved config."""
@@ -177,8 +176,8 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
-        """Inverse of to_dict, validated; a key that names no field, or a
-        field of the wrong type or out of range, raises ValueError."""
+        """Inverse of to_dict; a key that names no field, or a field of the
+        wrong type or out of range, raises ValueError."""
         unknown = sorted(set(data) - set(cls.__dataclass_fields__))
         if unknown:
             raise ValueError(f"unknown model config keys {unknown}")
@@ -186,14 +185,14 @@ class ModelConfig:
         for key in ("var_horizons", "quantile_grid"):
             if isinstance(kwargs.get(key), list):
                 kwargs[key] = tuple(kwargs[key])
-        cfg = cls(**kwargs)
-        cfg.validate()
-        return cfg
+        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """One complete optimization instance (workloads, grid, queues)."""
+    """One complete optimization instance (workloads, grid, queues).
+    Building one whose records disagree (horizons, DC buses, queue shapes,
+    latency pairs, arrival slots) raises ValueError naming the first fault."""
 
     jobs: tuple
     latency: LatencyMap
@@ -204,6 +203,21 @@ class ProblemInstance:
     def __post_init__(self):
         object.__setattr__(self, "jobs", tuple(self.jobs))
         object.__setattr__(self, "dcs", tuple(self.dcs))
+        if not self.dcs:
+            raise ValueError("instance needs at least one data center")
+        t_total, bus_ids = self.grid.n_slots, set(self.grid.bus_ids())
+        for dc in self.dcs:
+            if dc.n_slots != t_total:
+                raise ValueError(f"dc {dc.id}: {dc.n_slots} slots, the grid has {t_total}")
+            if dc.bus not in bus_ids:
+                raise ValueError(f"dc {dc.id}: attached bus {dc.bus} not in grid")
+        if self.queue.q_init.size != self.n_dc or self.queue.arrivals.shape != (self.n_dc, t_total):
+            raise ValueError("queue parameters do not match (n_dc, n_slots)")
+        regions = {j.user_region for j in self.jobs}
+        self.latency.check_complete(sorted(regions), [dc.id for dc in self.dcs])
+        for job in self.jobs:
+            if job.arrival_slot > t_total:
+                raise ValueError(f"cluster {job.id}: arrival slot beyond horizon")
 
     @property
     def n_dc(self) -> int:
@@ -245,32 +259,6 @@ class ProblemInstance:
     @cached_property
     def baseline_latency(self) -> np.ndarray:
         return baseline_latency_profile(self.x_base, self.latency_table)
-
-    def validate(self) -> None:
-        if not self.dcs:
-            raise ValueError("instance needs at least one data center")
-        t_total = self.n_slots
-        for dc in self.dcs:
-            if dc.n_slots != t_total:
-                raise ValueError(f"dc {dc.id}: horizon differs from dc {self.dcs[0].id}")
-        if self.grid.n_slots != t_total:
-            raise ValueError("grid base load horizon differs from DC horizon")
-        violations = validate_case(self.grid)
-        if violations:
-            raise ValueError("grid case invalid: " + "; ".join(violations))
-        if not self.grid.generators:
-            raise ValueError("grid case has no generators")
-        bus_ids = set(self.grid.bus_ids())
-        for dc in self.dcs:
-            if dc.bus not in bus_ids:
-                raise ValueError(f"dc {dc.id}: attached bus {dc.bus} not in grid")
-        if self.queue.q_init.size != self.n_dc or self.queue.arrivals.shape != (self.n_dc, t_total):
-            raise ValueError("queue parameters do not match (n_dc, n_slots)")
-        regions = {j.user_region for j in self.jobs}
-        self.latency.check_complete(sorted(regions), [dc.id for dc in self.dcs])
-        for job in self.jobs:
-            if job.arrival_slot > t_total:
-                raise ValueError(f"cluster {job.id}: arrival slot beyond horizon")
 
     def baseline_dc(self, i: int) -> tuple[int, int]:
         """(slot, dc) both 1-based where cluster i sits in the baseline."""
@@ -643,8 +631,10 @@ def build_model(
     fix_r overrides of the sequential and independent strategies, act
     through variable bounds.
     """
-    inst.validate()
-    cfg.validate(inst.grid.max_generator_cost())
+    dearest = max(gen.cost_per_mwh for gen in inst.grid.generators)
+    if cfg.c_penal <= dearest:
+        raise ValueError(f"c_penal must exceed the highest generator cost {dearest}, "
+                         f"got {cfg.c_penal}")
     t_total, n_dc, m = inst.n_slots, inst.n_dc, len(inst.jobs)
     gens = inst.grid.generators
     buses = inst.grid.buses

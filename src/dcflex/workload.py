@@ -8,6 +8,7 @@ slot duration.
 """
 
 from dataclasses import dataclass, fields
+from functools import partial
 
 import csv
 import math
@@ -233,13 +234,14 @@ def _read_table(path, header, parse_row, what: str) -> list:
             if reader.fieldnames is None or tuple(f.strip() for f in reader.fieldnames) != header:
                 raise ValueError(f"{path}: expected header {','.join(header)}")
             parsed = []
-            for line_no, row in enumerate(reader, start=2):
+            for row in reader:
                 try:
                     if None in row or None in row.values():
                         raise ValueError(f"expected {len(header)} fields")
                     parsed.append(parse_row(row))
                 except (ValueError, KeyError) as exc:
-                    raise ValueError(f"{path} line {line_no}: {exc}") from None
+                    # The reader skips blank rows; its line_num counts them.
+                    raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
     except UnicodeDecodeError:
         raise not_utf8(path) from None
     if not parsed:
@@ -263,15 +265,20 @@ def write_workload_csv(jobs, path) -> None:
                              for f in fields(JobCluster)])
 
 
-def _latency_row(row: dict) -> tuple:
-    value = float(row["latency"])
-    if not math.isfinite(value):
-        raise ValueError(f"latency must be finite, got {value}")
-    return (row["user_region"].strip(), int(row["dc_id"])), value
+def _latency_row(entries: dict, row: dict) -> None:
+    """Add a latency.csv row to ``entries``: one finite value >= 0 per pair."""
+    key, value = (row["user_region"].strip(), int(row["dc_id"])), float(row["latency"])
+    if not 0 <= value < math.inf:
+        raise ValueError(f"latency must be finite and >= 0, got {value}")
+    if key in entries:
+        raise ValueError(f"repeats the pair {key}")
+    entries[key] = value
 
 
 def read_latency_csv(path) -> LatencyMap:
-    return LatencyMap(dict(_read_table(path, LATENCY_HEADER, _latency_row, "latency")))
+    entries = {}
+    _read_table(path, LATENCY_HEADER, partial(_latency_row, entries), "latency")
+    return LatencyMap(entries)
 
 
 def write_latency_csv(latmap: LatencyMap, path) -> None:

@@ -57,9 +57,7 @@ def tiny_instance():
     lines = (Line(1, 1, 2, 50.0, 40.0),)
     gens = (Generator(1, 1, 30.0, 1.0, 25.0, 20.0, 20.0, 25.0, 25.0),)
     grid = GridCase(buses, lines, gens, slack_bus=1)
-    inst = ProblemInstance(jobs, latmap, dcs, grid, queue)
-    inst.validate()
-    return inst
+    return ProblemInstance(jobs, latmap, dcs, grid, queue)
 
 
 def tiny_config(**overrides):

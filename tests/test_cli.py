@@ -309,6 +309,39 @@ class TestSolve:
         assert code == EXIT_INPUT and lines == [
             f"error: {broken / 'grid.json'}: {where} must be an integer, got {value!r}"]
 
+    @pytest.mark.parametrize("fault, cause", [
+        ("no_buses", "grid case has no buses"),
+        ("short_base_load",
+         "grid case invalid: base loads differ in length: bus 1 has 3 slots, bus 2 has 4"),
+        ("missing_generator_bus", "grid case invalid: generator 1: bus 99 does not exist"),
+        ("no_generators", "grid case has no generators")],
+        ids=["no_buses", "short_base_load", "missing_generator_bus", "no_generators"])
+    def test_a_grid_fault_exits_4_naming_grid_json(self, bundle, tmp_path, fault, cause):
+        broken = shutil.copytree(bundle, tmp_path / "broken")
+        doc = json.loads((broken / "grid.json").read_text())
+        if fault == "no_buses":
+            doc["buses"] = []
+        elif fault == "short_base_load":
+            doc["buses"][0]["base_load"] = doc["buses"][0]["base_load"][:3]
+        elif fault == "missing_generator_bus":
+            doc["generators"][0]["bus"] = 99
+        else:
+            doc["generators"] = []
+        (broken / "grid.json").write_text(json.dumps(doc))
+        code, lines = run_cli(["solve", "--bundle", str(broken),
+                               "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == EXIT_INPUT and lines == [f"error: {broken / 'grid.json'}: {cause}"]
+
+    def test_a_repeated_dc_id_exits_4_naming_dc_json(self, bundle, tmp_path):
+        broken = shutil.copytree(bundle, tmp_path / "broken")
+        doc = json.loads((broken / "dc.json").read_text())
+        doc["dcs"][1]["id"] = doc["dcs"][0]["id"]
+        (broken / "dc.json").write_text(json.dumps(doc))
+        code, lines = run_cli(["solve", "--bundle", str(broken),
+                               "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == EXIT_INPUT and lines == [
+            f"error: {broken / 'dc.json'}: dcs[1] repeats id {doc['dcs'][0]['id']}"]
+
     @pytest.mark.parametrize("name, keys", [
         ("dc.json", ("dcs", 0, "p_max")), ("grid.json", ("buses", 0, "base_load")),
         ("latency.csv", ("latency",)), ("workload.csv", ("weight",))],
@@ -1241,6 +1274,25 @@ def test_latency_csv_missing_a_used_pair_exits_4_naming_it(quick_bundle, tmp_pat
     assert code == EXIT_INPUT
     assert lines == [f"error: latency map missing 1 pairs, first ({region!r}, {int(dc)})"]
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("edit, cause", [
+    ("repeat", "repeats the pair ({region!r}, {dc})"),
+    ("negative", "latency must be finite and >= 0, got -1.0")], ids=["repeat", "negative"])
+def test_a_bad_latency_row_exits_4_naming_file_and_line(quick_bundle, tmp_path, edit, cause):
+    work = shutil.copytree(quick_bundle, tmp_path / "b")
+    rows = (work / "latency.csv").read_text().splitlines()
+    region, dc, _ = rows[1].split(",")
+    if edit == "repeat":
+        rows.append(rows[1])
+    else:
+        rows[-1] = ",".join(rows[-1].split(",")[:2] + ["-1"])
+    (work / "latency.csv").write_text("\n".join(rows) + "\n")
+    code, lines = run_cli(["solve", "--bundle", str(work), "--out", str(tmp_path / "o"),
+                           "--quiet"])
+    assert code == EXIT_INPUT
+    assert lines == [f"error: {work / 'latency.csv'} line {len(rows)}: "
+                     + cause.format(region=region, dc=int(dc))]
 
 
 def test_unreadable_out_manifest_fails_before_any_write(bundle, solved_dir, tmp_path):

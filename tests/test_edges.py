@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dcflex.cli import EXIT_INPUT, main
-from dcflex.grid import Bus, Generator, GridCase, Line, validate_case
+from dcflex.grid import Bus, Generator, GridCase, Line
 from dcflex.instance import build_synthetic, fit_signal_artifacts, small_params
 from dcflex.optimizer import ModelConfig, resolve_config, run_strategy
 from dcflex.signals import RegulationTrace, empirical_quantile
@@ -70,6 +70,5 @@ def test_self_loop_rejected_at_construction():
 def test_duplicate_bus_ids_flagged():
     buses = (Bus(1, np.array([1.0])), Bus(1, np.array([2.0])))
     gens = (Generator(1, 1, 10.0, 0.0, 5.0, 5.0, 5.0, 5.0, 5.0),)
-    case = GridCase(buses, (), gens, slack_bus=1)
-    violations = validate_case(case)
-    assert any("duplicate" in v for v in violations)
+    with pytest.raises(ValueError, match="duplicate bus ids"):
+        GridCase(buses, (), gens, slack_bus=1)

@@ -11,7 +11,6 @@ from dcflex.grid import (
     case_to_dict,
     line_flow,
     power_balance_residual,
-    validate_case,
 )
 
 
@@ -92,21 +91,23 @@ class TestPowerBalance:
 
 
 class TestValidateCase:
+    """A GridCase checks itself when it is built."""
+
     def test_clean_case(self):
-        assert validate_case(three_bus_case()) == []
+        three_bus_case()
 
     def test_dangling_generator(self):
         case = three_bus_case()
-        bad = GridCase(case.buses, case.lines,
-                       case.generators + (Generator(9, 99, 10.0, 0.0, 5.0, 5.0, 5.0, 5.0, 5.0),),
-                       slack_bus=1)
-        violations = validate_case(bad)
-        assert len(violations) == 1 and "generator 9" in violations[0]
+        with pytest.raises(ValueError,
+                           match=r"^grid case invalid: generator 9: bus 99 does not exist$"):
+            GridCase(case.buses, case.lines,
+                     case.generators + (Generator(9, 99, 10.0, 0.0, 5.0, 5.0, 5.0, 5.0, 5.0),),
+                     slack_bus=1)
 
     def test_disconnected_graph(self):
         case = three_bus_case()
-        bad = GridCase(case.buses, (Line(1, 1, 2, 20.0, 50.0),), case.generators, slack_bus=1)
-        assert any("disconnected" in v for v in validate_case(bad))
+        with pytest.raises(ValueError, match="disconnected"):
+            GridCase(case.buses, (Line(1, 1, 2, 20.0, 50.0),), case.generators, slack_bus=1)
 
     def test_random_connected_cases_accepted(self):
         rng = np.random.Generator(np.random.PCG64(5))
@@ -119,13 +120,12 @@ class TestValidateCase:
                 a, b = rng.choice(n, size=2, replace=False) + 1
                 lines.append(Line(100 + e, int(a), int(b), 5.0, 30.0))
             gens = (Generator(1, 1, 20.0, 0.0, 50.0, 50.0, 50.0, 50.0, 50.0),)
-            case = GridCase(buses, tuple(lines), gens, slack_bus=1)
-            assert validate_case(case) == []
+            GridCase(buses, tuple(lines), gens, slack_bus=1)
             # Removing a tree edge disconnects the chain unless an extra
             # line happens to bridge it.
-            chain_only = GridCase(buses, tuple(lines[1:]), gens, slack_bus=1)
             if extra == 0 and n > 2:
-                assert any("disconnected" in v for v in validate_case(chain_only))
+                with pytest.raises(ValueError, match="disconnected"):
+                    GridCase(buses, tuple(lines[1:]), gens, slack_bus=1)
 
 
 class TestGridJson:

@@ -337,17 +337,18 @@ def test_independent_respects_integral_x():
 
 
 def test_config_validation_and_round_trip():
-    cfg = tiny_config()
-    cfg.validate(max_gen_cost=100.0)
+    # A ModelConfig checks its fields when it is built; build_model checks
+    # c_penal against the dearest generator (30 $/MWh in tiny_instance).
+    inst, cfg, moments, table = tiny_setup()
     data = json.loads(json.dumps(cfg.to_dict()))
     back = ModelConfig.from_dict(data)
     assert back == cfg
     with pytest.raises(ValueError):
-        ModelConfig(eps_p=0.7).validate()
+        ModelConfig(eps_p=0.7)
+    with pytest.raises(ValueError, match="c_penal must exceed the highest generator cost 30.0"):
+        build_model(inst, replace(cfg, c_penal=30.0), moments, table)
     with pytest.raises(ValueError):
-        ModelConfig(c_penal=1.0).validate(max_gen_cost=10.0)
-    with pytest.raises(ValueError):
-        ModelConfig(shifting_mode="diagonal").validate()
+        ModelConfig(shifting_mode="diagonal")
 
 
 def test_column_arrays_match_column_names():

@@ -237,6 +237,18 @@ class TestCsvIo:
         with pytest.raises(ValueError, match="line 3"):
             read_workload_csv(path)
 
+    def test_bad_row_after_blank_rows_reports_its_file_line(self, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_text(
+            "id,user_region,arrival_slot,class,weight,r_cpu,r_mem,r_io,d_kwh_per_task\n"
+            "a,r1,1,deferrable,10,1,1,1,1.7\n"
+            "\n"
+            "\n"
+            "b,r1,1,deferrable,heavy,1,1,1,1.7\n"
+        )
+        with pytest.raises(ValueError, match=r"w\.csv line 5: "):
+            read_workload_csv(path)
+
 
 def test_cluster_field_validation():
     with pytest.raises(ValueError):
