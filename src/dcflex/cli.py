@@ -74,7 +74,7 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         """The settings of a parsed --config file."""
-        from .optimizer import ModelConfig
+        from .problem import ModelConfig
 
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
@@ -129,7 +129,7 @@ def _model_config(args, base: "ModelConfig", exp: "ExperimentConfig | None") -> 
     ``model`` object, its top-level ``threshold`` and ``split``, then the
     command's flags.
     """
-    from .optimizer import ModelConfig
+    from .problem import ModelConfig
 
     data = base.to_dict()
     data.update(getattr(exp, "model", {}))
@@ -211,7 +211,7 @@ def _fit_report(fitted: "FittedSignal", trace, cfg: "ModelConfig") -> dict:
 
 def cmd_fit_signal(args) -> int:
     from .instance import fit_signal_artifacts, read_signal
-    from .optimizer import ModelConfig
+    from .problem import ModelConfig
 
     trace = read_signal(args.trace)
     cfg = _model_config(args, ModelConfig(), None)
@@ -251,7 +251,7 @@ def cmd_solve(args) -> int:
 
 def cmd_simulate(args) -> int:
     from .instance import fit_signal_artifacts, load_bundle
-    from .optimizer import Solution, resolve_config
+    from .problem import Solution, resolve_config
     from .signals import RegulationTrace
     from .simulator import (
         compliance_report,

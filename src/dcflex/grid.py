@@ -83,8 +83,10 @@ class GridCase:
                 raise ValueError(f"grid case has no {name}")
         violations = []
         ids = self.bus_ids()
-        if len(set(ids)) != len(ids):
-            violations.append("duplicate bus ids")
+        for name, records in (("bus", self.buses), ("generator", self.generators),
+                              ("line", self.lines)):
+            if len({r.id for r in records}) != len(records):
+                violations.append(f"duplicate {name} ids")
         if self.slack_bus not in ids:
             violations.append(f"slack bus {self.slack_bus} is not a case bus")
         first = self.buses[0]
@@ -203,11 +205,29 @@ def _integer(value, where: str) -> int:
     return int(value)
 
 
+def _number(value, where: str) -> float:
+    """A quantity read from a file: an int or a float. A bool, a null or a
+    non-number raises ValueError naming ``where``, rather than being read
+    as 1, 0 or NaN by ``float``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{where} must be a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(values, where: str):
+    """A per-slot list read from a file, each entry checked by _number and
+    named ``where[t]``; any other value is returned as it is, for the
+    caller's shape check."""
+    if not isinstance(values, list):
+        return values
+    return [_number(v, f"{where}[{t}]") for t, v in enumerate(values)]
+
+
 def _record(cls, entry: dict, where: str, mva: float):
     """The Line or Generator of a grid document entry, read in field order;
     a line's per-unit susceptance is scaled to MW/rad."""
     values = {f.name: _integer(entry[f.name], f"{where}.{f.name}") if f.type is int
-              else float(entry[f.name]) for f in fields(cls)}
+              else _number(entry[f.name], f"{where}.{f.name}") for f in fields(cls)}
     if cls is Line:
         values["susceptance"] *= mva
     return cls(**values)
@@ -215,8 +235,9 @@ def _record(cls, entry: dict, where: str, mva: float):
 
 def case_from_dict(data: dict) -> GridCase:
     """The case of a parsed grid document."""
-    mva = float(data.get("mva_base", DEFAULT_MVA_BASE))
-    buses = tuple(Bus(_integer(b["id"], f"buses[{k}].id"), np.asarray(b["base_load"], float))
+    mva = _number(data.get("mva_base", DEFAULT_MVA_BASE), "mva_base")
+    buses = tuple(Bus(_integer(b["id"], f"buses[{k}].id"),
+                      _numbers(b["base_load"], f"buses[{k}].base_load"))
                   for k, b in enumerate(data["buses"]))
     lines = tuple(_record(Line, line, f"lines[{k}]", mva) for k, line in enumerate(data["lines"]))
     gens = tuple(_record(Generator, g, f"generators[{k}]", mva)

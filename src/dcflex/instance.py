@@ -19,8 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import read_json, read_manifest, sha256_file, write_artifacts
-from .grid import Bus, Generator, GridCase, Line, _integer, case_from_dict, case_to_dict
-from .optimizer import FittedSignal, ModelConfig, ProblemInstance, QueueParameters
+from .grid import (Bus, Generator, GridCase, Line, _integer, _number, _numbers,
+                   case_from_dict, case_to_dict)
+from .problem import FittedSignal, ModelConfig, ProblemInstance, QueueParameters
 from .signals import (
     RegulationTrace,
     build_var_table,
@@ -356,7 +357,7 @@ def generate_instance(params: GenParams, seed: int, out_dir) -> list[Path]:
 def _dc_entry(k, entry: dict, t_total: int) -> dict:
     """The fields of dc.json entry k: an int for each of _DC_IDS, and as
     float arrays one value per slot for _DC_PER_SLOT and a single number
-    for _DC_SCALARS."""
+    for _DC_SCALARS, each number checked by grid._number."""
     values = {}
     for name in _DC_IDS + _DC_SCALARS + _DC_PER_SLOT:
         if name not in entry:
@@ -364,24 +365,28 @@ def _dc_entry(k, entry: dict, t_total: int) -> dict:
         if name in _DC_IDS:
             values[name] = _integer(entry[name], f"dcs[{k}] {name!r}")
             continue
-        value = np.asarray(entry[name], dtype=float)
         shape = (t_total,) if name in _DC_PER_SLOT else ()
-        if value.shape != shape:
+        if np.shape(entry[name]) != shape:
             expected = f"{t_total} values, one per slot" if shape else "a single number"
-            raise ValueError(f"dcs[{k}] {name!r} has shape {value.shape}; "
+            raise ValueError(f"dcs[{k}] {name!r} has shape {np.shape(entry[name])}; "
                              f"expected {expected}")
-        values[name] = value
+        where = f"dcs[{k}] {name!r}"
+        values[name] = np.asarray(_numbers(entry[name], where) if shape
+                                  else _number(entry[name], where))
     return values
 
 
-def _read_dcs(doc: dict, t_total: int) -> tuple[tuple, QueueParameters]:
+def _read_dcs(doc: dict, t_total: int, bus_ids: set) -> tuple[tuple, QueueParameters]:
     """The DCs and queue parameters of a parsed dc.json document; a DC id
-    may appear once only, since latency is keyed by it."""
+    may appear once only, since latency is keyed by it, and each DC's bus
+    must be one of the grid's ``bus_ids``."""
     entries = []
     for k, entry in enumerate(doc["dcs"]):
         values = _dc_entry(k, entry, t_total)
         if any(e["id"] == values["id"] for e in entries):
             raise ValueError(f"dcs[{k}] repeats id {values['id']}")
+        if values["bus"] not in bus_ids:
+            raise ValueError(f"dcs[{k}] 'bus' {values['bus']} is not a grid bus")
         entries.append(values)
     dcs = tuple(DataCenterSpec(**{f.name: e[f.name] for f in fields(DataCenterSpec)})
                 for e in entries)
@@ -417,7 +422,7 @@ def read_signal(path) -> RegulationTrace:
 def load_bundle(bundle_dir) -> tuple[ProblemInstance, ModelConfig, RegulationTrace]:
     """Read a bundle directory. Each record checks itself as it is built
     from its file, so a fault names that file; the grid is read first,
-    because dc.json is read against its horizon.
+    because dc.json is read against its horizon and its buses.
 
     The trace is ``read_signal`` of signal.csv: it comes from SIGNAL_COPY
     only while the manifest holds the sha256 of both it and signal.csv as
@@ -433,7 +438,8 @@ def load_bundle(bundle_dir) -> tuple[ProblemInstance, ModelConfig, RegulationTra
     jobs = read_workload_csv(bundle / "workload.csv")
     latmap = read_latency_csv(bundle / "latency.csv")
     trace = read_signal(bundle / "signal.csv")
-    dcs, queue = read_json(bundle / "dc.json", partial(_read_dcs, t_total=grid.n_slots))
+    dcs, queue = read_json(bundle / "dc.json", partial(_read_dcs, t_total=grid.n_slots,
+                                                       bus_ids=set(grid.bus_ids())))
     cfg = read_json(bundle / "config.json", ModelConfig.from_dict)
     _check_signal_interval(cfg.slot_hours, trace.dt_seconds)
     return ProblemInstance(tuple(jobs), latmap, dcs, grid, queue), cfg, trace

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optimizer import (
+from .problem import (
     FittedSignal,
     ModelConfig,
     ProblemInstance,
@@ -35,7 +35,7 @@ class ScenarioResult:
     ``simulate`` fills the trajectories; ``monte_carlo`` keeps only the
     summary fields and leaves them empty, (N, T, 0) and (N, 0).
     ``checkpoint_ok`` holds one bool per DC and VaR checkpoint, the columns
-    in the order of ``optimizer.queue_check_points``: whether the backlog
+    in the order of ``problem.queue_check_points``: whether the backlog
     at that checkpoint's sample lies within [q_min, q_max].
     """
 
@@ -188,7 +188,7 @@ def simulate(
 ) -> ScenarioResult:
     """Replay one horizon-length signal segment against a solution.
 
-    ``cfg`` must be price-resolved (see optimizer.resolve_config): its
+    ``cfg`` must be price-resolved (see problem.resolve_config): its
     revenue rate is computed before the replay, so an unresolved ``m_bar``
     raises ValueError first. The segment must cover the whole horizon at
     its sampling interval.

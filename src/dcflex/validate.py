@@ -6,11 +6,12 @@ assembly defects cannot hide each other. Every family is judged at the
 one tolerance FEAS_TOL (1e-6, in the family's own units); QoS scales it by
 the slot's scheduled mass.
 
-Three definitions are shared with the optimizer because they state the
-model's inputs rather than emit its rows: queue_check_points (the VaR
+Three definitions are read from dcflex.problem, which states what the
+model means and emits none of its rows: queue_check_points (the VaR
 checkpoint set), chance_coefficient (the z-quantile coefficient of R) and
-allowed_cells (each shifting mode's cells). The queue backlog at each
-checkpoint is re-derived here in closed form (queue_backlog).
+allowed_cells (each shifting mode's cells). Nothing is read from the
+builder (optimizer). The queue backlog at each checkpoint is re-derived
+here in closed form (queue_backlog).
 """
 
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import line_flow, power_balance_residual
-from .optimizer import (
+from .problem import (
     FittedSignal,
     ModelConfig,
     ProblemInstance,

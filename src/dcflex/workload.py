@@ -221,6 +221,7 @@ WORKLOAD_HEADER = ("id", "user_region", "arrival_slot", "class", "weight",
                    "r_cpu", "r_mem", "r_io", "d_kwh_per_task")
 LATENCY_HEADER = ("user_region", "dc_id", "latency")
 _PARSE = {str: str.strip, int: int, float: float}
+_WORKLOAD_COLUMNS = tuple(zip(WORKLOAD_HEADER, fields(JobCluster)))
 
 
 def _read_table(path, header, parse_row, what: str) -> list:
@@ -249,11 +250,18 @@ def _read_table(path, header, parse_row, what: str) -> list:
     return parsed
 
 
+def _workload_row(seen: set, row: dict) -> JobCluster:
+    """The cluster of a workload.csv row; an id may appear once only."""
+    job = JobCluster(*(_PARSE[f.type](row[name]) for name, f in _WORKLOAD_COLUMNS))
+    if job.id in seen:
+        raise ValueError(f"repeats id {job.id!r}")
+    seen.add(job.id)
+    return job
+
+
 def read_workload_csv(path) -> list[JobCluster]:
     """Read clusters from CSV with the canonical workload header."""
-    columns = tuple(zip(WORKLOAD_HEADER, fields(JobCluster)))
-    return _read_table(path, WORKLOAD_HEADER, lambda row: JobCluster(
-        *(_PARSE[f.type](row[name]) for name, f in columns)), "workload")
+    return _read_table(path, WORKLOAD_HEADER, partial(_workload_row, set()), "workload")
 
 
 def write_workload_csv(jobs, path) -> None:

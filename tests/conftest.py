@@ -7,7 +7,7 @@ import pytest
 import dcflex
 from dcflex.grid import Bus, Generator, GridCase, Line
 from dcflex.instance import build_synthetic, fit_signal_artifacts, small_params
-from dcflex.optimizer import ModelConfig, ProblemInstance, QueueParameters
+from dcflex.problem import ModelConfig, ProblemInstance, QueueParameters
 from dcflex.workload import DataCenterSpec, JobCluster, LatencyMap
 
 # Child processes of the suite, such as the reference solvers behind the

@@ -22,7 +22,7 @@ import dcflex.validate as validate
 from dcflex.artifacts import SolverError
 from dcflex.cli import (EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION,
                         main)
-from dcflex.optimizer import ModelConfig
+from dcflex.problem import ModelConfig
 from dcflex.signals import RegulationTrace, read_trace_csv, write_trace_csv
 from dcflex.validate import validate_solution
 from conftest import no_child_processes
@@ -341,6 +341,49 @@ class TestSolve:
                                "--out", str(tmp_path / "o"), "--quiet"])
         assert code == EXIT_INPUT and lines == [
             f"error: {broken / 'dc.json'}: dcs[1] repeats id {doc['dcs'][0]['id']}"]
+
+    @pytest.mark.parametrize("name, edit, cause", [
+        ("grid.json", lambda d: d["generators"][0].update(cost_per_mwh=True),
+         "generators[0].cost_per_mwh must be a number, got True"),
+        ("grid.json", lambda d: d["generators"][0].update(p_min=None),
+         "generators[0].p_min must be a number, got None"),
+        ("grid.json", lambda d: d["lines"][0].update(limit_mw=True),
+         "lines[0].limit_mw must be a number, got True"),
+        ("grid.json", lambda d: d.update(mva_base=True), "mva_base must be a number, got True"),
+        ("grid.json", lambda d: d["buses"][1]["base_load"].__setitem__(2, None),
+         "buses[1].base_load[2] must be a number, got None"),
+        ("dc.json", lambda d: d["dcs"][0].update(q_init=True),
+         "dcs[0] 'q_init' must be a number, got True"),
+        ("dc.json", lambda d: d["dcs"][0].update(q_min=None),
+         "dcs[0] 'q_min' must be a number, got None"),
+        ("dc.json", lambda d: d["dcs"][1]["cpu_cap"].__setitem__(0, True),
+         "dcs[1] 'cpu_cap'[0] must be a number, got True"),
+        ("dc.json", lambda d: d["dcs"][1]["p_max"].__setitem__(3, None),
+         "dcs[1] 'p_max'[3] must be a number, got None"),
+        ("grid.json", lambda d: d["generators"][1].update(id=d["generators"][0]["id"]),
+         "grid case invalid: duplicate generator ids"),
+        ("grid.json", lambda d: d["lines"][1].update(id=d["lines"][0]["id"]),
+         "grid case invalid: duplicate line ids"),
+        ("workload.csv", lambda text: text + text.splitlines()[1] + "\n",
+         "line 8: repeats id 'c01'"),
+        ("dc.json", lambda d: d["dcs"][0].update(bus=99), "dcs[0] 'bus' 99 is not a grid bus")],
+        ids=["gen_cost_true", "gen_p_min_null", "line_limit_true", "mva_base_true",
+             "base_load_null", "q_init_true", "q_min_null", "cpu_cap_true", "p_max_null",
+             "repeated_generator", "repeated_line", "repeated_cluster", "dc_bus_not_in_grid"])
+    def test_a_bundle_fault_exits_4_naming_its_file(self, bundle, tmp_path, name, edit, cause):
+        broken = shutil.copytree(bundle, tmp_path / "broken")
+        path = broken / name
+        if name.endswith(".json"):
+            doc = json.loads(path.read_text())
+            edit(doc)
+            path.write_text(json.dumps(doc))
+        else:
+            path.write_text(edit(path.read_text()))
+        code, lines = run_cli(["solve", "--bundle", str(broken),
+                               "--out", str(tmp_path / "o"), "--quiet"])
+        # A workload.csv cause starts with its line, as "<file> line <n>: ...".
+        sep = " " if name.endswith(".csv") else ": "
+        assert code == EXIT_INPUT and lines == [f"error: {path}{sep}{cause}"]
 
     @pytest.mark.parametrize("name, keys", [
         ("dc.json", ("dcs", 0, "p_max")), ("grid.json", ("buses", 0, "base_load")),

@@ -10,7 +10,8 @@ import pytest
 from dcflex.cli import EXIT_INPUT, main
 from dcflex.grid import Bus, Generator, GridCase, Line
 from dcflex.instance import build_synthetic, fit_signal_artifacts, small_params
-from dcflex.optimizer import ModelConfig, resolve_config, run_strategy
+from dcflex.optimizer import run_strategy
+from dcflex.problem import ModelConfig, resolve_config
 from dcflex.signals import RegulationTrace, empirical_quantile
 from dcflex.simulator import simulate
 from dcflex.workload import load_matrix

@@ -22,7 +22,7 @@ from dcflex.instance import (
     save_bundle,
     small_params,
 )
-from dcflex.optimizer import ProblemInstance
+from dcflex.problem import ProblemInstance
 from dcflex.signals import RegulationTrace
 from dcflex.workload import COMPLETENESS_TOL, load_matrix
 

@@ -21,23 +21,25 @@ from dcflex.artifacts import (
 from dcflex.instance import build_synthetic, fit_signal_artifacts, small_params
 from dcflex.mps import model_to_mps
 from dcflex.optimizer import (
+    build_model,
+    build_per_dc_model,
+    build_regulation_only_model,
+    diagnose_infeasibility,
+    extract_solution,
+    run_strategy,
+    slot_cover,
+    solve_model,
+)
+from dcflex.problem import (
     FittedSignal,
     ModelConfig,
     ProblemInstance,
     QueueParameters,
     Solution,
     allowed_cells,
-    build_model,
-    build_per_dc_model,
-    build_regulation_only_model,
     chance_coefficient,
-    diagnose_infeasibility,
-    extract_solution,
     queue_check_points,
     resolve_config,
-    run_strategy,
-    slot_cover,
-    solve_model,
 )
 from dcflex.signals import GaussianEnvelope, VaRTable, inverse_normal_cdf
 from dcflex.simplex import ITERATION_LIMIT, LPResult

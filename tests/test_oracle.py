@@ -16,13 +16,13 @@ import pytest
 from scipy.optimize import linprog
 
 from conftest import tiny_config, tiny_instance
-from dcflex.optimizer import (
+from dcflex.optimizer import run_strategy
+from dcflex.problem import (
     FittedSignal,
     allowed_cells,
     chance_coefficient,
     queue_check_points,
     resolve_config,
-    run_strategy,
 )
 from dcflex.signals import GaussianEnvelope, VaRTable
 from dcflex.validate import queue_backlog

@@ -10,12 +10,8 @@ from scipy.optimize import LinearConstraint, milp
 
 from test_oracle import capacity_revenue
 from dcflex.instance import build_synthetic, fit_signal_artifacts, small_params
-from dcflex.optimizer import (
-    chance_coefficient,
-    queue_check_points,
-    resolve_config,
-    run_strategy,
-)
+from dcflex.optimizer import run_strategy
+from dcflex.problem import chance_coefficient, queue_check_points, resolve_config
 from dcflex.signals import fit_direct_gaussian, fit_gaussian_envelope, generate_trace
 from dcflex.workload import load_matrix
 

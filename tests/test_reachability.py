@@ -72,15 +72,16 @@ def test_every_allowed_name_is_still_defined():
     assert set(ALLOWED) <= defined, sorted(set(ALLOWED) - defined)
 
 
-def _calls_by_function(node, owner=None):
-    """(innermost enclosing function name, call) of every call under node."""
+def _by_function(node, kinds, owner=None):
+    """(innermost enclosing function name, node) of every node of the types
+    ``kinds`` under node."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from _calls_by_function(child, child.name)
+            yield from _by_function(child, kinds, child.name)
             continue
-        if isinstance(child, ast.Call):
+        if isinstance(child, kinds):
             yield owner, child
-        yield from _calls_by_function(child, owner)
+        yield from _by_function(child, kinds, owner)
 
 
 def test_only_read_json_decodes_json():
@@ -88,12 +89,24 @@ def test_only_read_json_decodes_json():
     # file of any fault in it.
     trees = _trees()
     decoders = [(module, owner) for module, tree in trees.items()
-                for owner, call in _calls_by_function(tree)
+                for owner, call in _by_function(tree, ast.Call)
                 if isinstance(call.func, ast.Attribute) and call.func.attr in ("load", "loads")
                 and isinstance(call.func.value, ast.Name) and call.func.value.id == "json"]
     imported = [module for module, tree in trees.items() for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.module == "json"]
     assert decoders == [("artifacts", "read_json")] and imported == [], (decoders, imported)
+
+
+def test_only_solve_and_compare_import_the_builder():
+    # validate re-derives what the builder's rows state, and simulate,
+    # fit-signal and gen-instance build no model: each reads the model's
+    # definitions from problem, so only the commands that solve load optimizer.
+    importers = {(module, owner) for module, tree in _trees().items()
+                 for owner, node in _by_function(tree, (ast.Import, ast.ImportFrom))
+                 for name in [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+                 if name.split(".")[-1] == "optimizer"}
+    assert importers == {("cli", "cmd_solve"), ("cli", "cmd_compare"),
+                         ("cli", "_compare_cell")}
 
 
 def _loaded_after(code: str) -> set:
@@ -143,15 +156,17 @@ def test_report_loads_no_numpy(solved, tmp_path):
 
 # Each command, and the modules it must not load: no command that solves on
 # the bundled solver loads the MPS layer or subprocess, no command that never
-# solves loads a solver, and none loads numpy.ma (np.quantile's np.unique
-# would). This compare has one cell, so it solves in process; a pooled one
-# loads no subprocess either (below).
+# solves loads a solver, the model builder or standard_form, and none loads
+# numpy.ma (np.quantile's np.unique would). This compare has one cell, so it
+# solves in process; a pooled one loads no subprocess either (below).
+NO_MODEL = {"dcflex.mps", "subprocess", "dcflex.bnb", "dcflex.simplex", "numpy.ma",
+            "dcflex.optimizer", "dcflex.standard_form"}
 COMMANDS = {
-    "fit-signal": (["fit-signal", "--trace", "BUNDLE/signal.csv"],
-                   {"dcflex.mps", "subprocess", "dcflex.bnb", "dcflex.simplex", "numpy.ma"}),
+    "gen-instance": (["gen-instance", "--seed", "3", "--preset", "small", "--signal-days", "1"],
+                     NO_MODEL),
+    "fit-signal": (["fit-signal", "--trace", "BUNDLE/signal.csv"], NO_MODEL),
     "simulate": (["simulate", "--bundle", "BUNDLE", "--solution", "RUN/solution.json",
-                  "--seed", "7", "--scenarios", "2"],
-                 {"dcflex.mps", "subprocess", "dcflex.bnb", "dcflex.simplex", "numpy.ma"}),
+                  "--seed", "7", "--scenarios", "2"], NO_MODEL),
     "solve": (["solve", "--bundle", "BUNDLE"], {"dcflex.mps", "subprocess", "numpy.ma"}),
     "compare": (["compare", "--bundle", "BUNDLE"], {"dcflex.mps", "subprocess", "numpy.ma"}),
 }

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from dcflex.instance import build_synthetic, fit_signal_artifacts, small_params
-from dcflex.optimizer import queue_check_points, resolve_config, run_strategy
+from dcflex.optimizer import run_strategy
+from dcflex.problem import queue_check_points, resolve_config
 from dcflex.signals import RegulationTrace
 from dcflex.simulator import (
     SIM_TOL,

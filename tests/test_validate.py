@@ -10,9 +10,9 @@ import dcflex.optimizer as optimizer
 from conftest import tiny_config, tiny_instance
 from dcflex.instance import (DEMO_SEED, demo_params, fit_signal_artifacts, generate_instance,
                              load_bundle)
-from dcflex.optimizer import (FittedSignal, build_model, build_per_dc_model,
-                              build_regulation_only_model, queue_check_points, resolve_config,
+from dcflex.optimizer import (build_model, build_per_dc_model, build_regulation_only_model,
                               run_strategy)
+from dcflex.problem import FittedSignal, queue_check_points, resolve_config
 from dcflex.signals import GaussianEnvelope, VaRTable
 from dcflex.standard_form import FEAS_TOL
 from dcflex.validate import queue_backlog, qos_deviation_report, validate_solution
