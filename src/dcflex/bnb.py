@@ -17,8 +17,8 @@ import numpy as np
 
 from .artifacts import SolverError
 from .pool import Workers
-from .simplex import INFEASIBLE, ITERATION_LIMIT, OPTIMAL, UNBOUNDED, solve_lp
-from .standard_form import StandardFormModel
+from .simplex import solve_lp
+from .standard_form import INFEASIBLE, ITERATION_LIMIT, OPTIMAL, UNBOUNDED, StandardFormModel
 
 INT_TOL = 1e-6
 GAP_TOL = 1e-9

@@ -421,8 +421,8 @@ def read_signal(path) -> RegulationTrace:
 
 def load_bundle(bundle_dir) -> tuple[ProblemInstance, ModelConfig, RegulationTrace]:
     """Read a bundle directory. Each record checks itself as it is built
-    from its file, so a fault names that file; the grid is read first,
-    because dc.json is read against its horizon and its buses.
+    from its file, so a fault names that file: workload.csv and dc.json
+    against the grid, read first, and latency.csv against both of them.
 
     The trace is ``read_signal`` of signal.csv: it comes from SIGNAL_COPY
     only while the manifest holds the sha256 of both it and signal.csv as
@@ -435,11 +435,15 @@ def load_bundle(bundle_dir) -> tuple[ProblemInstance, ModelConfig, RegulationTra
     if missing:
         raise FileNotFoundError(f"{bundle}: bundle is missing {missing}")
     grid = read_json(bundle / "grid.json", case_from_dict)
-    jobs = read_workload_csv(bundle / "workload.csv")
+    jobs = read_workload_csv(bundle / "workload.csv", grid.n_slots)
     latmap = read_latency_csv(bundle / "latency.csv")
     trace = read_signal(bundle / "signal.csv")
     dcs, queue = read_json(bundle / "dc.json", partial(_read_dcs, t_total=grid.n_slots,
                                                        bus_ids=set(grid.bus_ids())))
+    try:
+        latmap.check_complete(sorted({job.user_region for job in jobs}), [dc.id for dc in dcs])
+    except ValueError as exc:
+        raise ValueError(f"{bundle / 'latency.csv'}: {exc}") from None
     cfg = read_json(bundle / "config.json", ModelConfig.from_dict)
     _check_signal_interval(cfg.slot_hours, trace.dt_seconds)
     return ProblemInstance(tuple(jobs), latmap, dcs, grid, queue), cfg, trace

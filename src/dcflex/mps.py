@@ -4,7 +4,8 @@ The writer emits classic fixed-field MPS (names padded to eight
 characters where they fit, longer names still whitespace-separated so
 mainstream solvers accept them), with integer columns wrapped in
 INTORG/INTEND markers. Values carry 17 significant digits so a write/read
-round trip reproduces coefficients exactly.
+round trip reproduces coefficients exactly. The reader builds the model
+through add_variable and add_row, so it is checked as any built model is.
 
 The external backend contract: the configured command is invoked with two
 extra arguments, the MPS path and a solution output path. It must exit 0
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import SolverError, not_utf8
-from .standard_form import INF, StandardFormModel
+from .standard_form import INF, INFEASIBLE, OPTIMAL, StandardFormModel
 
 OBJECTIVE_ROW = "COST"
 
@@ -42,7 +43,6 @@ def _pad(name: str) -> str:
 
 def model_to_mps(model: StandardFormModel) -> str:
     """Render a model as MPS text (minimization, objective row COST)."""
-    model.validate()
     lines = [f"NAME          {model.name.upper()[:60] or 'MODEL'}"]
     lines.append("ROWS")
     lines.append(f" N  {OBJECTIVE_ROW}")
@@ -103,80 +103,81 @@ def write_mps(model: StandardFormModel, path) -> None:
 
 
 def parse_mps(text: str, name: str = "model") -> StandardFormModel:
-    """Rebuild a StandardFormModel from MPS text produced by model_to_mps."""
-    model = StandardFormModel(name)
+    """Rebuild a StandardFormModel from MPS text produced by model_to_mps;
+    a row tag, or a row or column name that ROWS or COLUMNS did not
+    declare, raises ValueError naming it."""
     section = None
-    row_sense: dict[str, str] = {}
-    row_order: list[str] = []
-    row_coeffs: dict[str, list[tuple[int, float]]] = {}
-    rhs: dict[str, float] = {}
+    rows: dict[str, dict] = {}  # add_row's arguments of each row
+    row_order: list[str] = []  # as ROWS lists them, a repeated name included
     var_index: dict[str, int] = {}
+    columns: list[dict] = []  # add_variable's arguments of each column, in COLUMNS order
     in_integer = False
-
-    for raw in text.splitlines():
-        if not raw.strip() or raw.lstrip().startswith("*"):
-            continue
-        if not raw[0].isspace():
-            head = raw.split()
-            section = head[0].upper()
-            if section == "NAME" and len(head) > 1:
-                model.name = head[1].lower()
-            continue
-        tokens = raw.split()
-        if section == "ROWS":
-            tag, row_name = tokens[0].upper(), tokens[1]
-            if tag == "N":
+    try:
+        for raw in text.splitlines():
+            if not raw.strip() or raw.lstrip().startswith("*"):
                 continue
-            row_sense[row_name] = _TAG_TO_SENSE[tag]
-            row_order.append(row_name)
-            row_coeffs[row_name] = []
-        elif section == "COLUMNS":
-            if len(tokens) >= 3 and tokens[1] == "'MARKER'":
-                in_integer = tokens[2] == "'INTORG'"
+            if not raw[0].isspace():
+                head = raw.split()
+                section = head[0].upper()
+                if section == "NAME" and len(head) > 1:
+                    name = head[1].lower()
                 continue
-            col = tokens[0]
-            if col not in var_index:
-                var_index[col] = model.add_variable(col, lb=0.0, ub=INF, integer=in_integer)
-            j = var_index[col]
-            pairs = tokens[1:]
-            for k in range(0, len(pairs) - 1, 2):
-                row_name, value = pairs[k], float(pairs[k + 1])
-                if row_name == OBJECTIVE_ROW:
-                    if value != 0.0:
-                        model.objective[j] = value
+            tokens = raw.split()
+            if section == "ROWS":
+                tag, row_name = tokens[0].upper(), tokens[1]
+                if tag == "N":
+                    continue
+                rows[row_name] = dict(name=row_name, coeffs=[], sense=_TAG_TO_SENSE[tag], rhs=0.0)
+                row_order.append(row_name)
+            elif section == "COLUMNS":
+                if len(tokens) >= 3 and tokens[1] == "'MARKER'":
+                    in_integer = tokens[2] == "'INTORG'"
+                    continue
+                col = tokens[0]
+                if col not in var_index:
+                    var_index[col] = len(columns)
+                    columns.append(dict(name=col, lb=0.0, ub=INF, integer=in_integer, obj=0.0))
+                j = var_index[col]
+                pairs = tokens[1:]
+                for k in range(0, len(pairs) - 1, 2):
+                    row_name, value = pairs[k], float(pairs[k + 1])
+                    if row_name == OBJECTIVE_ROW:
+                        columns[j]["obj"] = value
+                    else:
+                        rows[row_name]["coeffs"].append((j, value))
+            elif section == "RHS":
+                pairs = tokens[1:]
+                for k in range(0, len(pairs) - 1, 2):
+                    rows[pairs[k]]["rhs"] = float(pairs[k + 1])
+            elif section == "BOUNDS":
+                kind = tokens[0].upper()
+                var = columns[var_index[tokens[2]]]
+                if kind == "FR":
+                    var["lb"], var["ub"] = -INF, INF
+                elif kind == "MI":
+                    var["lb"] = -INF
+                elif kind == "PL":
+                    var["ub"] = INF
+                elif kind == "FX":
+                    var["lb"] = var["ub"] = float(tokens[3])
+                elif kind == "LO":
+                    var["lb"] = float(tokens[3])
+                elif kind == "UP":
+                    var["ub"] = float(tokens[3])
+                elif kind == "BV":
+                    var["lb"], var["ub"], var["integer"] = 0.0, 1.0, True
                 else:
-                    row_coeffs[row_name].append((j, value))
-        elif section == "RHS":
-            pairs = tokens[1:]
-            for k in range(0, len(pairs) - 1, 2):
-                rhs[pairs[k]] = float(pairs[k + 1])
-        elif section == "BOUNDS":
-            kind = tokens[0].upper()
-            col = tokens[2]
-            j = var_index[col]
-            var = model.variables[j]
-            if kind == "FR":
-                var.lb, var.ub = -INF, INF
-            elif kind == "MI":
-                var.lb = -INF
-            elif kind == "PL":
-                var.ub = INF
-            elif kind == "FX":
-                var.lb = var.ub = float(tokens[3])
-            elif kind == "LO":
-                var.lb = float(tokens[3])
-            elif kind == "UP":
-                var.ub = float(tokens[3])
-            elif kind == "BV":
-                var.lb, var.ub, var.integer = 0.0, 1.0, True
-            else:
-                raise ValueError(f"unsupported bound type {kind}")
-        elif section == "RANGES":
-            raise ValueError("RANGES sections are not supported")
+                    raise ValueError(f"unsupported bound type {kind}")
+            elif section == "RANGES":
+                raise ValueError("RANGES sections are not supported")
+    except KeyError as exc:
+        raise ValueError(f"MPS {section}: unknown name {exc.args[0]!r}") from None
 
+    model = StandardFormModel(name)
+    for column in columns:
+        model.add_variable(**column)
     for row_name in row_order:
-        model.add_row(row_name, row_coeffs[row_name], row_sense[row_name], rhs.get(row_name, 0.0))
-    model.validate()
+        model.add_row(**rows[row_name])
     return model
 
 
@@ -218,7 +219,7 @@ def read_solution_file(path, model: StandardFormModel) -> np.ndarray:
 def run_external_solver(model: StandardFormModel, command: str, workdir) -> tuple[str, np.ndarray | None]:
     """Export the model, invoke the configured command, parse its solution.
 
-    Returns (status, values); status is "optimal" or "infeasible".
+    Returns (status, values); status is OPTIMAL or INFEASIBLE.
     """
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
@@ -230,11 +231,11 @@ def run_external_solver(model: StandardFormModel, command: str, workdir) -> tupl
     # stderr is read, to quote it when the command fails.
     proc = subprocess.run(argv, capture_output=True)
     if proc.returncode == 2:
-        return "infeasible", None
+        return INFEASIBLE, None
     if proc.returncode != 0:
         stderr = proc.stderr.decode("utf-8", errors="replace").strip()[:500]
         raise ExternalSolverError(f"model {model.name}: external solver exited "
                                   f"{proc.returncode}" + (f": {stderr}" if stderr else ""))
     if not sol_path.exists():
         raise ExternalSolverError(f"external solver wrote no solution file at {sol_path}")
-    return "optimal", read_solution_file(sol_path, model)
+    return OPTIMAL, read_solution_file(sol_path, model)

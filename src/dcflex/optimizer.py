@@ -12,20 +12,20 @@ Each variable block is declared once, by _columns, which returns its
 column indices as an array: _x_columns gives the schedule columns
 (admissible cells, friction, integrality) as an (M, T, N) array and
 _r_columns the regulation-capacity columns as an (N, T) array, each -1
-where a model declares no column; build_model adds the grid blocks p, u,
-th and q. Every row emitter looks its columns up in these arrays, and
-_block_sizes is the one statement of build_model's block order. Each DC
-constraint family is emitted in one place: _schedule_rows the completion,
-QoS and resource rows, _regulation_rows the power cap, chance and queue
-VaR rows. The full model, the per-DC models and the regulation-only model
-differ only in the DCs, clusters and fixed values they pass. A queue row's
-x coefficients are -cover[t] * E_i, where slot_cover gives the share of
-each slot elapsed by the checkpoint and E_i is cluster i's energy; the
-backlog of the frozen schedule enters its right-hand side as one
-sequential sum. validate.py re-derives every family independently on
-purpose, so it stays a check on these emitters rather than a copy of them.
-The records and the helpers that state the model's semantics are in
-problem.py.
+where a model declares no column, which add_row refuses; build_model adds
+the grid blocks p, u, th and q. Every row emitter looks its columns up in
+these arrays, and _block_sizes is the one statement of build_model's
+block order. Each DC constraint family is emitted in one place:
+_schedule_rows the completion, QoS and resource rows, _regulation_rows
+the power cap, chance and queue VaR rows. The full model, the per-DC
+models and the regulation-only model differ only in the DCs, clusters and
+fixed values they pass. A queue row's x coefficients are -cover[t] * E_i,
+where slot_cover gives the share of each slot elapsed by the checkpoint
+and E_i is cluster i's energy; the backlog of the frozen schedule enters
+its right-hand side as one sequential sum. validate.py re-derives every
+family independently on purpose, so it stays a check on these emitters
+rather than a copy of them. The records and the helpers that state the
+model's semantics are in problem.py.
 """
 
 import math
@@ -46,7 +46,7 @@ from .problem import (
     resolve_config,
 )
 from .signals import GaussianEnvelope, VaRTable
-from .standard_form import FEAS_TOL, INF, StandardFormModel, presolve
+from .standard_form import FEAS_TOL, INF, INFEASIBLE, OPTIMAL, StandardFormModel, presolve
 from .workload import cluster_energies_mwh, load_matrix
 
 BACKEND_BUNDLED = "bundled"
@@ -71,8 +71,6 @@ def slot_cover(t_total: int, slot_hours: float, tau_hours: float) -> np.ndarray:
     if frac >= 1e-12 and full < t_total:
         cover[full] = frac
     return cover
-
-
 
 
 def _row_family(name: str) -> str:
@@ -325,11 +323,7 @@ def build_model(
     _schedule_rows(model, inst, cfg, dcs, members, xcol)
     _regulation_rows(model, inst, cfg, moments, var_table, dcs, members, xcol, rcol,
                      np.zeros((m, t_total, n_dc)))
-
-    model.validate()
     return model
-
-
 
 
 def extract_solution(inst: ProblemInstance, cfg: ModelConfig, values: np.ndarray,
@@ -449,9 +443,8 @@ def solve_model(model: StandardFormModel, backend: str = BACKEND_BUNDLED):
     exists, and SolverError on any other status.
     """
     # Each arm imports its solvers, so a command that never solves loads
-    # none of them and a bundled solve never loads mps or subprocess.
-    from .simplex import INFEASIBLE, OPTIMAL
-
+    # none of them, a bundled solve never loads mps or subprocess and a
+    # cmd: solve loads neither bundled solver.
     command = backend_command(backend)
     if command is None:
         if any(v.integer and v.ub - v.lb > 1e-12 for v in model.variables):

@@ -19,7 +19,7 @@ masks into one buffer, and updates the one dense tableau only on the
 nonzero rows x columns of its rank-1 step, through their flat indices. A
 model whose solve could hold more than MAX_TABLEAU_BYTES is refused. The
 budget holds per solve: branch and bound runs a node's two children at
-once, on its two workers.
+once, on its two workers. Its statuses are standard_form's.
 """
 
 from dataclasses import dataclass, field
@@ -27,17 +27,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .artifacts import SolverError
-from .standard_form import EMPTY_ROW_TOL, INF, StandardFormModel, presolve
+from .standard_form import (EMPTY_ROW_TOL, INF, INFEASIBLE, ITERATION_LIMIT, OPTIMAL, UNBOUNDED,
+                            StandardFormModel, presolve)
 
 PIVOT_TOL = 1e-9
 RC_TOL = 1e-9
 DEGENERATE_STREAK = 40
 MAX_TABLEAU_BYTES = 256 * 2**20
-
-OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
-ITERATION_LIMIT = "iteration_limit"
 
 
 @dataclass

@@ -3,7 +3,8 @@
 A model is a list of bounded (optionally integer) variables, a list of
 sparse linear rows with a sense and right-hand side, and a minimized
 linear objective. Both bundled solvers, the MPS writer/reader, and the
-external-backend adapter consume this one representation. presolve
+external-backend adapter consume this one representation and its solve
+statuses; add_variable and add_row check each column and row. presolve
 removes what no solver needs to see before any backend runs.
 """
 
@@ -20,6 +21,11 @@ EMPTY_ROW_TOL = 1e-7
 # Absolute excess up to which a solution meets a constraint, both in
 # validate_solution and for the round-off a frozen schedule may carry.
 FEAS_TOL = 1e-6
+
+OPTIMAL = "optimal"
+INFEASIBLE = "infeasible"
+UNBOUNDED = "unbounded"
+ITERATION_LIMIT = "iteration_limit"
 
 
 @dataclass
@@ -54,6 +60,8 @@ class StandardFormModel:
     variables: list = field(default_factory=list)
     rows: list = field(default_factory=list)
     objective: dict = field(default_factory=dict)  # var_index -> coefficient
+    _var_names: set = field(default_factory=set, init=False, repr=False, compare=False)
+    _row_names: set = field(default_factory=set, init=False, repr=False, compare=False)
 
     @property
     def n_vars(self) -> int:
@@ -65,19 +73,30 @@ class StandardFormModel:
 
     def add_variable(self, name: str, lb: float = 0.0, ub: float = INF,
                      integer: bool = False, obj: float = 0.0) -> int:
-        idx = len(self.variables)
+        """Declare a column; refuses a name already declared."""
+        if name in self._var_names:
+            raise ValueError(f"model {self.name}: column {name!r} is declared twice")
         self.variables.append(Variable(name, lb, ub, integer))
+        self._var_names.add(name)
         if obj != 0.0:
-            self.objective[idx] = self.objective.get(idx, 0.0) + obj
-        return idx
+            self.objective[self.n_vars - 1] = obj
+        return self.n_vars - 1
 
     def add_row(self, name: str, coeffs, sense: str, rhs: float) -> int:
+        """Add a row; refuses a repeated name and a column outside [0, n_vars)."""
+        if name in self._row_names:
+            raise ValueError(f"model {self.name}: row {name!r} is added twice")
         merged: dict[int, float] = {}
         for j, c in coeffs:
             if c != 0.0:
                 merged[j] = merged.get(j, 0.0) + c
         row = LinearRow(name, sorted(merged.items()), sense, rhs)
+        # Sorted by column, so the first and last entries bound every index.
+        for j in (row.coeffs[0][0], row.coeffs[-1][0]) if row.coeffs else ():
+            if not 0 <= j < self.n_vars:
+                raise ValueError(f"model {self.name}: row {name!r} uses undeclared column {j}")
         self.rows.append(row)
+        self._row_names.add(name)
         return len(self.rows) - 1
 
     def objective_vector(self) -> np.ndarray:
@@ -88,27 +107,6 @@ class StandardFormModel:
 
     def integer_indices(self) -> list[int]:
         return [i for i, v in enumerate(self.variables) if v.integer]
-
-    def validate(self) -> None:
-        names = set()
-        for v in self.variables:
-            if v.name in names:
-                raise ValueError(f"duplicate variable name {v.name!r}")
-            names.add(v.name)
-            if v.lb > v.ub:
-                raise ValueError(f"variable {v.name}: inconsistent bounds")
-        n = self.n_vars
-        row_names = set()
-        for row in self.rows:
-            if row.name in row_names:
-                raise ValueError(f"duplicate row name {row.name!r}")
-            row_names.add(row.name)
-            for j, _ in row.coeffs:
-                if not 0 <= j < n:
-                    raise ValueError(f"row {row.name}: coefficient on unknown variable {j}")
-        for j in self.objective:
-            if not 0 <= j < n:
-                raise ValueError(f"objective coefficient on unknown variable {j}")
 
     def evaluate_objective(self, values: np.ndarray) -> float:
         return float(sum(c * values[j] for j, c in self.objective.items()))
@@ -199,18 +197,17 @@ def presolve(model: StandardFormModel, pins: dict | None = None) -> Presolved:
     n = model.n_vars
     fixed = [0.0] * n
     new_of = [-1] * n  # reduced index of each column, -1 when fixed
-    reduced = StandardFormModel(model.name)
+    columns = []  # the original Variable of each reduced column
     for j, v in enumerate(model.variables):
         if j in pins:
             fixed[j] = pins[j]
         elif v.lb == v.ub:
             fixed[j] = v.lb
         else:
-            new_of[j] = reduced.n_vars
-            reduced.variables.append(Variable(v.name, v.lb, v.ub, v.integer))
-    reduced.objective = {new_of[j]: c for j, c in model.objective.items() if new_of[j] >= 0}
-    lbs = [v.lb for v in reduced.variables]
-    ubs = [v.ub for v in reduced.variables]
+            new_of[j] = len(columns)
+            columns.append(v)
+    lbs = [v.lb for v in columns]
+    ubs = [v.ub for v in columns]
     kept = []  # surviving rows in model order; None where a later row implies it
     groups: dict[tuple, list] = {}  # (sense, rhs, columns) -> [(index in kept, coefficients)]
 
@@ -242,7 +239,7 @@ def presolve(model: StandardFormModel, pins: dict | None = None) -> Presolved:
         elif sense == ">=":
             if sum(c * (lbs[k] if c > 0 else ubs[k]) for k, c in coeffs) >= rhs:
                 continue
-        if len(coeffs) == 1 and not reduced.variables[coeffs[0][0]].integer:
+        if len(coeffs) == 1 and not columns[coeffs[0][0]].integer:
             (k, c), = coeffs
             lo, hi = lbs[k], ubs[k]
             if sense == "=" or (sense == ">=") == (c > 0):
@@ -250,8 +247,7 @@ def presolve(model: StandardFormModel, pins: dict | None = None) -> Presolved:
             if sense == "=" or (sense == "<=") == (c > 0):
                 hi = min(hi, rhs / c)
             if lo <= hi:
-                lbs[k] = reduced.variables[k].lb = lo
-                ubs[k] = reduced.variables[k].ub = hi
+                lbs[k], ubs[k] = lo, hi
                 continue
             if (lo - hi) * abs(c) > tol(row):
                 return infeasible(row)
@@ -272,7 +268,11 @@ def presolve(model: StandardFormModel, pins: dict | None = None) -> Presolved:
                 group.remove(entry)
             group.append((len(kept), vals))
             kept.append(LinearRow(row.name, coeffs, sense, rhs))
-    reduced.rows = [row for row in kept if row is not None]
+    # Not through add_row: the rows come from a checked model, and every B&B node presolves.
+    reduced = StandardFormModel(
+        model.name, [Variable(v.name, lo, hi, v.integer) for v, lo, hi in zip(columns, lbs, ubs)],
+        [row for row in kept if row is not None],
+        {new_of[j]: c for j, c in model.objective.items() if new_of[j] >= 0})
     keep = np.array([j for j in range(n) if new_of[j] >= 0], dtype=int)
     counts = {"cols": [n, reduced.n_vars], "rows": [model.n_rows, reduced.n_rows],
               "nnz": [sum(len(r.coeffs) for r in model.rows),

@@ -250,18 +250,21 @@ def _read_table(path, header, parse_row, what: str) -> list:
     return parsed
 
 
-def _workload_row(seen: set, row: dict) -> JobCluster:
-    """The cluster of a workload.csv row; an id may appear once only."""
+def _workload_row(seen: set, t_total: int, row: dict) -> JobCluster:
+    """The cluster of a workload.csv row arriving within ``t_total`` slots;
+    an id may appear once only."""
     job = JobCluster(*(_PARSE[f.type](row[name]) for name, f in _WORKLOAD_COLUMNS))
     if job.id in seen:
         raise ValueError(f"repeats id {job.id!r}")
+    if job.arrival_slot > t_total:
+        raise ValueError(f"arrival_slot {job.arrival_slot} is beyond the {t_total}-slot horizon")
     seen.add(job.id)
     return job
 
 
-def read_workload_csv(path) -> list[JobCluster]:
-    """Read clusters from CSV with the canonical workload header."""
-    return _read_table(path, WORKLOAD_HEADER, partial(_workload_row, set()), "workload")
+def read_workload_csv(path, t_total: int) -> list[JobCluster]:
+    """Clusters of a workload CSV, each arriving within ``t_total`` slots."""
+    return _read_table(path, WORKLOAD_HEADER, partial(_workload_row, set(), t_total), "workload")
 
 
 def write_workload_csv(jobs, path) -> None:

@@ -56,6 +56,15 @@ def run_child(*argv):
     return run_python("-m", "dcflex.cli", *argv)
 
 
+def _with_field(text: str, line: int, column: int, value: str) -> str:
+    """CSV ``text`` with field ``column`` (0-based) of line ``line`` set to ``value``."""
+    rows = text.splitlines(keepends=True)
+    fields = rows[line - 1].split(",")
+    fields[column] = value
+    rows[line - 1] = ",".join(fields)
+    return "".join(rows)
+
+
 # sha256 of simulate's seeded artifacts (--scenarios 4 --seed 7) for the
 # solution of `solved_dir`. They pin the replay's bytes: a rewrite of the
 # replay or of the series writer must leave them byte-identical.
@@ -366,10 +375,18 @@ class TestSolve:
          "grid case invalid: duplicate line ids"),
         ("workload.csv", lambda text: text + text.splitlines()[1] + "\n",
          "line 8: repeats id 'c01'"),
-        ("dc.json", lambda d: d["dcs"][0].update(bus=99), "dcs[0] 'bus' 99 is not a grid bus")],
+        ("dc.json", lambda d: d["dcs"][0].update(bus=99), "dcs[0] 'bus' 99 is not a grid bus"),
+        ("workload.csv", lambda text: _with_field(text, 2, 2, "9"),
+         "line 2: arrival_slot 9 is beyond the 4-slot horizon"),
+        ("latency.csv", lambda text: "".join(
+            line for line in text.splitlines(keepends=True) if not line.startswith("r1,")),
+         "latency map missing 2 pairs, first ('r1', 1)"),
+        ("latency.csv", lambda text: _with_field(text, 2, 1, "9"),
+         "latency map missing 1 pairs, first ('r1', 1)")],
         ids=["gen_cost_true", "gen_p_min_null", "line_limit_true", "mva_base_true",
              "base_load_null", "q_init_true", "q_min_null", "cpu_cap_true", "p_max_null",
-             "repeated_generator", "repeated_line", "repeated_cluster", "dc_bus_not_in_grid"])
+             "repeated_generator", "repeated_line", "repeated_cluster", "dc_bus_not_in_grid",
+             "arrival_beyond_horizon", "latency_lacks_a_region", "latency_dc_id_mistyped"])
     def test_a_bundle_fault_exits_4_naming_its_file(self, bundle, tmp_path, name, edit, cause):
         broken = shutil.copytree(bundle, tmp_path / "broken")
         path = broken / name
@@ -381,8 +398,8 @@ class TestSolve:
             path.write_text(edit(path.read_text()))
         code, lines = run_cli(["solve", "--bundle", str(broken),
                                "--out", str(tmp_path / "o"), "--quiet"])
-        # A workload.csv cause starts with its line, as "<file> line <n>: ...".
-        sep = " " if name.endswith(".csv") else ": "
+        # A cause found on one CSV row starts with its line, as "<file> line <n>: ...".
+        sep = " " if cause.startswith("line ") else ": "
         assert code == EXIT_INPUT and lines == [f"error: {path}{sep}{cause}"]
 
     @pytest.mark.parametrize("name, keys", [
@@ -1315,7 +1332,8 @@ def test_latency_csv_missing_a_used_pair_exits_4_naming_it(quick_bundle, tmp_pat
     code, lines = run_cli(["solve", "--bundle", str(work), "--out", str(tmp_path / "o"),
                            "--quiet"])
     assert code == EXIT_INPUT
-    assert lines == [f"error: latency map missing 1 pairs, first ({region!r}, {int(dc)})"]
+    assert lines == [f"error: {work / 'latency.csv'}: latency map missing 1 pairs, "
+                     f"first ({region!r}, {int(dc)})"]
     assert not (tmp_path / "o").exists()
 
 

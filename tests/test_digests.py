@@ -35,8 +35,9 @@ def test_first_difference_names_the_line_and_the_counts():
 
 
 def test_seeded_digests_match_the_pinned_file():
-    proc = subprocess.run([sys.executable, str(TOOLS / "digests.py")],
-                          capture_output=True, text=True, check=False)
+    # A numpy RuntimeWarning on any seeded flow fails the run.
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           str(TOOLS / "digests.py")], capture_output=True, text=True, check=False)
     assert proc.returncode == 0, proc.stderr
     expected = (TOOLS / "digests.txt").read_text().splitlines()
     diff = first_difference(expected, proc.stdout.splitlines())

@@ -130,6 +130,23 @@ def test_file_round_trip(tmp_path):
     assert models_equal(toy_model(), read_mps(path))
 
 
+@pytest.mark.parametrize("old, new, cause", [
+    (" UP BND       y         4", " LO BND       y         5\n UP BND       y         4",
+     r"variable y: lb 5\.0 > ub 4\.0"),
+    ("    y         cap       1", "    y         cop       1",
+     "MPS COLUMNS: unknown name 'cop'"),
+    ("    RHS       cap       10", "    RHS       cop       10",
+     "MPS RHS: unknown name 'cop'"),
+    (" UP BND       y         4", " UP BND       w         4",
+     "MPS BOUNDS: unknown name 'w'"),
+    (" L  cap", " X  cap", "MPS ROWS: unknown name 'X'")],
+    ids=["up_below_lo", "columns_undeclared_row", "rhs_undeclared_row", "bounds_undeclared_column",
+         "unknown_row_tag"])
+def test_parse_mps_refuses_a_model_fault_naming_it(old, new, cause):
+    with pytest.raises(ValueError, match=rf"^{cause}$"):
+        parse_mps(GOLDEN_TOY.replace(old, new))
+
+
 def test_solution_file_parsing(tmp_path):
     model = toy_model()
     sol = tmp_path / "toy.sol"

@@ -97,6 +97,17 @@ def test_only_read_json_decodes_json():
     assert decoders == [("artifacts", "read_json")] and imported == [], (decoders, imported)
 
 
+def test_no_module_edits_a_built_column_or_row():
+    # StandardFormModel checks each column and row as add_variable and
+    # add_row build it, so no code may change these fields afterwards.
+    # A row's rhs carries no invariant and may be relaxed in place.
+    edits = [(module, owner, node.attr) for module, tree in _trees().items()
+             for owner, node in _by_function(tree, ast.Attribute)
+             if isinstance(node.ctx, ast.Store)
+             and node.attr in ("lb", "ub", "integer", "sense", "coeffs")]
+    assert edits == [], edits
+
+
 def test_only_solve_and_compare_import_the_builder():
     # validate re-derives what the builder's rows state, and simulate,
     # fit-signal and gen-instance build no model: each reads the model's
@@ -155,12 +166,14 @@ def test_report_loads_no_numpy(solved, tmp_path):
 
 
 # Each command, and the modules it must not load: no command that solves on
-# the bundled solver loads the MPS layer or subprocess, no command that never
-# solves loads a solver, the model builder or standard_form, and none loads
-# numpy.ma (np.quantile's np.unique would). This compare has one cell, so it
-# solves in process; a pooled one loads no subprocess either (below).
+# the bundled solver loads the MPS layer or subprocess, a solve on a cmd:
+# backend loads no bundled solver, no command that never solves loads a
+# solver, the model builder or standard_form, and none loads numpy.ma
+# (np.quantile's np.unique would). This compare has one cell, so it solves in
+# process; a pooled one loads no subprocess either (below).
 NO_MODEL = {"dcflex.mps", "subprocess", "dcflex.bnb", "dcflex.simplex", "numpy.ma",
             "dcflex.optimizer", "dcflex.standard_form"}
+ADAPTER = Path(__file__).parents[1] / "perfbench" / "highs_adapter.py"
 COMMANDS = {
     "gen-instance": (["gen-instance", "--seed", "3", "--preset", "small", "--signal-days", "1"],
                      NO_MODEL),
@@ -168,6 +181,8 @@ COMMANDS = {
     "simulate": (["simulate", "--bundle", "BUNDLE", "--solution", "RUN/solution.json",
                   "--seed", "7", "--scenarios", "2"], NO_MODEL),
     "solve": (["solve", "--bundle", "BUNDLE"], {"dcflex.mps", "subprocess", "numpy.ma"}),
+    "solve_cmd": (["solve", "--bundle", "BUNDLE", "--backend", f"cmd:{sys.executable} {ADAPTER}"],
+                  {"dcflex.bnb", "dcflex.simplex", "numpy.ma"}),
     "compare": (["compare", "--bundle", "BUNDLE"], {"dcflex.mps", "subprocess", "numpy.ma"}),
 }
 

@@ -213,7 +213,7 @@ class TestCsvIo:
         jobs = [cluster(), cluster("j2", "r2", 2, "interactive", 10.5)]
         path = tmp_path / "workload.csv"
         write_workload_csv(jobs, path)
-        assert read_workload_csv(path) == jobs
+        assert read_workload_csv(path, 2) == jobs
 
     def test_latency_round_trip(self, tmp_path):
         latmap = simple_latency()
@@ -225,7 +225,7 @@ class TestCsvIo:
         path = tmp_path / "w.csv"
         path.write_text("id,region\nx,y\n")
         with pytest.raises(ValueError, match="header"):
-            read_workload_csv(path)
+            read_workload_csv(path, 2)
 
     def test_bad_row_reports_line(self, tmp_path):
         path = tmp_path / "w.csv"
@@ -235,7 +235,7 @@ class TestCsvIo:
             "b,r1,oops,deferrable,10,1,1,1,1.7\n"
         )
         with pytest.raises(ValueError, match="line 3"):
-            read_workload_csv(path)
+            read_workload_csv(path, 2)
 
     def test_bad_row_after_blank_rows_reports_its_file_line(self, tmp_path):
         path = tmp_path / "w.csv"
@@ -247,7 +247,7 @@ class TestCsvIo:
             "b,r1,1,deferrable,heavy,1,1,1,1.7\n"
         )
         with pytest.raises(ValueError, match=r"w\.csv line 5: "):
-            read_workload_csv(path)
+            read_workload_csv(path, 2)
 
 
 def test_cluster_field_validation():
